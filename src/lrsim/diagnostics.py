@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from . import liecore as lie
 from .integrators import (
@@ -82,9 +80,11 @@ def conservation_report(traj, quantities=None):
                     selected.append((q, available[q]))
             else:
                 selected.append(q)
+    # state by state, so that quantities sharing per-state work (the support
+    # trace fits) find it cached
+    table = np.array([[fn(y) for _, fn in selected] for y in traj.states], dtype=float)
     report = []
-    for name, fn in selected:
-        values = np.array([fn(y) for y in traj.states])
+    for (name, _), values in zip(selected, table.T):
         initial = float(values[0])
         drift = float(np.max(np.abs(values - initial)))
         scale = abs(initial) if abs(initial) > 1e-12 else max(np.max(np.abs(values)), 1.0)
@@ -93,11 +93,15 @@ def conservation_report(traj, quantities=None):
 
 
 def constraint_report(traj):
-    """Worst residual of every named constraint along the trajectory."""
+    """Worst residual of every named constraint along the trajectory.
+
+    A NaN residual at any state makes that constraint's worst value NaN, so
+    a check against a tolerance fails.
+    """
     worst = {}
     for y in traj.states:
         for name, resid in traj.system.constraints(y).items():
-            worst[name] = max(worst.get(name, 0.0), resid)
+            worst[name] = float(np.maximum(worst.get(name, 0.0), resid))
     return worst
 
 
@@ -302,7 +306,8 @@ def reconstruct_contact(traj):
     coordinate is conserved (the corresponding constraint is holonomic).
     """
     vels = np.array([contact_velocity(traj.system, y) for y in traj.states])
-    return cumulative_trapezoid(vels, traj.times, axis=0, initial=0.0)
+    steps = np.diff(traj.times)[:, None] * (vels[1:] + vels[:-1]) / 2.0
+    return np.concatenate([np.zeros((1, vels.shape[1])), np.cumsum(steps, axis=0)])
 
 
 def reconstruct_W(traj, w0=None):
@@ -349,6 +354,8 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
     rescaled flow and the geodesic flow, the dual-path deviation, and the
     geodesic trajectory for further checks.
     """
+    from scipy.interpolate import CubicSpline
+
     if inertia.kind != "special":
         raise ValueError("the Hamiltonization check requires the special inertia kind")
     axes = inertia.params["A"]

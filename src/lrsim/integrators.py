@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import liecore as lie
 from .systems.base import ROTATION
@@ -38,8 +37,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose one of {METHODS}")
-        if self.h <= 0:
-            raise ValueError("step size h must be positive")
+        if not np.isfinite(self.h) or self.h <= 0:
+            raise ValueError(f"step size h must be positive and finite, got {self.h!r}")
         if self.steps < 0:
             raise ValueError("step count must be nonnegative")
 
@@ -69,6 +68,13 @@ class IntegrationError(RuntimeError):
         super().__init__(f"{message} (step {step_index})")
         self.partial = partial
         self.step_index = step_index
+
+
+def expm(a):
+    """Matrix exponential; scipy is imported on the first ``lie-rk4`` step."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(a)
 
 
 def _rk4_flat(rhs, y, h):

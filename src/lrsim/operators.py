@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import liecore as lie
+from .linalg import cho_factor, cho_solve
 
 SELF_ADJOINT_TOL = 1e-10
 
@@ -48,7 +48,7 @@ class InertiaOperator:
         self.params = params or {}
         self.matrix = matrix
         try:
-            self._cho = cho_factor(matrix, check_finite=False)
+            self._cho = cho_factor(matrix)
         except np.linalg.LinAlgError as exc:
             eigs = np.linalg.eigvalsh(matrix)
             raise OperatorError(
@@ -144,10 +144,7 @@ class InertiaOperator:
         return lie.vec_to_skew(self.solve_vec(lie.skew_to_vec(y)), self.n)
 
     def solve_vec(self, v):
-        return cho_solve(self._cho, v, check_finite=False)
-
-    def inverse_matrix(self):
-        return cho_solve(self._cho, np.eye(self.N), check_finite=False)
+        return cho_solve(self._cho, v)
 
     def __repr__(self):
         return f"InertiaOperator(n={self.n}, kind={self.kind!r})"
@@ -210,7 +207,7 @@ def restricted_operator_inverse(operator, basis, y, tol=1e-10):
     gram = np.column_stack([operator.solve_vec(basis.vectors[:, j]) for j in range(basis.dim)])
     gram = basis.vectors.T @ gram
     try:
-        sol = cho_solve(cho_factor(gram, check_finite=False), coords, check_finite=False)
+        sol = cho_solve(cho_factor(gram), coords)
     except np.linalg.LinAlgError as exc:
         raise OperatorError("restricted operator is singular") from exc
     return lie.vec_to_skew(basis.vectors @ sol, basis.n)

@@ -37,9 +37,9 @@ classical Chaplygin sphere.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .. import liecore as lie
+from ..linalg import cho_factor, cho_solve
 from ..operators import wedge_projector_matrix
 from .base import Component, System, UNIT, VECTOR, rotation_component, skew_component
 from .lr import MultiplierError
@@ -82,7 +82,7 @@ class RubberChaplyginSystem(System):
         proj = wedge_projector_matrix(gamma)
         b = self.inertia.matrix + self.mr2 * proj
         try:
-            b_cho = cho_factor(b, check_finite=False)
+            b_cho = cho_factor(b)
         except np.linalg.LinAlgError as exc:
             raise MultiplierError("contact-point inertia lost positive definiteness") from exc
         kv = b @ wv
@@ -92,17 +92,15 @@ class RubberChaplyginSystem(System):
         twist = lie.wedge_complement_basis(gamma)
         if twist.dim:
             basis = twist.vectors
-            binv_basis = cho_solve(b_cho, basis, check_finite=False)
+            binv_basis = cho_solve(b_cho, basis)
             gram = basis.T @ binv_basis
             rhs_mult = -(binv_basis.T @ torque)
             try:
-                coeff = cho_solve(
-                    cho_factor(gram, check_finite=False), rhs_mult, check_finite=False
-                )
+                coeff = cho_solve(cho_factor(gram), rhs_mult)
             except np.linalg.LinAlgError as exc:
                 raise MultiplierError("no-twist multiplier system is singular") from exc
             torque = torque + basis @ coeff
-        wdot = cho_solve(b_cho, torque, check_finite=False)
+        wdot = cho_solve(b_cho, torque)
         out = np.empty(self.dim)
         out[self.slice_of("g")] = (g @ omega).ravel()
         out[self.slice_of("omega")] = wdot
@@ -306,11 +304,7 @@ class GsrSystem(System):
             lie.ad(lie.ad(gamma_dot, omega), gamma) + lie.ad(lie.ad(gamma, omega), gamma_dot)
         )
         try:
-            wdot = cho_solve(
-                cho_factor(b, check_finite=False),
-                lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w),
-                check_finite=False,
-            )
+            wdot = cho_solve(cho_factor(b), lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w))
         except np.linalg.LinAlgError as exc:
             raise MultiplierError("effective inertia lost positive definiteness") from exc
         out = np.empty(self.dim)

@@ -25,9 +25,9 @@ right-invariant operator is sum_i D_i A_i^T (B_i B_i^T)^{-1} A_i.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .. import liecore as lie
+from ..linalg import cho_factor, cho_solve
 from .base import Component, System, VECTOR, rotation_component, skew_component
 from .lr import MultiplierError
 
@@ -72,22 +72,22 @@ class _CoupledBase(System):
         q = lie.adjoint_matrix(g)
         b = self.inertia.matrix + q.T @ self.pi0 @ q
         try:
-            b_cho = cho_factor(b, check_finite=False)
+            b_cho = cho_factor(b)
         except np.linalg.LinAlgError as exc:
             raise MultiplierError("total operator lost positive definiteness") from exc
         iw = lie.vec_to_skew(self.inertia.apply_vec(wv), self.n)
         torque = lie.skew_to_vec(lie.ad(iw, omega))
         if self.h0 is not None and self.h0.dim:
             basis_g = q.T @ self.h0.vectors  # basis of h_0^g
-            binv_basis = cho_solve(b_cho, basis_g, check_finite=False)
+            binv_basis = cho_solve(b_cho, basis_g)
             gram = basis_g.T @ binv_basis
             rhs_mult = -(binv_basis.T @ torque)
             try:
-                coeff = cho_solve(cho_factor(gram, check_finite=False), rhs_mult, check_finite=False)
+                coeff = cho_solve(cho_factor(gram), rhs_mult)
             except np.linalg.LinAlgError as exc:
                 raise MultiplierError("restricted operator on h_0^g is singular") from exc
             torque = torque + basis_g @ coeff
-        return cho_solve(b_cho, torque, check_finite=False), omega, q
+        return cho_solve(b_cho, torque), omega, q
 
     def reduced_energy(self, y):
         g = y[self.slice_of("g")].reshape(self.n, self.n)
@@ -224,10 +224,10 @@ class NCoupledSystem(System):
                 )
             c = b @ b.T
             try:
-                c_cho = cho_factor(c, check_finite=False)
+                c_cho = cho_factor(c)
             except np.linalg.LinAlgError as exc:
                 raise ValueError(f"B_{idx + 1} B_{idx + 1}^T is not invertible") from exc
-            cinv_a = cho_solve(c_cho, a, check_finite=False)
+            cinv_a = cho_solve(c_cho, a)
             pi0 += d * (a.T @ cinv_a)
             self.bodies.append({"a": a, "b": b, "d": float(d), "cinv_a": cinv_a})
             comps.append(Component(f"W{idx + 1}", VECTOR, b.shape[1]))
@@ -243,11 +243,7 @@ class NCoupledSystem(System):
         b = self.inertia.matrix + q.T @ self.pi0 @ q
         iw = lie.vec_to_skew(self.inertia.apply_vec(wv), n)
         try:
-            wdot = cho_solve(
-                cho_factor(b, check_finite=False),
-                lie.skew_to_vec(lie.ad(iw, omega)),
-                check_finite=False,
-            )
+            wdot = cho_solve(cho_factor(b), lie.skew_to_vec(lie.ad(iw, omega)))
         except np.linalg.LinAlgError as exc:
             raise MultiplierError("total operator lost positive definiteness") from exc
         omega_dot_space = q @ wdot

@@ -26,9 +26,9 @@ the same L+R metric keeps the force term the modified equations drop; in
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .. import liecore as lie
+from ..linalg import cho_factor, cho_solve
 from .base import System, rotation_component, skew_component
 
 
@@ -79,7 +79,7 @@ class LRSystem(System):
             gram = np.array([[sols[i] @ alphas[j] for j in range(self.k)] for i in range(self.k)])
             rhs_mult = np.array([-(sols[i] @ torque) for i in range(self.k)])
             try:
-                lam = cho_solve(cho_factor(gram, check_finite=False), rhs_mult, check_finite=False)
+                lam = cho_solve(cho_factor(gram), rhs_mult)
             except np.linalg.LinAlgError as exc:
                 raise MultiplierError("degenerate constraint configuration") from exc
             torque = torque + sum(lam[i] * alphas[i] for i in range(self.k))
@@ -127,7 +127,9 @@ class LRSystem(System):
         for i in range(self.k):
             for j in range(i, self.k):
                 dev = abs(float(alphas[i] @ alphas[j]) - (1.0 if i == j else 0.0))
-                out["alpha_orthonormality"] = max(out.get("alpha_orthonormality", 0.0), dev)
+                out["alpha_orthonormality"] = float(
+                    np.maximum(out.get("alpha_orthonormality", 0.0), dev)
+                )
         return out
 
 
@@ -164,11 +166,7 @@ class LplusRSystem(System):
         b = self._b_matrix(g)
         iw = lie.vec_to_skew(self.inertia.apply_vec(wv), n)
         try:
-            wdot = cho_solve(
-                cho_factor(b, check_finite=False),
-                lie.skew_to_vec(lie.ad(iw, omega)),
-                check_finite=False,
-            )
+            wdot = cho_solve(cho_factor(b), lie.skew_to_vec(lie.ad(iw, omega)))
         except np.linalg.LinAlgError as exc:
             raise MultiplierError("total operator I + Pi lost positive definiteness") from exc
         out = np.empty(self.dim)
@@ -208,7 +206,7 @@ class GeodesicLplusRSystem(LplusRSystem):
         piw = lie.vec_to_skew(pi @ wv, n)
         rhs_vec = lie.skew_to_vec(lie.ad(bw, omega) + 2.0 * lie.ad(omega, piw))
         try:
-            wdot = cho_solve(cho_factor(b, check_finite=False), rhs_vec, check_finite=False)
+            wdot = cho_solve(cho_factor(b), rhs_vec)
         except np.linalg.LinAlgError as exc:
             raise MultiplierError("total operator I + Pi lost positive definiteness") from exc
         out = np.empty(self.dim)

@@ -19,9 +19,9 @@ X_i = gamma_i gamma_i^T, for k = 1..n.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .. import liecore as lie
+from ..linalg import cho_factor, cho_solve
 from ..operators import wedge_projector_matrix
 from .base import Component, System, UNIT, rotation_component, skew_component
 from .lr import MultiplierError
@@ -43,6 +43,7 @@ class _SupportBase(System):
         comps = [rotation_component(n), skew_component("omega", n)]
         comps += [Component(f"gamma{i + 1}", UNIT, n) for i in range(self.n_bodies)]
         super().__init__(n, comps)
+        self._trace_cache = {}  # k -> (state bytes, coefficients) of the last state fitted
 
     def _gammas(self, y):
         return [y[self.slice_of(f"gamma{i + 1}")] for i in range(self.n_bodies)]
@@ -69,11 +70,7 @@ class _SupportBase(System):
         b = self.b_matrix(gammas)
         iw = lie.vec_to_skew(self.inertia.apply_vec(wv), n)
         try:
-            wdot = cho_solve(
-                cho_factor(b, check_finite=False),
-                lie.skew_to_vec(lie.ad(iw, omega)),
-                check_finite=False,
-            )
+            wdot = cho_solve(cho_factor(b), lie.skew_to_vec(lie.ad(iw, omega)))
         except np.linalg.LinAlgError as exc:
             raise MultiplierError(
                 "effective inertia lost positive definiteness"
@@ -111,12 +108,21 @@ class _SupportBase(System):
         v = np.vander(nodes, deg + 1, increasing=True)
         return np.linalg.solve(v, vals)
 
+    def _cached_trace_coefficients(self, y, k):
+        """trace_coefficients, fitted once for consecutive queries at one state."""
+        key = y.tobytes()
+        hit = self._trace_cache.get(k)
+        if hit is None or hit[0] != key:
+            hit = (key, self.trace_coefficients(y, k))
+            self._trace_cache[k] = hit
+        return hit[1]
+
     def conserved(self):
         out = {"energy": self.energy}
         for k in range(2, self.n + 1):
             for j in range(k * self.n_bodies + 1):
                 out[f"trace{k}_mu{j}"] = (
-                    lambda y, k=k, j=j: float(self.trace_coefficients(y, k)[j])
+                    lambda y, k=k, j=j: float(self._cached_trace_coefficients(y, k)[j])
                 )
         return out
 

@@ -76,6 +76,18 @@ class TestConservationReport:
         assert a == b
 
 
+class TestConstraintReport:
+    def test_nan_residual_fails_its_check(self):
+        from lrsim.cli import Check
+
+        system, y0 = make_lr(np.random.default_rng(5), 3)
+        traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=3))
+        traj.states[2] = np.nan
+        worst = diag.constraint_report(traj)
+        assert all(np.isnan(v) for v in worst.values())
+        assert not any(Check(name, v, 1e-8).passed for name, v in worst.items())
+
+
 class TestMeasureDivergence:
     def test_unit_density_on_divergence_free_field(self):
         # the free top momentum equation is divergence-free as it stands
@@ -224,6 +236,15 @@ class TestReconstruction:
         assert np.max(np.abs(path[:, -1])) < 1e-9
         # the in-plane motion is genuine
         assert np.max(np.abs(path[:, :-1])) > 1e-3
+
+    def test_matches_scipy_cumulative_trapezoid(self):
+        from scipy.integrate import cumulative_trapezoid
+
+        system, y0 = make_rubber_chaplygin(np.random.default_rng(6), 4)
+        traj = integrate(system, y0, IntegratorConfig(h=1e-2, steps=40))
+        vels = np.array([diag.contact_velocity(system, y) for y in traj.states])
+        ref = cumulative_trapezoid(vels, traj.times, axis=0, initial=0.0)
+        np.testing.assert_array_equal(diag.reconstruct_contact(traj), ref)
 
     def test_quadrature_self_convergence(self):
         system, y0 = make_rubber_chaplygin(rng, 3)

@@ -198,5 +198,8 @@ def test_config_validation():
         IntegratorConfig(method="rk5")
     with pytest.raises(ValueError):
         IntegratorConfig(h=0.0)
+    for h in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(h=h)
     with pytest.raises(ValueError):
         IntegratorConfig(steps=-1)

@@ -149,6 +149,11 @@ class TestCliRun:
         scen = write_yaml(tmp_path / "bad.yaml", dict(MINIMAL_FREE_TOP, system="nope"))
         assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
 
+    def test_nonfinite_step_exit_2(self, tmp_path):
+        data = dict(MINIMAL_FREE_TOP, integrator={"h": float("nan"), "steps": 10})
+        scen = write_yaml(tmp_path / "bad.yaml", data)
+        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
+
     def test_invalid_initial_state_exit_3(self, tmp_path):
         data = dict(MINIMAL_FREE_TOP)
         data["constraints"] = {"generators": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}
@@ -202,6 +207,14 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "penalty-limit error table" in out
         assert "epsilon_limit[decreasing]" in out
+
+    def test_diverged_run_fails_its_constraint_checks(self, capsys):
+        scen = str(SCENARIO_DIR / "lstar_geodesic.yaml")
+        with np.errstate(all="ignore"):
+            assert main(["verify", scen, "--h", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  constraint[gamma_norm]: nan" in out
+        assert "PASS" not in out
 
     def test_entry_point_runs_as_subprocess(self, tmp_path):
         scen = write_yaml(tmp_path / "top.yaml", MINIMAL_FREE_TOP)

@@ -233,3 +233,30 @@ def test_rubber_support_reconstructed_W_satisfies_both_constraint_families():
             assert np.max(np.abs(no_slip)) < 1e-10
             if twist_b.dim:
                 assert np.max(np.abs(no_twist)) < 1e-10
+
+
+def test_report_fits_trace_coefficients_once_per_state_and_power(monkeypatch):
+    from lrsim import diagnostics as diag
+    from lrsim.systems.support import _SupportBase
+
+    local = np.random.default_rng(7)
+    system = SupportSystem(rand_spd_operator(local, 3), [0.5, 0.3], [0.8, 1.2])
+    y0 = system.pack(g=rand_rotation(local, 3), omega=rand_skew(local, 3),
+                     gamma1=rand_unit(local, 3), gamma2=rand_unit(local, 3))
+    traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=9))
+    fit = _SupportBase.trace_coefficients
+    calls = []
+
+    def counting(self, y, k):
+        calls.append(k)
+        return fit(self, y, k)
+
+    monkeypatch.setattr(_SupportBase, "trace_coefficients", counting)
+    report = {q.name: q for q in diag.conservation_report(traj)}
+    assert len(calls) == 2 * len(traj)  # k = 2, 3 at every state
+    for k in (2, 3):
+        ref = np.array([fit(system, y, k) for y in traj.states])
+        for j in range(2 * k + 1):
+            q = report[f"trace{k}_mu{j}"]
+            assert q.initial == ref[0, j]
+            assert q.max_abs_drift == np.max(np.abs(ref[:, j] - ref[0, j]))
