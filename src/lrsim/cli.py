@@ -192,13 +192,6 @@ def _sample_sphere_states(n, count, rng):
     return states
 
 
-def _rand_rotation(n, rng):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def verification_checks(scenario, traj):
     system = scenario.system
     checks = _drift_checks(traj)
@@ -209,7 +202,7 @@ def verification_checks(scenario, traj):
         field, density = diag.lr_measure_chart(system.inertia, system.k)
         states = []
         for _ in range(100):
-            g = _rand_rotation(n, rng)
+            g = lie.random_rotation(rng, n)
             q = lie.adjoint_matrix(g)
             alphas = [q.T @ system.h_space.vectors[:, i] for i in range(system.k)]
             states.append(np.concatenate([rng.normal(size=system.N)] + alphas))
@@ -241,13 +234,12 @@ def verification_checks(scenario, traj):
         pi_ref = system.pi0 * min(1.0, 1.0 / norm) if norm > 0 else system.pi0
         states = []
         for _ in range(100):
-            q = lie.adjoint_matrix(_rand_rotation(n, rng))
+            q = lie.adjoint_matrix(lie.random_rotation(rng, n))
             pi = q.T @ pi_ref @ q
             states.append(np.concatenate([rng.normal(size=system.N), diag.sym_to_coords(pi)]))
         checks.append(_divergence_checks("measure[lplusr]", field, density, states))
-        penalty = getattr(system, "penalty_form", None)
-        if penalty is not None:
-            basis, _ = penalty
+        if scenario.penalty_form is not None:
+            basis, _ = scenario.penalty_form
             wv = traj.states[0][system.slice_of("omega")]
             wv = wv - basis.vectors @ (basis.vectors.T @ wv)
             study = diag.epsilon_limit_study(
@@ -282,7 +274,7 @@ def verification_checks(scenario, traj):
         checks.append(Check("W_reconstruction", w_dev, W_RECONSTRUCTION_TOL))
 
     if isinstance(system, NCoupledSystem):
-        gc_form = getattr(system, "gc_form", None)
+        gc_form = scenario.gc_form
         if gc_form and all(entry is not None for entry in gc_form):
             worst = 0.0
             for y in traj.states[:: max(1, len(traj) // 20)]:

@@ -31,6 +31,7 @@ from .systems import (
     reconstruct_coupled_W,
     reconstruct_support_W,
 )
+from .systems.lr import constrained_torque
 
 FD_STEP = 1e-5
 
@@ -161,11 +162,7 @@ def lr_measure_chart(inertia, k):
         wv = inertia.solve_vec(mv)
         omega = lie.vec_to_skew(wv, n)
         torque = lie.skew_to_vec(lie.ad(lie.vec_to_skew(mv, n), omega))
-        if k:
-            sols = [inertia.solve_vec(a) for a in alphas]
-            gram = np.array([[sols[i] @ alphas[j] for j in range(k)] for i in range(k)])
-            lam = np.linalg.solve(gram, np.array([-(s @ torque) for s in sols]))
-            torque = torque + sum(lam[i] * alphas[i] for i in range(k))
+        torque = constrained_torque(inertia._cho, torque, z[N:].reshape(k, N).T)
         adots = [lie.skew_to_vec(lie.ad(lie.vec_to_skew(a, n), omega)) for a in alphas]
         return np.concatenate([torque] + adots) if k else torque
 

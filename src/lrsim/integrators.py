@@ -11,8 +11,8 @@ Two fourth-order methods:
   exp; the remaining components take the classical update.
 
 Both are O(h^5) per step.  A trajectory records the uniform time grid and
-every state; integration aborts cleanly on field errors, keeping the
-partial trajectory and the failing step index.
+every state; integration aborts cleanly on field errors and on non-finite
+states, keeping the partial trajectory and the failing step index.
 """
 
 from __future__ import annotations
@@ -151,8 +151,9 @@ def step(system, y, h, method="rk4-projected", project=True):
 def integrate(system, y0, cfg, hook=None):
     """Fixed-step trajectory of ``steps`` steps from ``y0``.
 
-    ``hook(i, t, y)`` runs after each accepted step.  Field errors abort
-    with an :class:`IntegrationError` carrying the partial trajectory.
+    ``hook(i, t, y)`` runs after each accepted step.  Field errors and
+    non-finite states abort with an :class:`IntegrationError` carrying the
+    partial trajectory, which holds only the states before the failing step.
     """
     y0 = np.asarray(y0, dtype=float)
     states = np.empty((cfg.steps + 1, system.dim))
@@ -163,6 +164,8 @@ def integrate(system, y0, cfg, hook=None):
         project = cfg.renormalize_every > 0 and (i + 1) % cfg.renormalize_every == 0
         try:
             y = step(system, y, cfg.h, method=cfg.method, project=project)
+            if not np.isfinite(y).all():
+                raise FloatingPointError("non-finite state")
         except Exception as exc:
             partial = Trajectory(system, times[: i + 1].copy(), states[: i + 1].copy())
             raise IntegrationError(str(exc), partial, i) from exc

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SKEW_TOL = 1e-12
 ORTHO_TOL = 1e-10
 RANK_TOL = 1e-10
 UNIT_TOL = 1e-12
@@ -25,34 +24,6 @@ UNIT_TOL = 1e-12
 
 class DimensionError(ValueError):
     """Operands live in incompatible spaces."""
-
-
-def _as_matrix(x, name="matrix"):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionError(f"{name} must be square, got shape {x.shape}")
-    return x
-
-
-def check_skew(x, tol=SKEW_TOL):
-    """Validate that ``x`` is square and skew-symmetric within ``tol``."""
-    x = _as_matrix(x, "skew matrix")
-    dev = np.max(np.abs(x + x.T))
-    if dev > tol:
-        raise ValueError(f"matrix is not skew-symmetric (|X + X^T| = {dev:.3e})")
-    return x
-
-
-def check_rotation(g, tol=ORTHO_TOL):
-    """Validate that ``g`` is orthogonal with determinant +1 within ``tol``."""
-    g = _as_matrix(g, "rotation")
-    dev = np.max(np.abs(g.T @ g - np.eye(g.shape[0])))
-    if dev > tol:
-        raise ValueError(f"matrix is not orthogonal (|g^T g - I| = {dev:.3e})")
-    det = np.linalg.det(g)
-    if abs(det - 1.0) > tol:
-        raise ValueError(f"matrix has determinant {det:.12g}, not +1")
-    return g
 
 
 def check_unit(v, tol=UNIT_TOL):
@@ -251,6 +222,22 @@ class SubspaceBasis:
         return vec_to_skew(self.project_vec(skew_to_vec(x)), self.n)
 
 
+def gram_schmidt(vectors, dim, tol=RANK_TOL):
+    """Orthonormal columns, shape (dim, k), spanning the given vectors in order.
+
+    A vector whose residual against the earlier ones has norm at most
+    ``tol`` is dropped.
+    """
+    out = []
+    for v in vectors:
+        for c in out:
+            v = v - np.dot(c, v) * c
+        length = np.linalg.norm(v)
+        if length > tol:
+            out.append(v / length)
+    return np.column_stack(out) if out else np.zeros((dim, 0))
+
+
 def orthonormal_basis_of(generators, n=None, tol=RANK_TOL):
     """Gram-Schmidt orthonormalization of skew-matrix generators.
 
@@ -262,42 +249,29 @@ def orthonormal_basis_of(generators, n=None, tol=RANK_TOL):
         if not gens:
             raise ValueError("cannot infer dimension from an empty generator list")
         n = gens[0].shape[0]
-    cols = []
-    dropped = 0
     for g in gens:
         if g.shape != (n, n):
             raise DimensionError(f"generator of shape {g.shape} in so({n})")
-        v = skew_to_vec(g)
-        for c in cols:
-            v = v - np.dot(c, v) * c
-        length = np.linalg.norm(v)
-        if length <= tol:
-            dropped += 1
-            continue
-        cols.append(v / length)
+    vectors = gram_schmidt([skew_to_vec(g) for g in gens], so_dim(n), tol)
+    dropped = len(gens) - vectors.shape[1]
     if dropped:
         warnings.warn(f"dropped {dropped} linearly dependent generator(s)", stacklevel=2)
-    vectors = np.column_stack(cols) if cols else np.zeros((so_dim(n), 0))
     return SubspaceBasis(n, vectors)
 
 
 def complement(basis):
     """Orthonormal basis of the orthogonal complement in so(n)."""
-    n = basis.n
-    full = np.eye(so_dim(n))
-    cols = [basis.vectors[:, j] for j in range(basis.dim)]
-    out = []
-    for a in range(so_dim(n)):
-        v = full[:, a]
-        for c in cols:
-            v = v - np.dot(c, v) * c
-        length = np.linalg.norm(v)
-        if length > RANK_TOL:
-            v = v / length
-            cols.append(v)
-            out.append(v)
-    vectors = np.column_stack(out) if out else np.zeros((so_dim(n), 0))
-    return SubspaceBasis(n, vectors)
+    N = so_dim(basis.n)
+    spanning = gram_schmidt([*basis.vectors.T, *np.eye(N)], N)
+    return SubspaceBasis(basis.n, spanning[:, basis.dim:])
+
+
+def random_rotation(rng, n):
+    """Rotation from the QR factor of a Gaussian matrix drawn from ``rng``."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def householder_frame(gamma):

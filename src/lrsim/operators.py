@@ -6,9 +6,7 @@ in the ordered bivector basis (N = n(n-1)/2); structured kinds keep their
 defining data so that special forms act exactly:
 
 * ``diag`` / ``dense`` -- matrix given directly in the bivector basis;
-* ``special`` -- I(x ^ y) = A x ^ A y - c x ^ y for a positive diagonal A;
-* ``projector`` -- base + sum_i d_i (X g_i g_i^T + g_i g_i^T X), the
-  wedge-subspace projector terms of rolling-ball effective inertias.
+* ``special`` -- I(x ^ y) = A x ^ A y - c x ^ y for a positive diagonal A.
 """
 
 from __future__ import annotations
@@ -101,20 +99,6 @@ class InertiaOperator:
             )
         return cls(n, np.diag(eigs), kind="special", params={"A": A, "c": float(c)})
 
-    @classmethod
-    def projector_augmented(cls, base, terms):
-        """base + sum_i d_i pr_{R^n ^ gamma_i}; terms is [(d_i, gamma_i)]."""
-        n = base.n
-        mat = base.matrix.copy()
-        kept = []
-        for d, gamma in terms:
-            gamma = lie.check_unit(np.asarray(gamma, dtype=float), tol=1e-10)
-            if gamma.size != n:
-                raise OperatorError(f"projector direction of size {gamma.size} in so({n})")
-            mat += d * wedge_projector_matrix(gamma)
-            kept.append((float(d), gamma))
-        return cls(n, mat, kind="projector", params={"base": base, "terms": kept})
-
     # -- action --------------------------------------------------------------
 
     def apply(self, x):
@@ -125,12 +109,6 @@ class InertiaOperator:
         if self.kind == "special":
             A = self.params["A"]
             return (A[:, None] * x) * A[None, :] - self.params["c"] * x
-        if self.kind == "projector":
-            out = self.params["base"].apply(x)
-            for d, gamma in self.params["terms"]:
-                outer = np.outer(gamma, gamma)
-                out = out + d * (x @ outer + outer @ x)
-            return out
         return lie.vec_to_skew(self.matrix @ lie.skew_to_vec(x), self.n)
 
     def apply_vec(self, v):

@@ -6,7 +6,8 @@ or as the named family ``wedge-with`` built from a contact direction.
 Skew matrices may be written as full matrices or as sparse bivector
 entries ``pairs: [[i, j, value], ...]`` with 1-based i < j.
 
-Schema errors raise :class:`ScenarioParseError` (CLI exit 2); numeric
+Schema errors, wrong-typed values among them, raise
+:class:`ScenarioParseError` (CLI exit 2); numeric
 validation failures, including initial states violating the target
 system's constraints, raise :class:`ScenarioValidationError` (exit 3).
 """
@@ -70,7 +71,12 @@ class ScenarioValidationError(ValueError):
 
 @dataclass
 class Scenario:
-    """A built scenario: the system, its initial state, and the run config."""
+    """A built scenario: the system, its initial state, and the run config.
+
+    ``penalty_form`` is the (basis, epsilon) of a ``pi0: {kind: penalty}``
+    entry; ``gc_form`` holds, per ncoupled body, the (Gamma, rho) of a
+    ``family: commutator-with`` entry or None.
+    """
 
     name: str
     system: object
@@ -78,6 +84,8 @@ class Scenario:
     integrator: IntegratorConfig
     diagnostics: list = field(default_factory=list)
     raw: dict = field(default_factory=dict)
+    penalty_form: tuple | None = None
+    gc_form: list | None = None
 
 
 def load_scenario(path, overrides=None):
@@ -112,8 +120,10 @@ def build_scenario(data, name="<memory>", overrides=None):
         raise ScenarioParseError("dimension n must be at least 2")
 
     try:
-        system = _build_system(kind, n, data)
+        system, forms = _build_system(kind, n, data)
         y0 = _build_initial(system, kind, data)
+    except TypeError as exc:
+        raise ScenarioParseError(f"wrong-typed scenario value: {exc}") from exc
     except (OperatorError, lie.DimensionError, ValueError) as exc:
         if isinstance(exc, (ScenarioParseError, ScenarioValidationError)):
             raise
@@ -128,7 +138,7 @@ def build_scenario(data, name="<memory>", overrides=None):
     diagnostics = data.get("diagnostics", [])
     if diagnostics is not None and not isinstance(diagnostics, list):
         raise ScenarioParseError("diagnostics must be a list of quantity names")
-    return Scenario(name, system, y0, cfg, list(diagnostics or []), data)
+    return Scenario(name, system, y0, cfg, list(diagnostics or []), data, **forms)
 
 
 # --- pieces -----------------------------------------------------------------
@@ -261,15 +271,14 @@ def _pi0(data, n):
 
 
 def _build_system(kind, n, data):
+    """The system and the Scenario fields that record how it was specified."""
     if kind == "lr":
         basis = _subspace(_require(data, "constraints", dict), n, "constraints")
-        return LRSystem(_inertia(data, n), basis)
+        return LRSystem(_inertia(data, n), basis), {}
     if kind in ("lplusr", "geodesic-lpr"):
         pi0, penalty = _pi0(data, n)
         cls = LplusRSystem if kind == "lplusr" else GeodesicLplusRSystem
-        system = cls(_inertia(data, n), pi0)
-        system.penalty_form = penalty
-        return system
+        return cls(_inertia(data, n), pi0), {"penalty_form": penalty}
     if kind == "coupled":
         spec = _require(data, "coupling", dict)
         coupling = float(_require(spec, "D"))
@@ -283,9 +292,9 @@ def _build_system(kind, n, data):
         h0 = _subspace(spec["h0"], n, "coupling.h0") if "h0" in spec else None
         variant = data.get("variant", "full")
         if variant == "full":
-            return CoupledFullSystem(_inertia(data, n), h0, subspaces, coupling, rhos)
+            return CoupledFullSystem(_inertia(data, n), h0, subspaces, coupling, rhos), {}
         if variant == "reduced":
-            return CoupledReducedSystem(_inertia(data, n), h0, subspaces, coupling, rhos)
+            return CoupledReducedSystem(_inertia(data, n), h0, subspaces, coupling, rhos), {}
         raise ScenarioParseError(f"unknown coupled variant {variant!r}")
     if kind == "ncoupled":
         bodies = _require(data, "bodies", list)
@@ -313,29 +322,21 @@ def _build_system(kind, n, data):
                 a_mats.append(a)
                 b_mats.append(b)
                 gc_form.append(None)
-        system = NCoupledSystem(_inertia(data, n), a_mats, b_mats, couplings)
-        system.gc_form = gc_form
-        return system
+        return NCoupledSystem(_inertia(data, n), a_mats, b_mats, couplings), {"gc_form": gc_form}
     if kind in ("support", "rubber-support"):
         bodies = _require(data, "bodies", list)
         couplings = [float(_require(b, "D")) for b in bodies]
         rhos = [float(_require(b, "rho")) for b in bodies]
         cls = SupportSystem if kind == "support" else RubberSupportSystem
-        return cls(_inertia(data, n), couplings, rhos)
-    if kind == "rubber-chaplygin":
-        return RubberChaplyginSystem(
+        return cls(_inertia(data, n), couplings, rhos), {}
+    if kind in ("rubber-chaplygin", "cotangent", "gsr"):
+        cls = {"rubber-chaplygin": RubberChaplyginSystem, "cotangent": CotangentSystem,
+               "gsr": GsrSystem}[kind]
+        return cls(
             _inertia(data, n), float(_require(data, "mass")), float(_require(data, "radius"))
-        )
-    if kind == "cotangent":
-        return CotangentSystem(
-            _inertia(data, n), float(_require(data, "mass")), float(_require(data, "radius"))
-        )
+        ), {}
     if kind == "lstar-geodesic":
-        return LstarGeodesicSystem(_vector(_require(data, "axes"), n, "axes"))
-    if kind == "gsr":
-        return GsrSystem(
-            _inertia(data, n), float(_require(data, "mass")), float(_require(data, "radius"))
-        )
+        return LstarGeodesicSystem(_vector(_require(data, "axes"), n, "axes")), {}
     raise ScenarioParseError(f"unknown system {kind!r}")
 
 

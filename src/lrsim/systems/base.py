@@ -60,19 +60,15 @@ class System:
             offsets.append(pos)
             pos += comp.size
         self._offsets = tuple(offsets)
+        self._slices = {
+            comp.name: slice(off, off + comp.size) for comp, off in zip(self.components, offsets)
+        }
         self.dim = pos
 
     # -- layout --------------------------------------------------------------
 
-    def component(self, name):
-        for comp, off in zip(self.components, self._offsets):
-            if comp.name == name:
-                return comp, off
-        raise KeyError(name)
-
     def slice_of(self, name):
-        comp, off = self.component(name)
-        return slice(off, off + comp.size)
+        return self._slices[name]
 
     def unpack(self, y):
         """Named matrix/vector views of a flat state (copies)."""

@@ -39,10 +39,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import liecore as lie
-from ..linalg import cho_factor, cho_solve
+# cho_factor is unused here, but bound so that perfbench/tracer.py finds
+# both names in every systems module
+from ..linalg import cho_factor, cho_solve  # noqa: F401
 from ..operators import wedge_projector_matrix
 from .base import Component, System, UNIT, VECTOR, rotation_component, skew_component
-from .lr import MultiplierError
+from .lr import ConstrainedEulerSystem, MultiplierError, factor_inertia
 
 VERTICAL = "last-axis"  # Gamma = e_n throughout
 
@@ -53,8 +55,15 @@ def vertical_vector(n):
     return gamma
 
 
-class RubberChaplyginSystem(System):
-    """Rubber Chaplygin sphere in group variables; components g, omega."""
+class RubberChaplyginSystem(ConstrainedEulerSystem):
+    """Rubber Chaplygin sphere in group variables; components g, omega.
+
+    Pi = m rho^2 pr_{R^n ^ gamma}.  Along gamma' = -omega gamma,
+    (d pr/dt) omega = [pr omega, omega], so k = B omega gives
+    B omega' = [k, omega] - m rho^2 [pr omega, omega] + lambda_0
+    = [I omega, omega] + lambda_0: the shared field with the no-twist basis
+    as constraints.
+    """
 
     kind = "rubber-chaplygin"
 
@@ -72,45 +81,17 @@ class RubberChaplyginSystem(System):
         g = y[self.slice_of("g")].reshape(self.n, self.n)
         return g.T @ vertical_vector(self.n)
 
-    def rhs(self, y):
-        n = self.n
-        g = y[self.slice_of("g")].reshape(n, n)
-        wv = y[self.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
-        gamma = g.T @ vertical_vector(n)
-        gamma = gamma / np.linalg.norm(gamma)
-        proj = wedge_projector_matrix(gamma)
-        b = self.inertia.matrix + self.mr2 * proj
-        try:
-            b_cho = cho_factor(b)
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("contact-point inertia lost positive definiteness") from exc
-        kv = b @ wv
-        kmat = lie.vec_to_skew(kv, n)
-        pw = lie.vec_to_skew(proj @ wv, n)
-        torque = lie.skew_to_vec(lie.ad(kmat, omega) - self.mr2 * lie.ad(pw, omega))
-        twist = lie.wedge_complement_basis(gamma)
-        if twist.dim:
-            basis = twist.vectors
-            binv_basis = cho_solve(b_cho, basis)
-            gram = basis.T @ binv_basis
-            rhs_mult = -(binv_basis.T @ torque)
-            try:
-                coeff = cho_solve(cho_factor(gram), rhs_mult)
-            except np.linalg.LinAlgError as exc:
-                raise MultiplierError("no-twist multiplier system is singular") from exc
-            torque = torque + basis @ coeff
-        wdot = cho_solve(b_cho, torque)
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
-        return out
-
-    def momentum_vec(self, y):
+    def pi(self, y):
         gamma = self.gamma_of(y)
         gamma = gamma / np.linalg.norm(gamma)
-        b = self.inertia.matrix + self.mr2 * wedge_projector_matrix(gamma)
-        return b @ y[self.slice_of("omega")]
+        return self.mr2 * wedge_projector_matrix(gamma), gamma
+
+    def constraint_basis(self, y, frame):
+        twist = lie.wedge_complement_basis(frame)
+        return twist.vectors if twist.dim else None
+
+    def momentum_vec(self, y):
+        return self.effective_inertia(y) @ y[self.slice_of("omega")]
 
     def energy(self, y):
         wv = y[self.slice_of("omega")]
@@ -303,10 +284,7 @@ class GsrSystem(System):
         bdot_w = self.mr2 * (
             lie.ad(lie.ad(gamma_dot, omega), gamma) + lie.ad(lie.ad(gamma, omega), gamma_dot)
         )
-        try:
-            wdot = cho_solve(cho_factor(b), lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w))
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("effective inertia lost positive definiteness") from exc
+        wdot = cho_solve(factor_inertia(b), lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w))
         out = np.empty(self.dim)
         out[self.slice_of("gamma")] = lie.skew_to_vec(gamma_dot)
         out[self.slice_of("omega")] = wdot

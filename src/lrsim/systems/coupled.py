@@ -15,7 +15,8 @@ the reaction forces of the h_i family yields
 
 where B = I + sum_i (D/rho_i^2) pr_{h_i^g} and lambda_0 in h_0^g is solved
 from <omega', h_0^g> = 0.  The (g, omega) equations close by themselves:
-that closed system is the reduced flow, and W is slaved to it.
+that closed system is the reduced flow, an L+R flow constrained by h_0^g,
+and W is slaved to it.
 
 The N-coupled generalization takes constraints A_i Omega + B_i W_i = 0 with
 matrices in fixed orthonormal bases; it reduces to an L+R flow whose
@@ -28,8 +29,8 @@ import numpy as np
 
 from .. import liecore as lie
 from ..linalg import cho_factor, cho_solve
-from .base import Component, System, VECTOR, rotation_component, skew_component
-from .lr import MultiplierError
+from .base import Component, VECTOR, rotation_component, skew_component
+from .lr import ConstrainedEulerSystem
 
 
 def _check_mutually_orthogonal(subspaces):
@@ -40,7 +41,7 @@ def _check_mutually_orthogonal(subspaces):
                 raise ValueError(f"constraint subspaces {i + 1} and {j + 1} are not orthogonal")
 
 
-class _CoupledBase(System):
+class _CoupledBase(ConstrainedEulerSystem):
     def __init__(self, inertia, h0, subspaces, coupling, rhos, components):
         if len(subspaces) != len(rhos):
             raise ValueError("need one rho per constraint subspace")
@@ -60,41 +61,21 @@ class _CoupledBase(System):
             (self.coupling / r**2) * (h.vectors @ h.vectors.T)
             for h, r in zip(self.subspaces, self.rhos)
         ) if self.subspaces else np.zeros((self.N, self.N))
-        hsum = np.column_stack(
-            [h.vectors for h in self.subspaces] + [np.zeros((self.N, 0))]
-        )
-        self.k_space = lie.complement(lie.SubspaceBasis(self.n, _orthonormalize(hsum)))
-        h0k = np.column_stack([h0.vectors, hsum]) if h0 is not None else hsum
-        self.k0_space = lie.complement(lie.SubspaceBasis(self.n, _orthonormalize(h0k)))
+        h_vectors = [v for h in self.subspaces for v in h.vectors.T]
+        h0_vectors = list(h0.vectors.T) if h0 is not None else []
+        self.k_space = self._complement_of(h_vectors)
+        self.k0_space = self._complement_of(h0_vectors + h_vectors)
 
-    def _omega_dot(self, g, wv):
-        omega = lie.vec_to_skew(wv, self.n)
-        q = lie.adjoint_matrix(g)
-        b = self.inertia.matrix + q.T @ self.pi0 @ q
-        try:
-            b_cho = cho_factor(b)
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("total operator lost positive definiteness") from exc
-        iw = lie.vec_to_skew(self.inertia.apply_vec(wv), self.n)
-        torque = lie.skew_to_vec(lie.ad(iw, omega))
-        if self.h0 is not None and self.h0.dim:
-            basis_g = q.T @ self.h0.vectors  # basis of h_0^g
-            binv_basis = cho_solve(b_cho, basis_g)
-            gram = basis_g.T @ binv_basis
-            rhs_mult = -(binv_basis.T @ torque)
-            try:
-                coeff = cho_solve(cho_factor(gram), rhs_mult)
-            except np.linalg.LinAlgError as exc:
-                raise MultiplierError("restricted operator on h_0^g is singular") from exc
-            torque = torque + basis_g @ coeff
-        return cho_solve(b_cho, torque), omega, q
+    def _complement_of(self, vectors):
+        return lie.complement(lie.SubspaceBasis(self.n, lie.gram_schmidt(vectors, self.N)))
+
+    def constraint_basis(self, y, frame):
+        # frame is Ad_g, so the columns span h_0^g
+        return frame.T @ self.h0.vectors if self.h0 is not None and self.h0.dim else None
 
     def reduced_energy(self, y):
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
         wv = y[self.slice_of("omega")]
-        q = lie.adjoint_matrix(g)
-        b = self.inertia.matrix + q.T @ self.pi0 @ q
-        return 0.5 * float(wv @ b @ wv)
+        return 0.5 * float(wv @ self.effective_inertia(y) @ wv)
 
     def spatial_momentum_vec(self, y):
         g = y[self.slice_of("g")].reshape(self.n, self.n)
@@ -128,18 +109,12 @@ class CoupledFullSystem(_CoupledBase):
         comps = [rotation_component(n), skew_component("omega", n), skew_component("W", n)]
         super().__init__(inertia, h0, subspaces, coupling, rhos, comps)
 
-    def rhs(self, y):
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        wdot, omega, q = self._omega_dot(g, y[self.slice_of("omega")])
-        omega_dot_space = q @ wdot
+    def transport(self, y, frame, omega, wdot, out):
+        omega_dot_space = frame @ wdot
         w_dot = np.zeros(self.N)
         for h, rho in zip(self.subspaces, self.rhos):
             w_dot -= (1.0 / rho) * (h.vectors @ (h.vectors.T @ omega_dot_space))
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
         out[self.slice_of("W")] = w_dot
-        return out
 
     def energy(self, y):
         wv = y[self.slice_of("omega")]
@@ -174,14 +149,6 @@ class CoupledReducedSystem(_CoupledBase):
         comps = [rotation_component(n), skew_component("omega", n)]
         super().__init__(inertia, h0, subspaces, coupling, rhos, comps)
 
-    def rhs(self, y):
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        wdot, omega, _ = self._omega_dot(g, y[self.slice_of("omega")])
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
-        return out
-
     def energy(self, y):
         return self.reduced_energy(y)
 
@@ -195,7 +162,7 @@ class CoupledReducedSystem(_CoupledBase):
         return out
 
 
-class NCoupledSystem(System):
+class NCoupledSystem(ConstrainedEulerSystem):
     """N-coupled system with matrix constraints A_i Omega + B_i W_i = 0.
 
     State components: g, omega, W1..WN (coordinate vectors of the
@@ -234,25 +201,10 @@ class NCoupledSystem(System):
         self.pi0 = pi0
         super().__init__(n, comps)
 
-    def rhs(self, y):
-        n = self.n
-        g = y[self.slice_of("g")].reshape(n, n)
-        wv = y[self.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
-        q = lie.adjoint_matrix(g)
-        b = self.inertia.matrix + q.T @ self.pi0 @ q
-        iw = lie.vec_to_skew(self.inertia.apply_vec(wv), n)
-        try:
-            wdot = cho_solve(cho_factor(b), lie.skew_to_vec(lie.ad(iw, omega)))
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("total operator lost positive definiteness") from exc
-        omega_dot_space = q @ wdot
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
+    def transport(self, y, frame, omega, wdot, out):
+        omega_dot_space = frame @ wdot
         for idx, body in enumerate(self.bodies):
             out[self.slice_of(f"W{idx + 1}")] = -(body["b"].T @ (body["cinv_a"] @ omega_dot_space))
-        return out
 
     def energy(self, y):
         wv = y[self.slice_of("omega")]
@@ -287,18 +239,6 @@ def commutator_constraint_matrices(gamma_algebra_elements, rhos):
         a_mats.append(-lie.ad_matrix(gamma))
         b_mats.append(float(rho) * np.eye(N))
     return a_mats, b_mats
-
-
-def _orthonormalize(columns, tol=1e-12):
-    out = []
-    for j in range(columns.shape[1]):
-        v = columns[:, j].copy()
-        for c in out:
-            v -= np.dot(c, v) * c
-        length = np.linalg.norm(v)
-        if length > tol:
-            out.append(v / length)
-    return np.column_stack(out) if out else np.zeros((columns.shape[0], 0))
 
 
 def reconstruct_coupled_W(system, trajectory_states, w0_vec):

@@ -21,6 +21,15 @@ which resolves to  omega' = B^{-1} [I omega, omega].  The geodesic flow of
 the same L+R metric keeps the force term the modified equations drop; in
 (g, omega) variables it reads  omega' = B^{-1}([B omega, omega]
 + 2 [omega, Pi omega]).
+
+Both, and the coupled, support and rubber Chaplygin flows, are one field
+
+    B omega' = [I omega, omega] + C lambda,   B = I + Pi,   g' = g omega,
+
+with the multipliers lambda over a body-frame basis C solved from the Gram
+system C^T B^-1 C.  :class:`ConstrainedEulerSystem` evaluates it once for
+all of them (the LR flow is Pi = 0, C = (alpha_i)); each flow supplies its
+Pi, its C and the transport of its extra components.
 """
 
 from __future__ import annotations
@@ -36,7 +45,94 @@ class MultiplierError(RuntimeError):
     """A Lagrange-multiplier linear system is singular."""
 
 
-class LRSystem(System):
+# --- the constrained-Euler kernel ------------------------------------------
+
+def factor_inertia(b):
+    """``cho_factor`` of an effective inertia B; MultiplierError when not SPD."""
+    try:
+        return cho_factor(b)
+    except np.linalg.LinAlgError as exc:
+        raise MultiplierError("effective inertia lost positive definiteness") from exc
+
+
+def constrained_torque(b_cho, torque, basis):
+    """Torque plus the reaction C lambda that keeps <C, omega> constant.
+
+    ``b_cho`` is the factored effective inertia B and ``basis`` the (N, k)
+    body-frame constraint basis C, or None.  lambda solves the Gram system
+    (C^T B^-1 C) lambda = -C^T B^-1 torque, so C^T B^-1 (torque + C lambda)
+    vanishes.
+    """
+    if basis is None or not basis.shape[1]:
+        return torque
+    binv_basis = cho_solve(b_cho, basis)
+    try:
+        lam = cho_solve(cho_factor(basis.T @ binv_basis), -(binv_basis.T @ torque))
+    except np.linalg.LinAlgError as exc:
+        raise MultiplierError("constraint multiplier system is singular") from exc
+    return torque + basis @ lam
+
+
+class ConstrainedEulerSystem(System):
+    """Shared field  B omega' = [I omega, omega] + C lambda,  g' = g omega.
+
+    Every rotation-carrying flow is this one with B = I + Pi; the geodesic
+    L+R flow overrides ``torque`` as well.  A subclass gives what differs
+    through three hooks:
+
+    * ``pi(y)`` -- Pi at a state, or None for Pi = 0, whose factor of I is
+      reused; it also returns per-state data (the Ad_g matrix, the contact
+      directions) that the other two hooks receive as ``frame``;
+    * ``constraint_basis(y, frame)`` -- the body-frame basis C, or None;
+    * ``transport(y, frame, omega, wdot, out)`` -- fills the derivatives of
+      the components after g and omega.
+
+    The default ``pi`` is Ad_g^T Pi0 Ad_g for systems that set ``pi0``.
+    """
+
+    pi0 = None  # right-invariant operator in the fixed frame, if any
+
+    def pi(self, y):
+        if self.pi0 is None:
+            return None, None
+        q = lie.adjoint_matrix(y[self.slice_of("g")].reshape(self.n, self.n))
+        return q.T @ self.pi0 @ q, q
+
+    def constraint_basis(self, y, frame):
+        return None
+
+    def transport(self, y, frame, omega, wdot, out):
+        pass
+
+    def torque(self, wv, omega, pi):
+        """[I omega, omega]."""
+        iw = lie.vec_to_skew(self.inertia.apply_vec(wv), self.n)
+        return lie.skew_to_vec(lie.ad(iw, omega))
+
+    def effective_inertia(self, y):
+        """B = I + Pi at a state."""
+        pi, _ = self.pi(y)
+        return self.inertia.matrix if pi is None else self.inertia.matrix + pi
+
+    def rhs(self, y):
+        n = self.n
+        g = y[self.slice_of("g")].reshape(n, n)
+        wv = y[self.slice_of("omega")]
+        omega = lie.vec_to_skew(wv, n)
+        pi, frame = self.pi(y)
+        b_cho = self.inertia._cho if pi is None else factor_inertia(self.inertia.matrix + pi)
+        torque = constrained_torque(
+            b_cho, self.torque(wv, omega, pi), self.constraint_basis(y, frame)
+        )
+        wdot = cho_solve(b_cho, torque)
+        out = np.empty(self.dim)
+        out[self.slice_of("g")] = (g @ omega).ravel()
+        out[self.slice_of("omega")] = wdot
+        self.transport(y, frame, omega, wdot, out)
+        return out
+
+
+class LRSystem(ConstrainedEulerSystem):
     """Nonholonomic LR flow; state components g, omega, alpha1..alphak."""
 
     kind = "lr"
@@ -66,32 +162,16 @@ class LRSystem(System):
             for i in range(self.k)
         ]
 
-    def rhs(self, y):
-        n, N = self.n, self.N
-        g = y[self.slice_of("g")].reshape(n, n)
-        wv = y[self.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
-        m = lie.vec_to_skew(self.inertia.apply_vec(wv), n)
-        torque = lie.skew_to_vec(lie.ad(m, omega))
-        alphas = self._alphas(y)
-        if self.k:
-            sols = [self.inertia.solve_vec(a) for a in alphas]
-            gram = np.array([[sols[i] @ alphas[j] for j in range(self.k)] for i in range(self.k)])
-            rhs_mult = np.array([-(sols[i] @ torque) for i in range(self.k)])
-            try:
-                lam = cho_solve(cho_factor(gram), rhs_mult)
-            except np.linalg.LinAlgError as exc:
-                raise MultiplierError("degenerate constraint configuration") from exc
-            torque = torque + sum(lam[i] * alphas[i] for i in range(self.k))
-        wdot = self.inertia.solve_vec(torque)
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
-        for i, a in enumerate(alphas):
+    def constraint_basis(self, y, frame):
+        # the alpha components are stored one after another after omega
+        start = self.slice_of("omega").stop
+        return y[start:start + self.k * self.N].reshape(self.k, self.N).T
+
+    def transport(self, y, frame, omega, wdot, out):
+        for i, a in enumerate(self._alphas(y)):
             out[self.slice_of(f"alpha{i + 1}")] = lie.skew_to_vec(
-                lie.ad(lie.vec_to_skew(a, n), omega)
+                lie.ad(lie.vec_to_skew(a, self.n), omega)
             )
-        return out
 
     def energy(self, y):
         wv = y[self.slice_of("omega")]
@@ -133,7 +213,7 @@ class LRSystem(System):
         return out
 
 
-class LplusRSystem(System):
+class LplusRSystem(ConstrainedEulerSystem):
     """L+R flow omega' = B^{-1} [I omega, omega]; state components g, omega."""
 
     kind = "lplusr"
@@ -154,35 +234,12 @@ class LplusRSystem(System):
             )
         super().__init__(inertia.n, [rotation_component(inertia.n), skew_component("omega", inertia.n)])
 
-    def _b_matrix(self, g):
-        q = lie.adjoint_matrix(g)
-        return self.inertia.matrix + q.T @ self.pi0 @ q
-
-    def rhs(self, y):
-        n = self.n
-        g = y[self.slice_of("g")].reshape(n, n)
-        wv = y[self.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
-        b = self._b_matrix(g)
-        iw = lie.vec_to_skew(self.inertia.apply_vec(wv), n)
-        try:
-            wdot = cho_solve(cho_factor(b), lie.skew_to_vec(lie.ad(iw, omega)))
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("total operator I + Pi lost positive definiteness") from exc
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
-        return out
-
     def energy(self, y):
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
         wv = y[self.slice_of("omega")]
-        return 0.5 * float(wv @ self._b_matrix(g) @ wv)
+        return 0.5 * float(wv @ self.effective_inertia(y) @ wv)
 
     def momentum_norm(self, y):
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        wv = y[self.slice_of("omega")]
-        bw = self._b_matrix(g) @ wv
+        bw = self.effective_inertia(y) @ y[self.slice_of("omega")]
         return float(bw @ bw)
 
     def conserved(self):
@@ -194,25 +251,11 @@ class GeodesicLplusRSystem(LplusRSystem):
 
     kind = "geodesic-lpr"
 
-    def rhs(self, y):
-        n = self.n
-        g = y[self.slice_of("g")].reshape(n, n)
-        wv = y[self.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
-        q = lie.adjoint_matrix(g)
-        pi = q.T @ self.pi0 @ q
-        b = self.inertia.matrix + pi
-        bw = lie.vec_to_skew(b @ wv, n)
-        piw = lie.vec_to_skew(pi @ wv, n)
-        rhs_vec = lie.skew_to_vec(lie.ad(bw, omega) + 2.0 * lie.ad(omega, piw))
-        try:
-            wdot = cho_solve(cho_factor(b), rhs_vec)
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("total operator I + Pi lost positive definiteness") from exc
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
-        return out
+    def torque(self, wv, omega, pi):
+        """[B omega, omega] + 2 [omega, Pi omega]."""
+        bw = lie.vec_to_skew((self.inertia.matrix + pi) @ wv, self.n)
+        piw = lie.vec_to_skew(pi @ wv, self.n)
+        return lie.skew_to_vec(lie.ad(bw, omega) + 2.0 * lie.ad(omega, piw))
 
     def conserved(self):
         return {"energy": self.energy}

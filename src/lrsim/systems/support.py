@@ -21,13 +21,17 @@ from __future__ import annotations
 import numpy as np
 
 from .. import liecore as lie
-from ..linalg import cho_factor, cho_solve
+# unused here, but bound so that perfbench/tracer.py finds both names in
+# every systems module
+from ..linalg import cho_factor, cho_solve  # noqa: F401
 from ..operators import wedge_projector_matrix
-from .base import Component, System, UNIT, rotation_component, skew_component
-from .lr import MultiplierError
+from .base import Component, UNIT, rotation_component, skew_component
+from .lr import ConstrainedEulerSystem
 
 
-class _SupportBase(System):
+class _SupportBase(ConstrainedEulerSystem):
+    shift = 0.0  # multiple of the identity in Pi: the rubber no-twist term
+
     def __init__(self, inertia, couplings, rhos):
         if len(couplings) != len(rhos):
             raise ValueError("need one D per rho")
@@ -51,45 +55,31 @@ class _SupportBase(System):
     def _coefficients(self):
         raise NotImplementedError
 
-    def _base_matrix(self):
-        return self.inertia.matrix
+    def _contact_pi(self, gammas):
+        pi = self.shift * np.eye(self.N)
+        for c, gamma in zip(self._coefficients(), gammas):
+            pi += c * wedge_projector_matrix(gamma / np.linalg.norm(gamma))
+        return pi
+
+    def pi(self, y):
+        gammas = self._gammas(y)
+        return self._contact_pi(gammas), gammas
 
     def b_matrix(self, gammas):
-        b = self._base_matrix().copy()
-        for c, gamma in zip(self._coefficients(), gammas):
-            gamma = gamma / np.linalg.norm(gamma)
-            b += c * wedge_projector_matrix(gamma)
-        return b
+        return self.inertia.matrix + self._contact_pi(gammas)
 
-    def rhs(self, y):
-        n = self.n
-        g = y[self.slice_of("g")].reshape(n, n)
-        wv = y[self.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
-        gammas = self._gammas(y)
-        b = self.b_matrix(gammas)
-        iw = lie.vec_to_skew(self.inertia.apply_vec(wv), n)
-        try:
-            wdot = cho_solve(cho_factor(b), lie.skew_to_vec(lie.ad(iw, omega)))
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError(
-                "effective inertia lost positive definiteness"
-            ) from exc
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
-        for i, gamma in enumerate(gammas):
+    def transport(self, y, frame, omega, wdot, out):
+        for i, gamma in enumerate(frame):
             out[self.slice_of(f"gamma{i + 1}")] = -omega @ gamma
-        return out
 
     def energy(self, y):
         wv = y[self.slice_of("omega")]
-        return 0.5 * float(wv @ self.b_matrix(self._gammas(y)) @ wv)
+        return 0.5 * float(wv @ self.effective_inertia(y) @ wv)
 
     def momentum_matrix(self, y):
         """B omega as a skew matrix (the conserved-trace building block)."""
         wv = y[self.slice_of("omega")]
-        return lie.vec_to_skew(self.b_matrix(self._gammas(y)) @ wv, self.n)
+        return lie.vec_to_skew(self.effective_inertia(y) @ wv, self.n)
 
     def trace_polynomial(self, y, mu, k):
         """tr(B omega + sum_i mu^i X_i)^k at a state, scalar parameter mu."""
@@ -143,21 +133,16 @@ class RubberSupportSystem(_SupportBase):
 
     def __init__(self, inertia, couplings, rhos):
         super().__init__(inertia, couplings, rhos)
+        self.shift = sum(self.couplings)
         # projector coefficients go negative for rho_i > 1; reject setups
         # whose worst case (projectors are contractions) is not SPD
-        probe = self._base_matrix().copy()
-        for c in self._coefficients():
-            if c < 0:
-                probe = probe + c * np.eye(self.N)
-        eigs = np.linalg.eigvalsh(probe)
+        worst = self.shift + sum(c for c in self._coefficients() if c < 0)
+        eigs = np.linalg.eigvalsh(self.inertia.matrix + worst * np.eye(self.N))
         if eigs[0] <= 0:
             raise ValueError(
                 "rubber support operator can lose positive definiteness "
                 f"(worst-case min eigenvalue {eigs[0]:.6g}; some rho_i > 1 is too large)"
             )
-
-    def _base_matrix(self):
-        return self.inertia.matrix + sum(self.couplings) * np.eye(self.N)
 
     def _coefficients(self):
         return [d * (1.0 - r**2) / r**2 for d, r in zip(self.couplings, self.rhos)]

@@ -19,11 +19,7 @@ from lrsim.systems import (
 )
 
 
-def rand_rotation(rng, n):
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+rand_rotation = lie.random_rotation
 
 
 def rand_skew(rng, n, scale=1.0):

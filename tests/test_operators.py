@@ -33,6 +33,10 @@ class TestConstruction:
         with pytest.raises(OperatorError, match="positive definite"):
             InertiaOperator.from_bivector_diag(3, [1.0, -0.2, 2.0])
 
+    def test_indefinite_reports_min_eigenvalue(self):
+        with pytest.raises(OperatorError, match=r"min eigenvalue -0\.5"):
+            InertiaOperator.from_bivector_diag(3, [1.0, -0.5, 2.0])
+
     def test_special_spd_condition(self):
         # A_1 A_2 = 0.9 * 1.1 = 0.99 <= c = 1.0
         with pytest.raises(OperatorError, match="A_1 A_2"):
@@ -42,11 +46,6 @@ class TestConstruction:
     def test_special_needs_positive_axes(self):
         with pytest.raises(OperatorError):
             InertiaOperator.special([1.0, -1.0, 2.0], 0.0)
-
-    def test_projector_reports_offending_eigenvalue(self):
-        base = InertiaOperator.scalar(3, 0.5)
-        with pytest.raises(OperatorError, match="min eigenvalue"):
-            InertiaOperator.projector_augmented(base, [(-1.0, np.array([0.0, 0.0, 1.0]))])
 
 
 class TestApply:
@@ -62,24 +61,6 @@ class TestApply:
         for i, j in lie.bivector_pairs(4):
             expected = (axes[i] * axes[j] - c) * bivector(4, i, j)
             np.testing.assert_allclose(op.apply(bivector(4, i, j)), expected, atol=1e-13)
-
-    def test_projector_augmented_on_wedge_element(self):
-        gamma = np.zeros(3)
-        gamma[2] = 1.0
-        op = InertiaOperator.projector_augmented(InertiaOperator.identity(3), [(0.7, gamma)])
-        e13 = bivector(3, 0, 2)
-        np.testing.assert_allclose(op.apply(e13), 1.7 * e13, atol=1e-14)
-
-    def test_projector_matches_entrywise_formula(self):
-        base = rand_spd_operator(rng, 4)
-        terms = [(0.4, rand_unit(rng, 4)), (0.9, rand_unit(rng, 4))]
-        op = InertiaOperator.projector_augmented(base, terms)
-        x = rand_skew(rng, 4)
-        expected = base.apply(x)
-        for d, gamma in terms:
-            outer = np.outer(gamma, gamma)
-            expected = expected + d * (x @ outer + outer @ x)
-        np.testing.assert_allclose(op.apply(x), expected, atol=1e-12)
 
     def test_self_adjoint_and_positive(self):
         op = rand_spd_operator(rng, 4)

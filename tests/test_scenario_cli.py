@@ -154,6 +154,28 @@ class TestCliRun:
         scen = write_yaml(tmp_path / "bad.yaml", data)
         assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
 
+    def test_wrong_typed_support_body_exit_2(self, tmp_path):
+        data = {
+            "system": "support",
+            "n": 3,
+            "bodies": [5],
+            "initial": {"g": "identity", "omega": {"pairs": [[1, 2, 0.3]]}},
+        }
+        scen = write_yaml(tmp_path / "bad.yaml", data)
+        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
+        with pytest.raises(ScenarioParseError, match="wrong-typed"):
+            load_scenario(scen)
+
+    def test_diverged_run_exit_4_with_finite_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            code = main(["run", str(SCENARIO_DIR / "lstar_geodesic.yaml"), "--h", "3",
+                         "--out", str(out)])
+        assert code == 4
+        assert "non-finite state" in capsys.readouterr().err
+        data = np.genfromtxt(out / "trajectory.csv", delimiter=",", skip_header=1)
+        assert data.shape[0] >= 1 and np.isfinite(data).all()
+
     def test_invalid_initial_state_exit_3(self, tmp_path):
         data = dict(MINIMAL_FREE_TOP)
         data["constraints"] = {"generators": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}
@@ -209,12 +231,13 @@ class TestCliVerify:
         assert "epsilon_limit[decreasing]" in out
 
     def test_diverged_run_fails_its_constraint_checks(self, capsys):
+        # the first non-finite state stops the integration, so no check runs
         scen = str(SCENARIO_DIR / "lstar_geodesic.yaml")
         with np.errstate(all="ignore"):
-            assert main(["verify", scen, "--h", "3"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL  constraint[gamma_norm]: nan" in out
-        assert "PASS" not in out
+            assert main(["verify", scen, "--h", "3"]) == 4
+        captured = capsys.readouterr()
+        assert "non-finite state" in captured.err
+        assert "PASS" not in captured.out
 
     def test_entry_point_runs_as_subprocess(self, tmp_path):
         scen = write_yaml(tmp_path / "top.yaml", MINIMAL_FREE_TOP)

@@ -235,6 +235,30 @@ class TestNCoupled:
             system.rhs(y0)[system.slice_of("omega")], expected, atol=1e-11
         )
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_general_constraints_reduce_to_lplusr(self, n):
+        # for any A_i, B_i the (g, omega) field is the L+R flow with
+        # Pi0 = sum_i D_i A_i^T (B_i B_i^T)^-1 A_i
+        local = np.random.default_rng(40 + n)
+        inertia = rand_spd_operator(local, n)
+        N = lie.so_dim(n)
+        shapes = [(2, 3), (N, N + 1)]
+        a_mats = [local.normal(size=(m, N)) for m, _ in shapes]
+        b_mats = [local.normal(size=shape) for shape in shapes]
+        couplings = [0.8, 1.3]
+        system = NCoupledSystem(inertia, a_mats, b_mats, couplings)
+        pi0 = sum(d * a.T @ np.linalg.solve(b @ b.T, a) for a, b, d in zip(a_mats, b_mats, couplings))
+        lpr = LplusRSystem(inertia, pi0)
+        g, wv = rand_rotation(local, n), local.normal(size=N)
+        parts = {"g": g, "omega": lie.vec_to_skew(wv, n)}
+        parts.update({f"W{i + 1}": local.normal(size=p) for i, (_, p) in enumerate(shapes)})
+        ydot = system.rhs(system.pack(**parts))
+        expected = lpr.rhs(lpr.pack(g=g, omega=parts["omega"]))
+        for name in ("g", "omega"):
+            np.testing.assert_allclose(
+                ydot[system.slice_of(name)], expected[lpr.slice_of(name)], rtol=0, atol=1e-12
+            )
+
     def test_constraint_preserved_along_micro_step(self):
         inertia = rand_spd_operator(rng, 3)
         gamma = rand_skew(rng, 3)
