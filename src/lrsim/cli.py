@@ -9,8 +9,10 @@ system kind: conservation drifts against their tolerances, invariant
 measure divergences, the penalty-limit study, reduction equivalence, and
 the time-rescaling cross-check.
 
-Exit codes: 0 success / all checks passed, 1 some check failed, 2 parse or
-schema error, 3 validation error, 4 runtime integration error.
+Exit codes: 0 success / all checks passed, 1 some check failed (for
+``run``: a constraint residual outside the tolerance ``verify`` applies to
+it), 2 parse or schema error, 3 validation error, 4 runtime integration
+error.
 """
 
 from __future__ import annotations
@@ -136,7 +138,11 @@ def cmd_run(args):
     report = build_report(scenario, traj)
     write_reports(outdir, report)
     print(f"wrote {outdir / 'trajectory.csv'} ({len(traj)} rows)")
-    return EXIT_OK
+    failed = [check for check in _constraint_checks(report["constraints"]) if not check.passed]
+    for check in failed:
+        print(f"{check.name} = {check.value:.3e} is outside its tolerance {check.tol:.1e}",
+              file=sys.stderr)
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
 # --- verification battery ---------------------------------------------------
@@ -164,10 +170,20 @@ def _drift_checks(traj):
             checks.append(Check(f"drift[{q.name}]", q.max_rel_drift, MOMENTUM_TOL))
         else:
             checks.append(Check(f"drift[{q.name}]", q.max_rel_drift, ENERGY_TOL))
-    for name, resid in diag.constraint_report(traj).items():
-        tol = GEOMETRY_TOL if name.endswith(_GEOMETRY_SUFFIXES) else CONSTRAINT_TOL
-        checks.append(Check(f"constraint[{name}]", resid, tol))
-    return checks
+    return checks + _constraint_checks(diag.constraint_report(traj))
+
+
+def _constraint_checks(constraints):
+    """One check per worst residual: unit-norm and orthogonality residuals
+    against GEOMETRY_TOL, all others against CONSTRAINT_TOL."""
+    return [
+        Check(
+            f"constraint[{name}]",
+            resid,
+            GEOMETRY_TOL if name.endswith(_GEOMETRY_SUFFIXES) else CONSTRAINT_TOL,
+        )
+        for name, resid in constraints.items()
+    ]
 
 
 def _divergence_checks(name, field, density, states):

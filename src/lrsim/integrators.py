@@ -229,3 +229,30 @@ def reparametrize_trajectory(traj, axes):
     dt = np.diff(traj.times)
     tau = np.concatenate([[0.0], np.cumsum(0.5 * dt * (rates[:-1] + rates[1:]))])
     return tau
+
+
+def hermite_interpolate(knots, values, slopes, at):
+    """Piecewise cubic Hermite interpolant evaluated at the points ``at``.
+
+    ``knots`` is increasing; ``values`` and ``slopes`` hold the function and
+    its derivative at the knots along their first axis.  On each interval
+    the interpolant is the cubic matching both ends, so cubics are
+    reproduced exactly and the error for smooth data is O(h^4).  Points
+    outside the knots use the nearest end interval.
+    """
+    knots = np.asarray(knots, dtype=float)
+    values = np.asarray(values, dtype=float)
+    slopes = np.asarray(slopes, dtype=float)
+    at = np.asarray(at, dtype=float)
+    k = np.clip(np.searchsorted(knots, at, side="right") - 1, 0, knots.size - 2)
+    shape = at.shape + (1,) * (values.ndim - 1)
+    width = (knots[k + 1] - knots[k]).reshape(shape)
+    s = (at - knots[k]).reshape(shape) / width
+    s2 = s * s
+    s3 = s2 * s
+    return (
+        (2.0 * s3 - 3.0 * s2 + 1.0) * values[k]
+        + (s3 - 2.0 * s2 + s) * width * slopes[k]
+        + (3.0 * s2 - 2.0 * s3) * values[k + 1]
+        + (s3 - s2) * width * slopes[k + 1]
+    )

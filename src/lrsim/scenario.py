@@ -110,6 +110,7 @@ def load_scenario(path, overrides=None):
 
 
 def build_scenario(data, name="<memory>", overrides=None):
+    _reject_non_finite(data, "")
     kind = _require(data, "system", str)
     if kind not in SYSTEM_KINDS:
         raise ScenarioParseError(
@@ -142,6 +143,25 @@ def build_scenario(data, name="<memory>", overrides=None):
 
 
 # --- pieces -----------------------------------------------------------------
+
+def _reject_non_finite(obj, where):
+    """Parse error for a number (or a numeric string) that is NaN or infinite."""
+    if isinstance(obj, dict):
+        for key, val in obj.items():
+            _reject_non_finite(val, f"{where}.{key}" if where else str(key))
+    elif isinstance(obj, list):
+        for idx, val in enumerate(obj):
+            _reject_non_finite(val, f"{where}[{idx}]")
+    elif isinstance(obj, (int, float, str)) and not isinstance(obj, bool):
+        try:
+            finite = np.isfinite(float(obj))
+        except OverflowError:
+            finite = False
+        except ValueError:
+            return
+        if not finite:
+            raise ScenarioParseError(f"{where} must be a finite number, got {obj!r}")
+
 
 def _require(data, key, typ=None):
     if key not in data:

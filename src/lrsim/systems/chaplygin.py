@@ -121,6 +121,17 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
 class CotangentSystem(System):
     """Reduced rubber Chaplygin flow on T*S^{n-1}; components gamma, p.
 
+    For unit gamma the momentum is p = L(gamma) gamma' with
+
+        L(gamma) = m rho^2 Id + E(gamma) I E(gamma)^T,
+
+    where the n x N matrix E(gamma) sends bivector coordinates x to X gamma
+    (its column for the pair a = (i, j) is gamma_j e_i - gamma_i e_j).  L is
+    symmetric positive definite, maps T_gamma to itself and gamma to
+    m rho^2 gamma, so det L / (m rho^2) is the determinant of I + m rho^2 Id
+    restricted to R^n ^ gamma, and the invariant density of the flow is
+    (det L(gamma) / m rho^2)^{-1/2}.
+
     The field extends smoothly off the constraint set {|gamma| = 1,
     (gamma, p) = 0}: every formula uses the normalized gamma, making the
     extension invariant under rescaling of gamma, and the flow preserves
@@ -138,33 +149,35 @@ class CotangentSystem(System):
         self.mr2 = self.mass * self.radius**2
         n = inertia.n
         super().__init__(n, [Component("gamma", UNIT, n), Component("p", VECTOR, n)])
+        self._rows, self._cols = lie._pair_indices(n)
+        self._pairs = np.arange(self._rows.size)
+
+    def tangent_inertia(self, gamma):
+        """The momentum-to-velocity matrix L(gamma) at a unit gamma."""
+        e = np.zeros((self.n, self._pairs.size))
+        e[self._rows, self._pairs] = gamma[self._cols]
+        e[self._cols, self._pairs] = -gamma[self._rows]
+        lmat = e @ self.inertia.matrix @ e.T
+        lmat.flat[:: self.n + 1] += self.mr2
+        return lmat
 
     def gamma_dot_of(self, gamma, p):
         """Invert p = m rho^2 gamma' - I(gamma ^ gamma') gamma on T_gamma."""
-        n = self.n
         gh = gamma / np.linalg.norm(gamma)
-        frame = lie.householder_frame(gh)
-        tan = frame[:, : n - 1]
-        lmat = np.empty((n - 1, n - 1))
-        for j in range(n - 1):
-            x = lie.wedge(gh, tan[:, j])
-            lmat[:, j] = -(tan.T @ (self.inertia.apply(x) @ gh))
-        lmat += self.mr2 * np.eye(n - 1)
         try:
-            coeff = np.linalg.solve(lmat, tan.T @ p)
+            return np.linalg.solve(self.tangent_inertia(gh), p - (gh @ p) * gh)
         except np.linalg.LinAlgError as exc:
             raise MultiplierError("momentum-to-velocity map is singular") from exc
-        return tan @ coeff
 
     def rhs(self, y):
         gamma = y[self.slice_of("gamma")]
         p = y[self.slice_of("p")]
         gh = gamma / np.linalg.norm(gamma)
         gamma_dot = self.gamma_dot_of(gamma, p)
-        phi = lie.wedge(gh, gamma_dot)
+        # -Phi x = gamma' (gamma, x) - gamma (gamma', x) for Phi = gamma ^ gamma'
         out = np.empty(self.dim)
-        out[self.slice_of("gamma")] = -phi @ gamma
-        out[self.slice_of("p")] = -phi @ p
+        out[self.slice_of("gamma")] = gamma_dot * (gh @ gamma) - gh * (gamma_dot @ gamma)
+        out[self.slice_of("p")] = gamma_dot * (gh @ p) - gh * (gamma_dot @ p)
         return out
 
     def energy(self, y):

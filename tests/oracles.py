@@ -105,3 +105,31 @@ def rk4_step(f, y, h):
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def momentum_of_velocity(inertia, mr2, gamma, v):
+    """Reduced rubber Chaplygin momentum m rho^2 v - I(gamma ^ v) gamma."""
+    return mr2 * v - inertia.apply(lie.wedge(gamma, v)) @ gamma
+
+
+def householder_gamma_dot(inertia, mr2, gamma, p):
+    """Invert the momentum map on T_gamma in a Householder tangent frame.
+
+    Column by column: the map applied to each frame vector, then a solve
+    for the frame coefficients of gamma'.
+    """
+    n = gamma.size
+    gh = gamma / np.linalg.norm(gamma)
+    tan = lie.householder_frame(gh)[:, : n - 1]
+    lmat = np.column_stack(
+        [tan.T @ momentum_of_velocity(inertia, mr2, gh, tan[:, j]) for j in range(n - 1)]
+    )
+    return tan @ np.linalg.solve(lmat, tan.T @ p)
+
+
+def wedge_basis_density(inertia, mr2, gamma):
+    """1 / sqrt(det (I + m rho^2 Id)|_{R^n ^ gamma}) in an orthonormal basis."""
+    gh = gamma / np.linalg.norm(gamma)
+    basis = lie.wedge_subspace_basis(gh).vectors
+    shifted = inertia.matrix + mr2 * np.eye(inertia.N)
+    return 1.0 / np.sqrt(np.linalg.det(basis.T @ shifted @ basis))

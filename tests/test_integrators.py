@@ -16,6 +16,7 @@ from lrsim.integrators import (
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    hermite_interpolate,
     integrate,
     integrate_reparametrized,
     reparametrize_trajectory,
@@ -186,6 +187,40 @@ class TestReparametrization:
         spline = CubicSpline(tau, traj_t.states, axis=0)
         dev = np.max(np.abs(spline(traj_tau.times) - traj_tau.states))
         assert dev < 1e-7
+
+    def test_hermite_reproduces_a_cubic(self):
+        local = np.random.default_rng(177)
+        coeffs = local.normal(size=(4, 2))
+        knots = np.sort(local.uniform(-1.0, 2.0, 9))
+        at = np.linspace(knots[0], knots[-1], 41)
+
+        def cubic(x):
+            return np.stack([np.polyval(c, x) for c in coeffs.T], axis=-1)
+
+        def slope(x):
+            return np.stack([np.polyval(np.polyder(c), x) for c in coeffs.T], axis=-1)
+
+        got = hermite_interpolate(knots, cubic(knots), slope(knots), at)
+        np.testing.assert_allclose(got, cubic(at), rtol=0, atol=1e-13)
+
+    def test_hermite_matches_cubic_spline_on_dual_path_data(self):
+        # built as in test_dual_paths_agree, from this test's own generator;
+        # the Hermite slopes are the exact tau-field
+        from scipy.interpolate import CubicSpline
+
+        local = np.random.default_rng(178)
+        inertia, axes, c = special_inertia(local, 3)
+        system, y0 = make_cotangent(local, 3, inertia=inertia, mass=c, radius=1.0)
+        h = 1e-3
+        traj_tau = integrate_reparametrized(system, y0, axes, IntegratorConfig(h=h, steps=800))
+        traj_t = integrate(system, y0, IntegratorConfig(h=h, steps=3000))
+        tau = reparametrize_trajectory(traj_t, axes)
+        gammas = traj_t.component("gamma")
+        rescale = np.sqrt(np.einsum("ki,i,ki->k", gammas, axes, gammas))
+        slopes = rescale[:, None] * np.array([system.rhs(y) for y in traj_t.states])
+        hermite = hermite_interpolate(tau, traj_t.states, slopes, traj_tau.times)
+        spline = CubicSpline(tau, traj_t.states, axis=0)(traj_tau.times)
+        assert np.max(np.abs(hermite - spline)) < 1e-9
 
     def test_rejects_nonpositive_axes(self):
         system, y0 = make_cotangent(rng, 3)

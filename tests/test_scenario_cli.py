@@ -34,6 +34,34 @@ def write_yaml(path, data):
     return str(path)
 
 
+def shipped(name):
+    return yaml.safe_load((SCENARIO_DIR / name).read_text())
+
+
+def _set_inertia_value(data):
+    data["inertia"]["values"][1] = float("nan")
+
+
+def _set_omega_pair_value(data):
+    data["initial"]["omega"]["pairs"][0][2] = float("inf")
+
+
+def _set_mass(data):
+    data["mass"] = float("nan")
+
+
+def _set_quadric_axis(data):
+    data["inertia"]["A"] = [1.2, float("inf"), 1.5]
+
+
+NON_FINITE_CASES = [
+    ("veselova.yaml", _set_inertia_value, "inertia.values[1]"),
+    ("veselova.yaml", _set_omega_pair_value, "initial.omega.pairs[0][2]"),
+    ("rubber_chaplygin3.yaml", _set_mass, "mass"),
+    ("cotangent.yaml", _set_quadric_axis, "inertia.A[1]"),
+]
+
+
 class TestScenarioBuilding:
     def test_minimal_free_top(self):
         scenario = build_scenario(MINIMAL_FREE_TOP)
@@ -154,6 +182,30 @@ class TestCliRun:
         scen = write_yaml(tmp_path / "bad.yaml", data)
         assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "source, edit, where", NON_FINITE_CASES, ids=[case[2] for case in NON_FINITE_CASES]
+    )
+    def test_non_finite_scenario_number_exit_2(self, tmp_path, capsys, source, edit, where):
+        data = shipped(source)
+        edit(data)
+        scen = write_yaml(tmp_path / "bad.yaml", data)
+        assert main(["run", scen, "--out", str(tmp_path / "o"), "--steps", "5"]) == 2
+        assert f"{where} must be a finite number" in capsys.readouterr().err
+        with pytest.raises(ScenarioParseError, match="finite"):
+            load_scenario(scen)
+
+    def test_run_that_left_its_manifold_exit_1(self, tmp_path, capsys):
+        data = shipped("free_top.yaml")
+        data["integrator"].update(renormalize_every=0, h=0.5, steps=400)
+        scen = write_yaml(tmp_path / "top.yaml", data)
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "constraint[g_orthogonality]" in err and "outside its tolerance" in err
+        report = json.loads((out / "report.json").read_text())
+        assert report["constraints"]["g_orthogonality"] > 1e-9
+        assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 401
+
     def test_wrong_typed_support_body_exit_2(self, tmp_path):
         data = {
             "system": "support",
@@ -238,6 +290,32 @@ class TestCliVerify:
         captured = capsys.readouterr()
         assert "non-finite state" in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize(
+        "scenario", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda path: path.stem
+    )
+    def test_every_shipped_scenario_passes(self, capsys, scenario):
+        steps = shipped(scenario.name).get("integrator", {}).get("steps", 1000) // 8
+        assert main(["verify", str(scenario), "--steps", str(steps)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+        assert checks and all(line.startswith("PASS  ") for line in checks)
+        assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
+
+    def test_hamiltonization_verify_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "from lrsim.cli import main\n"
+            f"code = main(['verify', {str(SCENARIO_DIR / 'rubber_chaplygin3.yaml')!r},"
+            " '--steps', '250'])\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print('scipy modules:', loaded)\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS  reparametrization_dual_path" in proc.stdout
+        assert "scipy modules: []" in proc.stdout
 
     def test_entry_point_runs_as_subprocess(self, tmp_path):
         scen = write_yaml(tmp_path / "top.yaml", MINIMAL_FREE_TOP)

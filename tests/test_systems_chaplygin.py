@@ -188,6 +188,50 @@ class TestCotangent:
         assert worst < 1e-10
 
 
+class TestTangentInertia:
+    """The closed-form L(gamma) against the Householder-frame construction."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_agrees_with_frame_oracles(self, n):
+        from lrsim.diagnostics import reduced_chaplygin_density
+
+        local = np.random.default_rng(410 + n)
+        inertia = rand_spd_operator(local, n)
+        mass, radius = float(local.uniform(0.5, 1.5)), float(local.uniform(0.6, 1.2))
+        system = CotangentSystem(inertia, mass, radius)
+        density = reduced_chaplygin_density(inertia, mass, radius)
+        for _ in range(5):
+            gamma = rand_unit(local, n)
+            lmat = system.tangent_inertia(gamma)
+            expected = np.column_stack(
+                [oracles.momentum_of_velocity(inertia, system.mr2, gamma, e) for e in np.eye(n)]
+            )
+            np.testing.assert_allclose(lmat, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+            # an unnormalized gamma and a p off T_gamma exercise the extension
+            gamma = 1.7 * gamma
+            p = local.normal(size=n)
+            expected = oracles.householder_gamma_dot(inertia, system.mr2, gamma, p)
+            np.testing.assert_allclose(
+                system.gamma_dot_of(gamma, p), expected, rtol=0,
+                atol=1e-13 * np.abs(expected).max(),
+            )
+            z = np.concatenate([gamma, p])
+            assert density(z) == pytest.approx(
+                oracles.wedge_basis_density(inertia, system.mr2, gamma), rel=1e-13
+            )
+
+    def test_maps_tangent_space_to_itself(self):
+        local = np.random.default_rng(415)
+        system, y0 = make_cotangent(local, 4)
+        gamma = y0[system.slice_of("gamma")]
+        lmat = system.tangent_inertia(gamma)
+        np.testing.assert_allclose(lmat, lmat.T, atol=1e-15)
+        np.testing.assert_allclose(lmat @ gamma, system.mr2 * gamma, atol=1e-14)
+        v = local.normal(size=4)
+        v -= gamma * (gamma @ v)
+        assert abs(gamma @ (lmat @ v)) < 1e-14
+
+
 class TestLstarGeodesic:
     def test_round_sphere_great_circles(self):
         system = LstarGeodesicSystem(np.ones(3))
