@@ -301,17 +301,17 @@ def wedge_subspace_basis(gamma):
 
 
 def wedge_complement_basis(gamma):
-    """Orthonormal basis of (R^n ^ gamma)^perp built from the Householder frame."""
+    """Orthonormal basis of (R^n ^ gamma)^perp from the Householder frame H.
+
+    With h_i the columns of H, h_0..h_{n-2} span the tangent space at
+    gamma = h_{n-1}, so the bivectors h_i ^ h_j, i < j < n - 1, span the
+    complement.  They are the columns of Ad_H for the pairs (i, j) with
+    j < n - 1, in the same lexicographic order.
+    """
     gamma = check_unit(gamma, tol=1e-10)
     n = gamma.size
-    frame = householder_frame(gamma)
-    cols = [
-        skew_to_vec(wedge(frame[:, i], frame[:, j]))
-        for i in range(n - 1)
-        for j in range(i + 1, n - 1)
-    ]
-    vectors = np.column_stack(cols) if cols else np.zeros((so_dim(n), 0))
-    return SubspaceBasis(n, vectors)
+    _, cols = _pair_indices(n)
+    return SubspaceBasis(n, adjoint_matrix(householder_frame(gamma))[:, cols < n - 1])
 
 
 def iso3(v):

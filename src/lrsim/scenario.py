@@ -136,10 +136,8 @@ def build_scenario(data, name="<memory>", overrides=None):
         raise ScenarioValidationError(str(exc)) from exc
 
     cfg = _build_integrator(data.get("integrator", {}), overrides or {})
-    diagnostics = data.get("diagnostics", [])
-    if diagnostics is not None and not isinstance(diagnostics, list):
-        raise ScenarioParseError("diagnostics must be a list of quantity names")
-    return Scenario(name, system, y0, cfg, list(diagnostics or []), data, **forms)
+    diagnostics = _diagnostics(data.get("diagnostics"), system, y0)
+    return Scenario(name, system, y0, cfg, diagnostics, data, **forms)
 
 
 # --- pieces -----------------------------------------------------------------
@@ -161,6 +159,22 @@ def _reject_non_finite(obj, where):
             return
         if not finite:
             raise ScenarioParseError(f"{where} must be a finite number, got {obj!r}")
+
+
+def _diagnostics(names, system, y0):
+    """The ``diagnostics`` list: conserved-quantity names and ``constraint:<residual>``."""
+    if names is None:
+        return []
+    if not isinstance(names, list):
+        raise ScenarioParseError("diagnostics must be a list of quantity names")
+    known = [*system.conserved(), *(f"constraint:{r}" for r in system.constraints(y0))]
+    for entry in names:
+        if entry not in known:
+            raise ScenarioParseError(
+                f"unknown diagnostics entry {entry!r} for system {system.kind!r}; "
+                f"expected one of {', '.join(known)}"
+            )
+    return names
 
 
 def _require(data, key, typ=None):

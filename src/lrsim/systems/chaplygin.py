@@ -46,8 +46,6 @@ from ..operators import wedge_projector_matrix
 from .base import Component, System, UNIT, VECTOR, rotation_component, skew_component
 from .lr import ConstrainedEulerSystem, MultiplierError, factor_inertia
 
-VERTICAL = "last-axis"  # Gamma = e_n throughout
-
 
 def vertical_vector(n):
     gamma = np.zeros(n)
@@ -78,39 +76,29 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         super().__init__(n, [rotation_component(n), skew_component("omega", n)])
 
     def gamma_of(self, y):
+        """The unit vertical direction gamma = g^-1 e_n in the body frame."""
         g = y[self.slice_of("g")].reshape(self.n, self.n)
-        return g.T @ vertical_vector(self.n)
+        gamma = g.T @ vertical_vector(self.n)
+        return gamma / np.linalg.norm(gamma)
 
     def pi(self, y):
         gamma = self.gamma_of(y)
-        gamma = gamma / np.linalg.norm(gamma)
         return self.mr2 * wedge_projector_matrix(gamma), gamma
 
     def constraint_basis(self, y, frame):
         twist = lie.wedge_complement_basis(frame)
         return twist.vectors if twist.dim else None
 
-    def momentum_vec(self, y):
-        return self.effective_inertia(y) @ y[self.slice_of("omega")]
-
-    def energy(self, y):
-        wv = y[self.slice_of("omega")]
-        return 0.5 * float(self.momentum_vec(y) @ wv)
-
     def constraints(self, y):
         out = super().constraints(y)
-        gamma = self.gamma_of(y)
-        gamma = gamma / np.linalg.norm(gamma)
-        twist = lie.wedge_complement_basis(gamma)
-        wv = y[self.slice_of("omega")]
-        if twist.dim:
-            out["no_twist"] = float(np.max(np.abs(twist.vectors.T @ wv)))
+        twist = self.constraint_basis(y, self.gamma_of(y))
+        if twist is not None:
+            out["no_twist"] = float(np.max(np.abs(twist.T @ y[self.slice_of("omega")])))
         return out
 
     def to_cotangent(self, y):
         """Project a group state to the reduced (gamma, p) chart."""
         gamma = self.gamma_of(y)
-        gamma = gamma / np.linalg.norm(gamma)
         omega = lie.vec_to_skew(y[self.slice_of("omega")], self.n)
         gamma_dot = -omega @ gamma
         phi = lie.wedge(gamma, gamma_dot)

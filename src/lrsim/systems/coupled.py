@@ -73,22 +73,6 @@ class _CoupledBase(ConstrainedEulerSystem):
         # frame is Ad_g, so the columns span h_0^g
         return frame.T @ self.h0.vectors if self.h0 is not None and self.h0.dim else None
 
-    def reduced_energy(self, y):
-        wv = y[self.slice_of("omega")]
-        return 0.5 * float(wv @ self.effective_inertia(y) @ wv)
-
-    def spatial_momentum_vec(self, y):
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        return lie.adjoint_matrix(g) @ self.inertia.apply_vec(y[self.slice_of("omega")])
-
-    def _noether_k0(self):
-        out = {}
-        for j in range(self.k0_space.dim):
-            out[f"noether_k0_{j + 1}"] = (
-                lambda y, j=j: float(self.k0_space.vectors[:, j] @ self.spatial_momentum_vec(y))
-            )
-        return out
-
     def constraints(self, y):
         out = super().constraints(y)
         g = y[self.slice_of("g")].reshape(self.n, self.n)
@@ -127,7 +111,7 @@ class CoupledFullSystem(_CoupledBase):
             out[f"noether_k_{j + 1}"] = (
                 lambda y, j=j: float(self.k_space.vectors[:, j] @ y[self.slice_of("W")])
             )
-        out.update(self._noether_k0())
+        out.update(self.noether(self.k0_space.vectors, "noether_k0"))
         return out
 
     def constraints(self, y):
@@ -149,13 +133,8 @@ class CoupledReducedSystem(_CoupledBase):
         comps = [rotation_component(n), skew_component("omega", n)]
         super().__init__(inertia, h0, subspaces, coupling, rhos, comps)
 
-    def energy(self, y):
-        return self.reduced_energy(y)
-
     def conserved(self):
-        out = {"energy": self.energy}
-        out.update(self._noether_k0())
-        return out
+        return {"energy": self.energy, **self.noether(self.k0_space.vectors, "noether_k0")}
 
     def constraints(self, y):
         out, _ = super().constraints(y)

@@ -88,6 +88,9 @@ class ConstrainedEulerSystem(System):
       the components after g and omega.
 
     The default ``pi`` is Ad_g^T Pi0 Ad_g for systems that set ``pi0``.
+    The kernel also reports the integrals every flow shares: the energy
+    1/2 <B omega, omega>, the momentum B omega and its norm, and the
+    Noether integrals <d, Ad_g I omega> over fixed directions d.
     """
 
     pi0 = None  # right-invariant operator in the fixed frame, if any
@@ -113,6 +116,31 @@ class ConstrainedEulerSystem(System):
         """B = I + Pi at a state."""
         pi, _ = self.pi(y)
         return self.inertia.matrix if pi is None else self.inertia.matrix + pi
+
+    def momentum_vec(self, y):
+        """B omega."""
+        return self.effective_inertia(y) @ y[self.slice_of("omega")]
+
+    def energy(self, y):
+        """1/2 <B omega, omega>."""
+        return 0.5 * float(self.momentum_vec(y) @ y[self.slice_of("omega")])
+
+    def momentum_norm(self, y):
+        """|B omega|^2, conserved by the isospectral L+R flow."""
+        bw = self.momentum_vec(y)
+        return float(bw @ bw)
+
+    def spatial_momentum_vec(self, y):
+        """Ad_g I omega."""
+        g = y[self.slice_of("g")].reshape(self.n, self.n)
+        return lie.adjoint_matrix(g) @ self.inertia.apply_vec(y[self.slice_of("omega")])
+
+    def noether(self, basis, prefix):
+        """Integrals {prefix_j: <d_j, Ad_g I omega>} over the columns d_j of a fixed basis."""
+        return {
+            f"{prefix}_{j + 1}": (lambda y, d=basis[:, j]: float(d @ self.spatial_momentum_vec(y)))
+            for j in range(basis.shape[1])
+        }
 
     def rhs(self, y):
         n = self.n
@@ -173,29 +201,12 @@ class LRSystem(ConstrainedEulerSystem):
                 lie.ad(lie.vec_to_skew(a, self.n), omega)
             )
 
-    def energy(self, y):
-        wv = y[self.slice_of("omega")]
-        return 0.5 * float(wv @ self.inertia.apply_vec(wv))
-
-    def spatial_momentum_vec(self, y):
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        mv = self.inertia.apply_vec(y[self.slice_of("omega")])
-        return lie.adjoint_matrix(g) @ mv
-
     def conserved(self):
         out = {"energy": self.energy}
         if self.k:
-            d_vectors = self.d_space.vectors
-
-            def noether(y, j):
-                return float(d_vectors[:, j] @ self.spatial_momentum_vec(y))
-
-            for j in range(self.d_space.dim):
-                out[f"noether_{j + 1}"] = (lambda y, j=j: noether(y, j))
+            out.update(self.noether(self.d_space.vectors, "noether"))
         else:
-            out["momentum_norm"] = lambda y: float(
-                np.sum(self.spatial_momentum_vec(y) ** 2)
-            )
+            out["momentum_norm"] = self.momentum_norm
         return out
 
     def constraints(self, y):
@@ -233,14 +244,6 @@ class LplusRSystem(ConstrainedEulerSystem):
                 f"total operator I + Pi is not positive definite (min eigenvalue {eigs[0]:.6g})"
             )
         super().__init__(inertia.n, [rotation_component(inertia.n), skew_component("omega", inertia.n)])
-
-    def energy(self, y):
-        wv = y[self.slice_of("omega")]
-        return 0.5 * float(wv @ self.effective_inertia(y) @ wv)
-
-    def momentum_norm(self, y):
-        bw = self.effective_inertia(y) @ y[self.slice_of("omega")]
-        return float(bw @ bw)
 
     def conserved(self):
         return {"energy": self.energy, "momentum_norm": self.momentum_norm}

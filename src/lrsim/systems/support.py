@@ -72,14 +72,9 @@ class _SupportBase(ConstrainedEulerSystem):
         for i, gamma in enumerate(frame):
             out[self.slice_of(f"gamma{i + 1}")] = -omega @ gamma
 
-    def energy(self, y):
-        wv = y[self.slice_of("omega")]
-        return 0.5 * float(wv @ self.effective_inertia(y) @ wv)
-
     def momentum_matrix(self, y):
         """B omega as a skew matrix (the conserved-trace building block)."""
-        wv = y[self.slice_of("omega")]
-        return lie.vec_to_skew(self.effective_inertia(y) @ wv, self.n)
+        return lie.vec_to_skew(self.momentum_vec(y), self.n)
 
     def trace_polynomial(self, y, mu, k):
         """tr(B omega + sum_i mu^i X_i)^k at a state, scalar parameter mu."""

@@ -133,3 +133,15 @@ def wedge_basis_density(inertia, mr2, gamma):
     basis = lie.wedge_subspace_basis(gh).vectors
     shifted = inertia.matrix + mr2 * np.eye(inertia.N)
     return 1.0 / np.sqrt(np.linalg.det(basis.T @ shifted @ basis))
+
+
+def wedge_complement_loop(gamma):
+    """Columns h_i ^ h_j, i < j < n - 1, of the Householder frame, one at a time."""
+    n = gamma.size
+    frame = lie.householder_frame(gamma)
+    cols = [
+        lie.skew_to_vec(lie.wedge(frame[:, i], frame[:, j]))
+        for i in range(n - 1)
+        for j in range(i + 1, n - 1)
+    ]
+    return np.column_stack(cols) if cols else np.zeros((lie.so_dim(n), 0))

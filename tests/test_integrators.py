@@ -222,6 +222,22 @@ class TestReparametrization:
         spline = CubicSpline(tau, traj_t.states, axis=0)(traj_tau.times)
         assert np.max(np.abs(hermite - spline)) < 1e-9
 
+    def test_hermite_path_matches_rescaled_flow(self):
+        # with the O(h^4) tau quadrature the Hermite path follows the flow
+        # integrated in tau to about 6e-11
+        local = np.random.default_rng(178)
+        inertia, axes, c = special_inertia(local, 3)
+        system, y0 = make_cotangent(local, 3, inertia=inertia, mass=c, radius=1.0)
+        h = 1e-3
+        traj_tau = integrate_reparametrized(system, y0, axes, IntegratorConfig(h=h, steps=800))
+        traj_t = integrate(system, y0, IntegratorConfig(h=h, steps=3000))
+        fields = np.array([system.rhs(y) for y in traj_t.states])
+        tau = reparametrize_trajectory(traj_t, axes, fields)
+        gammas = traj_t.component("gamma")
+        rescale = np.sqrt(np.einsum("ki,i,ki->k", gammas, axes, gammas))
+        path = hermite_interpolate(tau, traj_t.states, rescale[:, None] * fields, traj_tau.times)
+        assert np.max(np.abs(path - traj_tau.states)) < 1e-9
+
     def test_rejects_nonpositive_axes(self):
         system, y0 = make_cotangent(rng, 3)
         with pytest.raises(ValueError):

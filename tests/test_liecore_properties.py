@@ -1,0 +1,75 @@
+"""Property tests of the liecore identities over generated operands."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from lrsim import liecore as lie
+from lrsim.operators import wedge_projector_matrix
+
+# the same examples in every process and no example database; the module
+# runs in a few seconds
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+dims = st.sampled_from([3, 4, 5])
+coords = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+def skews(n):
+    return st.lists(coords, min_size=lie.so_dim(n), max_size=lie.so_dim(n)).map(
+        lambda v: lie.vec_to_skew(np.array(v), n)
+    )
+
+
+def rotations(n):
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: lie.random_rotation(np.random.default_rng(seed), n)
+    )
+
+
+def units(n):
+    return (
+        st.lists(coords, min_size=n, max_size=n)
+        .map(np.array)
+        .filter(lambda v: np.linalg.norm(v) > 1e-3)
+        .map(lambda v: v / np.linalg.norm(v))
+    )
+
+
+@PROPERTY
+@given(st.data(), dims)
+def test_jacobi_identity(data, n):
+    x, y, z = (data.draw(skews(n)) for _ in range(3))
+    cyclic = lie.ad(x, lie.ad(y, z)) + lie.ad(y, lie.ad(z, x)) + lie.ad(z, lie.ad(x, y))
+    np.testing.assert_allclose(cyclic, 0.0, atol=1e-13)
+
+
+@PROPERTY
+@given(st.data(), dims)
+def test_inner_is_ad_invariant(data, n):
+    g = data.draw(rotations(n))
+    x, y = data.draw(skews(n)), data.draw(skews(n))
+    assert abs(lie.inner(lie.Ad(g, x), lie.Ad(g, y)) - lie.inner(x, y)) < 1e-13
+
+
+@PROPERTY
+@given(st.lists(coords, min_size=6, max_size=6).map(np.array))
+def test_iso3_is_a_bracket_homomorphism(ab):
+    a, b = ab[:3], ab[3:]
+    np.testing.assert_allclose(
+        lie.iso3(np.cross(a, b)), lie.ad(lie.iso3(a), lie.iso3(b)), atol=1e-15
+    )
+
+
+@PROPERTY
+@given(st.data(), dims)
+def test_no_twist_basis_completes_the_wedge_projector(data, n):
+    gamma = data.draw(units(n))
+    c = lie.wedge_complement_basis(gamma).vectors
+    assert c.shape == (lie.so_dim(n), lie.so_dim(n - 1))
+    np.testing.assert_allclose(c.T @ c, np.eye(c.shape[1]), atol=1e-13)
+    np.testing.assert_allclose(
+        c @ c.T + wedge_projector_matrix(gamma), np.eye(lie.so_dim(n)), atol=1e-13
+    )
+    np.testing.assert_allclose(c, oracles.wedge_complement_loop(gamma), rtol=0, atol=1e-15)

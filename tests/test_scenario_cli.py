@@ -228,6 +228,30 @@ class TestCliRun:
         data = np.genfromtxt(out / "trajectory.csv", delimiter=",", skip_header=1)
         assert data.shape[0] >= 1 and np.isfinite(data).all()
 
+    @pytest.mark.parametrize("entry", ["bogus", 5, "constraint:bogus"])
+    def test_unknown_diagnostics_entry_exit_2(self, tmp_path, entry):
+        data = shipped("free_top.yaml")
+        data["diagnostics"] = [entry]
+        scen = write_yaml(tmp_path / "bad.yaml", data)
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrsim.cli", "run", scen, "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "scenario error" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (out / "trajectory.csv").exists()
+
+    def test_known_diagnostics_entries_are_reported(self, tmp_path):
+        data = shipped("free_top.yaml")
+        data["diagnostics"] = ["momentum_norm", "constraint:g_orthogonality"]
+        scen = write_yaml(tmp_path / "top.yaml", data)
+        out = tmp_path / "out"
+        assert main(["run", scen, "--out", str(out), "--steps", "20"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert sorted(report["quantities"]) == sorted(data["diagnostics"])
+
     def test_invalid_initial_state_exit_3(self, tmp_path):
         data = dict(MINIMAL_FREE_TOP)
         data["constraints"] = {"generators": [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]}
