@@ -21,7 +21,7 @@ from .integrators import (
     integrate_reparametrized,
     reparametrize_trajectory,
 )
-from .operators import MeasureDensity
+from .operators import MeasureDensity, restricted_inverse_det
 from .systems import (
     CotangentSystem,
     LplusRSystem,
@@ -32,6 +32,7 @@ from .systems import (
     reconstruct_coupled_W,
     reconstruct_support_W,
 )
+from .systems.chaplygin import tangent_inertia
 from .systems.lr import constrained_torque
 
 FD_STEP = 1e-5
@@ -155,25 +156,17 @@ def lr_measure_chart(inertia, k):
     n = inertia.n
     N = inertia.N
 
-    def split(z):
-        return z[:N], [z[N * (1 + i): N * (2 + i)] for i in range(k)]
-
     def field(z):
-        mv, alphas = split(z)
+        mv, alphas = z[:N], z[N:].reshape(k, N)
         wv = inertia.solve_vec(mv)
         omega = lie.vec_to_skew(wv, n)
         torque = lie.skew_to_vec(lie.ad(lie.vec_to_skew(mv, n), omega))
-        torque = constrained_torque(inertia._cho, torque, z[N:].reshape(k, N).T)
+        torque = constrained_torque(inertia._cho, torque, alphas.T)
         adots = [lie.skew_to_vec(lie.ad(lie.vec_to_skew(a, n), omega)) for a in alphas]
         return np.concatenate([torque] + adots) if k else torque
 
     def density(z):
-        _, alphas = split(z)
-        if not k:
-            return 1.0
-        sols = [inertia.solve_vec(a) for a in alphas]
-        gram = np.array([[sols[i] @ alphas[j] for j in range(k)] for i in range(k)])
-        return float(np.sqrt(np.linalg.det(gram)))
+        return float(np.sqrt(restricted_inverse_det(inertia, z[N:].reshape(k, N).T)))
 
     return field, MeasureDensity("lr", density)
 
@@ -230,17 +223,17 @@ def lplusr_measure_chart(inertia):
 def reduced_chaplygin_density(inertia, mass, radius):
     """Density 1 / sqrt(det (I + m rho^2 Id)|_{R^n ^ gamma}) on (gamma, p).
 
-    Evaluated as (det L(gamma) / m rho^2)^{-1/2} with the momentum-to-velocity
-    matrix L of :class:`CotangentSystem`.  Only gamma enters; it is
-    normalized first, making the density invariant under rescaling of gamma
-    (the same extension the cotangent field uses).
+    Evaluated as (det L(gamma) / m rho^2)^{-1/2} with L of
+    :func:`~lrsim.systems.chaplygin.tangent_inertia`.  Only gamma enters; it
+    is normalized first, making the density invariant under rescaling of
+    gamma (the same extension the cotangent field uses).
     """
-    cot = CotangentSystem(inertia, mass, radius)
+    mr2 = mass * radius**2
     n = inertia.n
 
     def density(z):
-        gamma = z[:n] / np.linalg.norm(z[:n])
-        return float(np.sqrt(cot.mr2 / np.linalg.det(cot.tangent_inertia(gamma))))
+        e = lie.wedge_map(z[:n] / np.linalg.norm(z[:n]))
+        return float(np.sqrt(mr2 / np.linalg.det(tangent_inertia(inertia, mr2, e))))
 
     return MeasureDensity("cotangent", density)
 

@@ -282,22 +282,36 @@ def householder_frame(gamma):
     """
     gamma = np.asarray(gamma, dtype=float)
     n = gamma.size
-    e_last = np.zeros(n)
-    e_last[-1] = 1.0
-    u = gamma - e_last
+    # u = gamma - e_n for unit gamma, with u_n = -|gamma_perp|^2 / (1 + gamma_n)
+    # for gamma_n > 0, which does not cancel near e_n
+    u = gamma.copy()
+    u[-1] = -(gamma[:-1] @ gamma[:-1]) / (1.0 + gamma[-1]) if gamma[-1] > 0 else gamma[-1] - 1.0
     uu = np.dot(u, u)
     if uu < 1e-28:
         return np.eye(n)
     return np.eye(n) - (2.0 / uu) * np.outer(u, u)
 
 
+def wedge_map(gamma):
+    """The n x N matrix E(gamma) of X -> X gamma on bivector coordinates.
+
+    Column (i, j) is gamma_j e_i - gamma_i e_j.  For unit gamma, E^T E
+    projects onto R^n ^ gamma, E E^T = Id - gamma gamma^T and
+    ker E = (R^n ^ gamma)^perp.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    rows, cols = _pair_indices(gamma.size)
+    pairs = np.arange(rows.size)
+    e = np.zeros((gamma.size, rows.size))
+    e[rows, pairs] = gamma[cols]
+    e[cols, pairs] = -gamma[rows]
+    return e
+
+
 def wedge_subspace_basis(gamma):
-    """Orthonormal basis of R^n ^ gamma built from the Householder frame."""
+    """Orthonormal basis h_j ^ gamma = E^T h_j of R^n ^ gamma, h_j the Householder frame."""
     gamma = check_unit(gamma, tol=1e-10)
-    n = gamma.size
-    frame = householder_frame(gamma)
-    cols = [skew_to_vec(wedge(frame[:, j], gamma)) for j in range(n - 1)]
-    return SubspaceBasis(n, np.column_stack(cols))
+    return SubspaceBasis(gamma.size, wedge_map(gamma).T @ householder_frame(gamma)[:, :-1])
 
 
 def wedge_complement_basis(gamma):
@@ -306,7 +320,8 @@ def wedge_complement_basis(gamma):
     With h_i the columns of H, h_0..h_{n-2} span the tangent space at
     gamma = h_{n-1}, so the bivectors h_i ^ h_j, i < j < n - 1, span the
     complement.  They are the columns of Ad_H for the pairs (i, j) with
-    j < n - 1, in the same lexicographic order.
+    j < n - 1, in the same lexicographic order.  No flow calls it (they use
+    the kernel of :func:`wedge_map`); it remains the reference for tests.
     """
     gamma = check_unit(gamma, tol=1e-10)
     n = gamma.size

@@ -129,14 +129,9 @@ class InertiaOperator:
 
 
 def wedge_projector_matrix(gamma):
-    """Bivector-basis matrix of X -> X gamma gamma^T + gamma gamma^T X."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.size
-    basis = lie.bivector_basis(n)
-    outer = np.outer(gamma, gamma)
-    imgs = basis @ outer + outer @ basis
-    rows, cols = lie._pair_indices(n)
-    return imgs[:, rows, cols].T.copy()
+    """E^T E, E = E(gamma): the matrix of X -> X gamma gamma^T + gamma gamma^T X."""
+    e = lie.wedge_map(gamma)
+    return e.T @ e
 
 
 def special_from_vector_inertia(inertia3, c):
@@ -156,17 +151,15 @@ def special_from_vector_inertia(inertia3, c):
     return InertiaOperator.special(delta / shifted, c)
 
 
-def restricted_inverse_det(operator, basis):
-    """det of the Gram matrix <I^{-1} a_i, a_j> over an orthonormal basis.
+def restricted_inverse_det(operator, vectors):
+    """det of the Gram matrix <a_i, I^{-1} a_j> over the (N, k) columns a_i.
 
-    Equals the determinant of pr o I^{-1} o pr in the given basis; the empty
-    basis yields 1 by the 0x0 determinant convention.
+    For orthonormal columns it is the determinant of pr o I^{-1} o pr in
+    that basis; no columns yield 1 by the 0x0 determinant convention.
     """
-    if basis.dim == 0:
+    if not vectors.shape[1]:
         return 1.0
-    vecs = basis.vectors
-    inv_cols = np.column_stack([operator.solve_vec(vecs[:, j]) for j in range(basis.dim)])
-    return float(np.linalg.det(vecs.T @ inv_cols))
+    return float(np.linalg.det(vectors.T @ cho_solve(operator._cho, vectors)))
 
 
 def restricted_operator_inverse(operator, basis, y, tol=1e-10):
@@ -182,8 +175,7 @@ def restricted_operator_inverse(operator, basis, y, tol=1e-10):
         raise OperatorError(
             f"argument is outside the subspace (residual {resid:.3e} vs tol {tol * scale:.3e})"
         )
-    gram = np.column_stack([operator.solve_vec(basis.vectors[:, j]) for j in range(basis.dim)])
-    gram = basis.vectors.T @ gram
+    gram = basis.vectors.T @ cho_solve(operator._cho, basis.vectors)
     try:
         sol = cho_solve(cho_factor(gram), coords)
     except np.linalg.LinAlgError as exc:

@@ -53,14 +53,22 @@ def vertical_vector(n):
     return gamma
 
 
+def tangent_inertia(inertia, mr2, e):
+    """L(gamma) = m rho^2 Id + E I E^T from the wedge map E = E(gamma)."""
+    lmat = e @ inertia.matrix @ e.T
+    lmat.flat[:: e.shape[0] + 1] += mr2
+    return lmat
+
+
 class RubberChaplyginSystem(ConstrainedEulerSystem):
     """Rubber Chaplygin sphere in group variables; components g, omega.
 
-    Pi = m rho^2 pr_{R^n ^ gamma}.  Along gamma' = -omega gamma,
-    (d pr/dt) omega = [pr omega, omega], so k = B omega gives
-    B omega' = [k, omega] - m rho^2 [pr omega, omega] + lambda_0
-    = [I omega, omega] + lambda_0: the shared field with the no-twist basis
-    as constraints.
+    Pi = m rho^2 pr, pr = E^T E the projector onto R^n ^ gamma, E = E(gamma)
+    the wedge map.  As (d pr/dt) omega = [pr omega, omega], k' = [k, omega]
+    + lambda_0 with k = B omega reads B omega' = [I omega, omega] + lambda_0,
+    lambda_0 in (R^n ^ gamma)^perp = ker E; no-twist keeps omega' in
+    range E^T.  So omega' = E^T x, and applying E leaves the reduced flow's
+    n x n solve L(gamma) x = E [I omega, omega] in place of the kernel's.
     """
 
     kind = "rubber-chaplygin"
@@ -85,40 +93,39 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         gamma = self.gamma_of(y)
         return self.mr2 * wedge_projector_matrix(gamma), gamma
 
-    def constraint_basis(self, y, frame):
-        twist = lie.wedge_complement_basis(frame)
-        return twist.vectors if twist.dim else None
+    def acceleration(self, y, wv, omega):
+        """(omega', gamma) with omega' = E^T x, L(gamma) x = E [I omega, omega]."""
+        gamma = self.gamma_of(y)
+        e = lie.wedge_map(gamma)
+        lmat = tangent_inertia(self.inertia, self.mr2, e)
+        return e.T @ np.linalg.solve(lmat, e @ self.torque(wv, omega, None)), gamma
 
     def constraints(self, y):
         out = super().constraints(y)
-        twist = self.constraint_basis(y, self.gamma_of(y))
-        if twist is not None:
-            out["no_twist"] = float(np.max(np.abs(twist.T @ y[self.slice_of("omega")])))
+        if self.n > 2:  # so(2) = R^2 ^ gamma leaves no twist
+            e = lie.wedge_map(self.gamma_of(y))
+            wv = y[self.slice_of("omega")]
+            out["no_twist"] = float(np.linalg.norm(wv - e.T @ (e @ wv)))
         return out
 
     def to_cotangent(self, y):
-        """Project a group state to the reduced (gamma, p) chart."""
+        """Project a group state to the reduced (gamma, p) chart: p = L(gamma) gamma'."""
         gamma = self.gamma_of(y)
-        omega = lie.vec_to_skew(y[self.slice_of("omega")], self.n)
-        gamma_dot = -omega @ gamma
-        phi = lie.wedge(gamma, gamma_dot)
-        p = self.mr2 * gamma_dot - self.inertia.apply(phi) @ gamma
-        return gamma, p
+        e = lie.wedge_map(gamma)
+        gamma_dot = -e @ y[self.slice_of("omega")]
+        return gamma, tangent_inertia(self.inertia, self.mr2, e) @ gamma_dot
 
 
 class CotangentSystem(System):
     """Reduced rubber Chaplygin flow on T*S^{n-1}; components gamma, p.
 
     For unit gamma the momentum is p = L(gamma) gamma' with
-
-        L(gamma) = m rho^2 Id + E(gamma) I E(gamma)^T,
-
-    where the n x N matrix E(gamma) sends bivector coordinates x to X gamma
-    (its column for the pair a = (i, j) is gamma_j e_i - gamma_i e_j).  L is
-    symmetric positive definite, maps T_gamma to itself and gamma to
-    m rho^2 gamma, so det L / (m rho^2) is the determinant of I + m rho^2 Id
-    restricted to R^n ^ gamma, and the invariant density of the flow is
-    (det L(gamma) / m rho^2)^{-1/2}.
+    L(gamma) = m rho^2 Id + E I E^T (:func:`tangent_inertia`) and
+    E = E(gamma) the wedge map, so gamma' is the n x n solve that also
+    gives the group-variable field.  L is symmetric positive definite, maps
+    T_gamma to itself and gamma to m rho^2 gamma, so det L / (m rho^2) is
+    the determinant of I + m rho^2 Id restricted to R^n ^ gamma, and the
+    invariant density of the flow is (det L(gamma) / m rho^2)^{-1/2}.
 
     The field extends smoothly off the constraint set {|gamma| = 1,
     (gamma, p) = 0}: every formula uses the normalized gamma, making the
@@ -137,25 +144,15 @@ class CotangentSystem(System):
         self.mr2 = self.mass * self.radius**2
         n = inertia.n
         super().__init__(n, [Component("gamma", UNIT, n), Component("p", VECTOR, n)])
-        self._rows, self._cols = lie._pair_indices(n)
-        self._pairs = np.arange(self._rows.size)
 
     def tangent_inertia(self, gamma):
-        """The momentum-to-velocity matrix L(gamma) at a unit gamma."""
-        e = np.zeros((self.n, self._pairs.size))
-        e[self._rows, self._pairs] = gamma[self._cols]
-        e[self._cols, self._pairs] = -gamma[self._rows]
-        lmat = e @ self.inertia.matrix @ e.T
-        lmat.flat[:: self.n + 1] += self.mr2
-        return lmat
+        """The velocity-to-momentum matrix L(gamma) at a unit gamma."""
+        return tangent_inertia(self.inertia, self.mr2, lie.wedge_map(gamma))
 
     def gamma_dot_of(self, gamma, p):
         """Invert p = m rho^2 gamma' - I(gamma ^ gamma') gamma on T_gamma."""
         gh = gamma / np.linalg.norm(gamma)
-        try:
-            return np.linalg.solve(self.tangent_inertia(gh), p - (gh @ p) * gh)
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("momentum-to-velocity map is singular") from exc
+        return np.linalg.solve(self.tangent_inertia(gh), p - (gh @ p) * gh)
 
     def rhs(self, y):
         gamma = y[self.slice_of("gamma")]

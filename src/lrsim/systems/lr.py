@@ -77,8 +77,8 @@ class ConstrainedEulerSystem(System):
     """Shared field  B omega' = [I omega, omega] + C lambda,  g' = g omega.
 
     Every rotation-carrying flow is this one with B = I + Pi; the geodesic
-    L+R flow overrides ``torque`` as well.  A subclass gives what differs
-    through three hooks:
+    L+R flow overrides ``torque``, the rubber Chaplygin sphere the solve
+    step ``acceleration``.  A subclass gives what differs through three hooks:
 
     * ``pi(y)`` -- Pi at a state, or None for Pi = 0, whose factor of I is
       reused; it also returns per-state data (the Ad_g matrix, the contact
@@ -142,17 +142,20 @@ class ConstrainedEulerSystem(System):
             for j in range(basis.shape[1])
         }
 
-    def rhs(self, y):
-        n = self.n
-        g = y[self.slice_of("g")].reshape(n, n)
-        wv = y[self.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
+    def acceleration(self, y, wv, omega):
+        """(omega', frame): B omega' = torque + C lambda solved through B's factor."""
         pi, frame = self.pi(y)
         b_cho = self.inertia._cho if pi is None else factor_inertia(self.inertia.matrix + pi)
         torque = constrained_torque(
             b_cho, self.torque(wv, omega, pi), self.constraint_basis(y, frame)
         )
-        wdot = cho_solve(b_cho, torque)
+        return cho_solve(b_cho, torque), frame
+
+    def rhs(self, y):
+        g = y[self.slice_of("g")].reshape(self.n, self.n)
+        wv = y[self.slice_of("omega")]
+        omega = lie.vec_to_skew(wv, self.n)
+        wdot, frame = self.acceleration(y, wv, omega)
         out = np.empty(self.dim)
         out[self.slice_of("g")] = (g @ omega).ravel()
         out[self.slice_of("omega")] = wdot

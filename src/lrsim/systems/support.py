@@ -65,9 +65,6 @@ class _SupportBase(ConstrainedEulerSystem):
         gammas = self._gammas(y)
         return self._contact_pi(gammas), gammas
 
-    def b_matrix(self, gammas):
-        return self.inertia.matrix + self._contact_pi(gammas)
-
     def transport(self, y, frame, omega, wdot, out):
         for i, gamma in enumerate(frame):
             out[self.slice_of(f"gamma{i + 1}")] = -omega @ gamma

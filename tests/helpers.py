@@ -140,13 +140,24 @@ def make_rubber_support(rng, n):
     return make_support(rng, n, rubber=True)
 
 
-def make_rubber_chaplygin(rng, n, inertia=None):
+def tilted_rotation(rng, n, angle):
+    """Rotation g whose vertical gamma = g^T e_n lies at ``angle`` from e_n."""
+    g = np.eye(n)
+    g[:-1, :-1] = rand_rotation(rng, n - 1)
+    c, s = np.cos(angle), np.sin(angle)
+    tilt = np.eye(n)
+    tilt[[0, 0, -1, -1], [0, -1, 0, -1]] = [c, -s, s, c]
+    return tilt @ g
+
+
+def make_rubber_chaplygin(rng, n, inertia=None, g=None):
     if inertia is None:
         inertia = rand_spd_operator(rng, n)
     mass = float(rng.uniform(0.5, 1.5))
     radius = float(rng.uniform(0.6, 1.2))
     system = RubberChaplyginSystem(inertia, mass, radius)
-    g = rand_rotation(rng, n)
+    if g is None:
+        g = rand_rotation(rng, n)
     gamma = g.T @ np.append(np.zeros(n - 1), 1.0)
     basis = lie.wedge_subspace_basis(gamma)
     wv = basis.vectors @ rng.normal(size=basis.dim)

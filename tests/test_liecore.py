@@ -231,6 +231,13 @@ class TestHouseholderFrame:
         gamma = basis_vec(5, 4)
         np.testing.assert_array_equal(lie.householder_frame(gamma), np.eye(5))
 
+    def test_last_column_near_pole(self):
+        # gamma_n - 1 cancels near e_n; the frame must still end in gamma
+        gamma = basis_vec(4, 3) + 1e-9 * np.array([0.6, -0.8, 0.0, 0.0])
+        gamma /= np.linalg.norm(gamma)
+        h = lie.householder_frame(gamma)
+        np.testing.assert_allclose(h[:, -1], gamma, rtol=0, atol=1e-15)
+
     def test_antipode(self):
         gamma = -basis_vec(3, 2)
         h = lie.householder_frame(gamma)

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from helpers import rand_spd_operator
 from lrsim import liecore as lie
 from lrsim.operators import wedge_projector_matrix
+from lrsim.systems.chaplygin import tangent_inertia
 
 # the same examples in every process and no example database; the module
 # runs in a few seconds
@@ -73,3 +75,20 @@ def test_no_twist_basis_completes_the_wedge_projector(data, n):
         c @ c.T + wedge_projector_matrix(gamma), np.eye(lie.so_dim(n)), atol=1e-13
     )
     np.testing.assert_allclose(c, oracles.wedge_complement_loop(gamma), rtol=0, atol=1e-15)
+
+
+@PROPERTY
+@given(st.data(), dims)
+def test_wedge_map_identities(data, n):
+    gamma = data.draw(units(n))
+    e = lie.wedge_map(gamma)
+    proj = np.column_stack(
+        [lie.skew_to_vec(lie.proj_wedge_subspace(gamma, b)) for b in lie.bivector_basis(n)]
+    )
+    np.testing.assert_allclose(e.T @ e, proj, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(e @ e.T, np.eye(n) - np.outer(gamma, gamma), rtol=0, atol=1e-15)
+    inertia = rand_spd_operator(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), n)
+    mr2 = data.draw(st.floats(0.1, 2.0))
+    np.testing.assert_allclose(
+        tangent_inertia(inertia, mr2, e) @ gamma, mr2 * gamma, rtol=0, atol=1e-14
+    )

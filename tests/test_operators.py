@@ -102,16 +102,17 @@ class TestSolve:
 class TestRestrictedInverseDet:
     def test_identity_operator(self):
         basis = lie.orthonormal_basis_of([rand_skew(rng, 4) for _ in range(2)], n=4)
-        assert restricted_inverse_det(InertiaOperator.identity(4), basis) == pytest.approx(1.0)
+        det = restricted_inverse_det(InertiaOperator.identity(4), basis.vectors)
+        assert det == pytest.approx(1.0)
 
     def test_scalar_operator(self):
         basis = lie.orthonormal_basis_of([rand_skew(rng, 4) for _ in range(3)], n=4)
         op = InertiaOperator.scalar(4, 2.5)
-        assert restricted_inverse_det(op, basis) == pytest.approx(2.5 ** (-3), rel=1e-12)
+        assert restricted_inverse_det(op, basis.vectors) == pytest.approx(2.5 ** (-3), rel=1e-12)
 
     def test_empty_basis_convention(self):
         basis = lie.SubspaceBasis(3, np.zeros((3, 0)))
-        assert restricted_inverse_det(InertiaOperator.identity(3), basis) == 1.0
+        assert restricted_inverse_det(InertiaOperator.identity(3), basis.vectors) == 1.0
 
     def test_matches_entrywise_gram(self):
         op = rand_spd_operator(rng, 3)
@@ -121,7 +122,7 @@ class TestRestrictedInverseDet:
         for i in range(2):
             for j in range(2):
                 gram[i, j] = lie.inner(op.solve(elements[i]), elements[j])
-        assert restricted_inverse_det(op, basis) == pytest.approx(
+        assert restricted_inverse_det(op, basis.vectors) == pytest.approx(
             np.linalg.det(gram), rel=1e-12
         )
 
@@ -132,9 +133,9 @@ class TestRestrictedInverseDet:
         basis_b = lie.orthonormal_basis_of(gens[::-1], n=4)
         mixed = [gens[0] + gens[1], gens[0] - gens[1]]
         basis_c = lie.orthonormal_basis_of(mixed, n=4)
-        val = restricted_inverse_det(op, basis_a)
-        assert restricted_inverse_det(op, basis_b) == pytest.approx(val, rel=1e-10)
-        assert restricted_inverse_det(op, basis_c) == pytest.approx(val, rel=1e-10)
+        val = restricted_inverse_det(op, basis_a.vectors)
+        assert restricted_inverse_det(op, basis_b.vectors) == pytest.approx(val, rel=1e-10)
+        assert restricted_inverse_det(op, basis_c.vectors) == pytest.approx(val, rel=1e-10)
 
 
 class TestRestrictedOperatorInverse:

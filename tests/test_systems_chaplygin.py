@@ -14,6 +14,7 @@ from helpers import (
     rand_spd_operator,
     rand_unit,
     special_inertia,
+    tilted_rotation,
 )
 from lrsim import liecore as lie
 from lrsim.integrators import IntegratorConfig, integrate
@@ -67,9 +68,13 @@ class TestRubberChaplygin:
         y0[system.slice_of("omega")] = 0.0
         np.testing.assert_allclose(system.rhs(y0), 0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_matches_kkt_oracle(self, n):
-        system, y0 = make_rubber_chaplygin(rng, n)
+    @pytest.mark.parametrize(
+        "n, tilt", [(3, None), (4, None), (5, None), (5, 1e-9)], ids=["3", "4", "5", "5-near-pole"]
+    )
+    def test_matches_kkt_oracle(self, n, tilt):
+        # tilt: gamma placed that far from e_n, where gamma_n - 1 cancels
+        g = None if tilt is None else tilted_rotation(rng, n, tilt)
+        system, y0 = make_rubber_chaplygin(rng, n, g=g)
         np.testing.assert_allclose(
             system.rhs(y0)[system.slice_of("omega")],
             rubber_chaplygin_kkt_omega_dot(system, y0),

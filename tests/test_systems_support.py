@@ -163,9 +163,8 @@ class TestRubberSupportField:
         inertia = InertiaOperator.scalar(3, 0.5)
         system = RubberSupportSystem(inertia, [2.0], [3.0])
         gamma = rand_unit(rng, 3)
-        b = system.b_matrix([gamma])
-        assert np.linalg.eigvalsh(b)[0] > 0
         y0 = system.pack(g=np.eye(3), omega=rand_skew(rng, 3), gamma1=gamma)
+        assert np.linalg.eigvalsh(system.effective_inertia(y0))[0] > 0
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=500))
         e = [system.energy(y) for y in traj.states]
         assert max(abs(v - e[0]) for v in e) / abs(e[0]) < 1e-10
