@@ -371,12 +371,10 @@ def _gc_field_deviation(system, gc_form, y):
 
 
 def _support_independence_rank(system, traj, rng):
-    functions = [system.energy]
-    for k in range(2, system.n + 1):
-        for j in range(k * system.n_bodies + 1):
-            functions.append(lambda y, k=k, j=j: float(system.trace_coefficients(y, k)[j]))
     idx = rng.integers(0, len(traj), size=3)
-    return diag.functional_independence_rank(functions, [traj.states[i] for i in idx])
+    return diag.functional_independence_rank(
+        list(system.conserved().values()), [traj.states[i] for i in idx]
+    )
 
 
 def cmd_verify(args):

@@ -51,41 +51,43 @@ def conservation_report(traj, quantities=None):
 
     ``quantities`` may list names from the system's conserved set, names of
     the form ``constraint:<residual>``, or (name, callable) pairs; by
-    default the full conserved set is reported.  Relative drift is measured
-    against |initial value| when that is meaningful, else against the
-    trajectory's own scale.
+    default the full conserved set is reported.  Each selected callable runs
+    once per state, however many of its entries are selected.  Relative
+    drift is measured against |initial value| when that is meaningful, else
+    against the trajectory's own scale.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
-    available = traj.system.conserved()
+    system = traj.system
+    available = system.conserved_entries()
     if quantities is None:
         selected = list(available.items())
     else:
         selected = []
         for q in quantities:
-            if isinstance(q, str):
-                if q.startswith("constraint:"):
-                    resid = q.split(":", 1)[1]
-                    if resid not in traj.system.constraints(traj.states[0]):
-                        raise KeyError(
-                            f"constraint {resid!r} undefined for system "
-                            f"{traj.system.kind!r}"
-                        )
-                    selected.append(
-                        (q, lambda y, r=resid: traj.system.constraints(y)[r])
-                    )
-                elif q not in available:
+            if not isinstance(q, str):
+                name, fn = q
+                selected.append((name, (fn, None)))
+            elif q.startswith("constraint:"):
+                resid = q.split(":", 1)[1]
+                if resid not in system.constraints(traj.states[0]):
                     raise KeyError(
-                        f"quantity {q!r} undefined for system {traj.system.kind!r}; "
-                        f"available: {sorted(available)}"
+                        f"constraint {resid!r} undefined for system {system.kind!r}"
                     )
-                else:
-                    selected.append((q, available[q]))
+                selected.append((q, (system.constraints, resid)))
+            elif q not in available:
+                raise KeyError(
+                    f"quantity {q!r} undefined for system {system.kind!r}; "
+                    f"available: {sorted(available)}"
+                )
             else:
-                selected.append(q)
-    # state by state, so that quantities sharing per-state work (the support
-    # trace fits) find it cached
-    table = np.array([[fn(y) for _, fn in selected] for y in traj.states], dtype=float)
+                selected.append((q, available[q]))
+    fns = dict.fromkeys(fn for _, (fn, _) in selected)
+    table = []
+    for y in traj.states:
+        out = {fn: fn(y) for fn in fns}
+        table.append([out[fn] if idx is None else out[fn][idx] for _, (fn, idx) in selected])
+    table = np.array(table, dtype=float)
     report = []
     for (name, _), values in zip(selected, table.T):
         initial = float(values[0])
@@ -208,6 +210,7 @@ def lplusr_measure_chart(inertia):
         pi = coords_to_sym(z[N:], N)
         omega = lie.vec_to_skew(wv, n)
         iw = lie.vec_to_skew(inertia.apply_vec(wv), n)
+        # one solve per field call beats factor_inertia + cho_solve for a B used once
         wdot = np.linalg.solve(inertia.matrix + pi, lie.skew_to_vec(lie.ad(iw, omega)))
         adw = lie.ad_matrix(omega)
         pidot = pi @ adw - adw @ pi
@@ -389,24 +392,19 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
 
 
 def functional_independence_rank(functions, states, fd_step=1e-6, tol=1e-8):
-    """Rank of the Jacobian of scalar state functions at sample states.
+    """Rank of the Jacobian of state functions at sample states.
 
-    Gradients are taken by central differences in the flat chart; the rank
-    is the count of singular values above ``tol`` relative to the largest,
-    minimized over the sample states.
+    Each function returns a float or a vector of them; every entry is one
+    row.  Gradients are taken by central differences in the flat chart; the
+    rank is the count of singular values above ``tol`` relative to the
+    largest, minimized over the sample states.
     """
     ranks = []
     for y in states:
-        rows = []
-        for fn in functions:
-            grad = np.empty(y.size)
-            for i in range(y.size):
-                up = y.copy()
-                up[i] += fd_step
-                dn = y.copy()
-                dn[i] -= fd_step
-                grad[i] = (fn(up) - fn(dn)) / (2.0 * fd_step)
-            rows.append(grad)
-        sv = np.linalg.svd(np.array(rows), compute_uv=False)
+        cols = [
+            np.concatenate([np.atleast_1d(fn(y + e)) - np.atleast_1d(fn(y - e)) for fn in functions])
+            for e in fd_step * np.eye(y.size)
+        ]
+        sv = np.linalg.svd(np.array(cols).T / (2.0 * fd_step), compute_uv=False)
         ranks.append(int(np.sum(sv > tol * sv[0])))
     return min(ranks)

@@ -116,7 +116,7 @@ def build_scenario(data, name="<memory>", overrides=None):
         raise ScenarioParseError(
             f"unknown system {kind!r}; expected one of {', '.join(SYSTEM_KINDS)}"
         )
-    n = _require(data, "n", int)
+    n = _number(_require(data, "n"), "n", int)
     if n < 2:
         raise ScenarioParseError("dimension n must be at least 2")
 
@@ -167,7 +167,7 @@ def _diagnostics(names, system, y0):
         return []
     if not isinstance(names, list):
         raise ScenarioParseError("diagnostics must be a list of quantity names")
-    known = [*system.conserved(), *(f"constraint:{r}" for r in system.constraints(y0))]
+    known = [*system.conserved_entries(), *(f"constraint:{r}" for r in system.constraints(y0))]
     for entry in names:
         if entry not in known:
             raise ScenarioParseError(
@@ -181,15 +181,37 @@ def _require(data, key, typ=None):
     if key not in data:
         raise ScenarioParseError(f"missing required key {key!r}")
     val = data[key]
-    if typ is int and isinstance(val, bool):
-        raise ScenarioParseError(f"key {key!r} must be an integer")
     if typ is not None and not isinstance(val, typ):
         raise ScenarioParseError(f"key {key!r} must be of type {typ.__name__}")
     return val
 
 
+_NUMBER_KINDS = {float: "a number", int: "an integer", np.ndarray: "an array of numbers"}
+
+
+def _number(val, what, typ=float):
+    """The scenario value ``what`` as a float, an int, or (``np.ndarray``)
+    a float array from nested lists.
+
+    Numeric strings pass as floats; a bool never passes, and an int must be
+    written as one.  Anything else is a parse error that names ``what``.
+    """
+    try:
+        if _has_bool(val) or (typ is int and not isinstance(val, int)):
+            raise TypeError
+        return np.asarray(val, dtype=float) if typ is np.ndarray else typ(val)
+    except (TypeError, ValueError):
+        raise ScenarioParseError(
+            f"wrong-typed scenario value: {what} must be {_NUMBER_KINDS[typ]}, got {val!r}"
+        ) from None
+
+
+def _has_bool(obj):
+    return isinstance(obj, bool) or (isinstance(obj, list) and any(map(_has_bool, obj)))
+
+
 def _vector(obj, n, what):
-    arr = np.asarray(obj, dtype=float)
+    arr = _number(obj, what, np.ndarray)
     if arr.shape != (n,):
         raise ScenarioParseError(f"{what} must be a vector of {n} numbers")
     return arr
@@ -205,13 +227,15 @@ def _skew(obj, n, what):
         for entry in pairs:
             if len(entry) != 3:
                 raise ScenarioParseError(f"{what}: each pair entry is [i, j, value]")
-            i, j, val = int(entry[0]) - 1, int(entry[1]) - 1, float(entry[2])
+            i = _number(entry[0], f"{what}.pairs index", int) - 1
+            j = _number(entry[1], f"{what}.pairs index", int) - 1
+            val = _number(entry[2], f"{what}.pairs value")
             if not (0 <= i < j < n):
                 raise ScenarioParseError(f"{what}: invalid bivector indices ({entry[0]}, {entry[1]})")
             mat[i, j] = val
             mat[j, i] = -val
         return mat
-    arr = np.asarray(obj, dtype=float)
+    arr = _number(obj, what, np.ndarray)
     if arr.shape != (n, n):
         raise ScenarioParseError(f"{what} must be an {n}x{n} matrix")
     if np.max(np.abs(arr + arr.T)) > 1e-10:
@@ -224,7 +248,7 @@ def _rotation(obj, n, what):
         if obj == "identity":
             return np.eye(n)
         raise ScenarioParseError(f"{what}: unknown named rotation {obj!r}")
-    arr = np.asarray(obj, dtype=float)
+    arr = _number(obj, what, np.ndarray)
     if arr.shape != (n, n):
         raise ScenarioParseError(f"{what} must be an {n}x{n} matrix or 'identity'")
     return arr
@@ -243,7 +267,7 @@ def _subspace(spec, n, what):
     gens = _require(spec, "generators", list)
     mats = []
     for idx, gen in enumerate(gens):
-        arr = np.asarray(gen, dtype=float)
+        arr = _number(gen, f"{what}.generators[{idx}]", np.ndarray)
         if arr.shape == (2, n):
             mats.append(lie.wedge(arr[0], arr[1]))
         elif arr.shape == (n, n):
@@ -264,20 +288,20 @@ def _inertia(data, n):
     if kind == "identity":
         return InertiaOperator.identity(n)
     if kind == "scalar":
-        return InertiaOperator.scalar(n, float(_require(spec, "value")))
+        return InertiaOperator.scalar(n, _number(_require(spec, "value"), "inertia.value"))
     if kind == "bivector-diag":
-        values = np.asarray(_require(spec, "values"), dtype=float)
+        values = _number(_require(spec, "values"), "inertia.values", np.ndarray)
         if values.shape != (N,):
             raise ScenarioParseError(f"inertia.values must have {N} entries for so({n})")
         return InertiaOperator.from_bivector_diag(n, values)
     if kind == "bivector-dense":
-        mat = np.asarray(_require(spec, "matrix"), dtype=float)
+        mat = _number(_require(spec, "matrix"), "inertia.matrix", np.ndarray)
         if mat.shape != (N, N):
             raise ScenarioParseError(f"inertia.matrix must be {N}x{N} for so({n})")
         return InertiaOperator.from_bivector_matrix(n, mat)
     if kind == "special":
         axes = _vector(_require(spec, "A"), n, "inertia.A")
-        return InertiaOperator.special(axes, float(spec.get("c", 0.0)))
+        return InertiaOperator.special(axes, _number(spec.get("c", 0.0), "inertia.c"))
     raise ScenarioParseError(f"unknown inertia kind {kind!r}")
 
 
@@ -286,18 +310,18 @@ def _pi0(data, n):
     kind = spec.get("kind", "bivector-dense")
     N = lie.so_dim(n)
     if kind == "bivector-diag":
-        values = np.asarray(_require(spec, "values"), dtype=float)
+        values = _number(_require(spec, "values"), "pi0.values", np.ndarray)
         if values.shape != (N,):
             raise ScenarioParseError(f"pi0.values must have {N} entries for so({n})")
         return np.diag(values), None
     if kind == "bivector-dense":
-        mat = np.asarray(_require(spec, "matrix"), dtype=float)
+        mat = _number(_require(spec, "matrix"), "pi0.matrix", np.ndarray)
         if mat.shape != (N, N):
             raise ScenarioParseError(f"pi0.matrix must be {N}x{N} for so({n})")
         return mat, None
     if kind == "penalty":
         basis = _subspace(spec, n, "pi0")
-        eps = float(_require(spec, "epsilon"))
+        eps = _number(_require(spec, "epsilon"), "pi0.epsilon")
         if eps <= 0:
             raise ScenarioValidationError("pi0.epsilon must be positive")
         return penalty_pi0(basis, eps), (basis, eps)
@@ -315,8 +339,10 @@ def _build_system(kind, n, data):
         return cls(_inertia(data, n), pi0), {"penalty_form": penalty}
     if kind == "coupled":
         spec = _require(data, "coupling", dict)
-        coupling = float(_require(spec, "D"))
-        rhos = [float(r) for r in _require(spec, "rhos", list)]
+        coupling = _number(_require(spec, "D"), "coupling.D")
+        rhos = [
+            _number(r, f"coupling.rhos[{i}]") for i, r in enumerate(_require(spec, "rhos", list))
+        ]
         subspaces = [
             _subspace(s, n, f"coupling.subspaces[{i}]")
             for i, s in enumerate(_require(spec, "subspaces", list))
@@ -338,10 +364,10 @@ def _build_system(kind, n, data):
         for idx, body in enumerate(bodies):
             if not isinstance(body, dict):
                 raise ScenarioParseError(f"bodies[{idx}] must be a mapping")
-            couplings.append(float(_require(body, "D")))
+            couplings.append(_number(_require(body, "D"), f"bodies[{idx}].D"))
             if body.get("family") == "commutator-with":
                 gamma = _skew(_require(body, "gamma"), n, f"bodies[{idx}].gamma")
-                rho = float(_require(body, "rho"))
+                rho = _number(_require(body, "rho"), f"bodies[{idx}].rho")
                 if rho == 0:
                     raise ScenarioValidationError(f"bodies[{idx}].rho must be nonzero")
                 a_i, b_i = commutator_constraint_matrices([gamma], [rho])
@@ -349,8 +375,8 @@ def _build_system(kind, n, data):
                 b_mats.append(b_i[0])
                 gc_form.append((gamma, rho))
             else:
-                a = np.asarray(_require(body, "A"), dtype=float)
-                b = np.asarray(_require(body, "B"), dtype=float)
+                a = _number(_require(body, "A"), f"bodies[{idx}].A", np.ndarray)
+                b = _number(_require(body, "B"), f"bodies[{idx}].B", np.ndarray)
                 if a.ndim != 2 or a.shape[1] != N:
                     raise ScenarioParseError(f"bodies[{idx}].A must have {N} columns")
                 a_mats.append(a)
@@ -359,15 +385,16 @@ def _build_system(kind, n, data):
         return NCoupledSystem(_inertia(data, n), a_mats, b_mats, couplings), {"gc_form": gc_form}
     if kind in ("support", "rubber-support"):
         bodies = _require(data, "bodies", list)
-        couplings = [float(_require(b, "D")) for b in bodies]
-        rhos = [float(_require(b, "rho")) for b in bodies]
+        couplings = [_number(_require(b, "D"), f"bodies[{i}].D") for i, b in enumerate(bodies)]
+        rhos = [_number(_require(b, "rho"), f"bodies[{i}].rho") for i, b in enumerate(bodies)]
         cls = SupportSystem if kind == "support" else RubberSupportSystem
         return cls(_inertia(data, n), couplings, rhos), {}
     if kind in ("rubber-chaplygin", "cotangent", "gsr"):
         cls = {"rubber-chaplygin": RubberChaplyginSystem, "cotangent": CotangentSystem,
                "gsr": GsrSystem}[kind]
         return cls(
-            _inertia(data, n), float(_require(data, "mass")), float(_require(data, "radius"))
+            _inertia(data, n), _number(_require(data, "mass"), "mass"),
+            _number(_require(data, "radius"), "radius"),
         ), {}
     if kind == "lstar-geodesic":
         return LstarGeodesicSystem(_vector(_require(data, "axes"), n, "axes")), {}
@@ -417,9 +444,13 @@ def _build_integrator(spec, overrides):
     try:
         return IntegratorConfig(
             method=merged.get("method", "rk4-projected"),
-            h=float(merged.get("h", 1e-3)),
-            steps=int(merged.get("steps", 1000)),
-            renormalize_every=int(merged.get("renormalize_every", 1)),
+            h=_number(merged.get("h", 1e-3), "integrator.h"),
+            steps=_number(merged.get("steps", 1000), "integrator.steps", int),
+            renormalize_every=_number(
+                merged.get("renormalize_every", 1), "integrator.renormalize_every", int
+            ),
         )
+    except ScenarioParseError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ScenarioParseError(f"bad integrator configuration: {exc}") from exc

@@ -136,8 +136,17 @@ class System:
         raise NotImplementedError
 
     def conserved(self):
-        """Named conserved quantities as state -> float callables."""
+        """Conserved quantities as state callables: a name keys one float, a
+        tuple of names a callable returning one value per name."""
         return {"energy": self.energy}
+
+    def conserved_entries(self):
+        """{name: (callable, index)} over ``conserved()``; index None for a float."""
+        return {
+            name: (fn, j if isinstance(key, tuple) else None)
+            for key, fn in self.conserved().items()
+            for j, name in enumerate(key if isinstance(key, tuple) else (key,))
+        }
 
     def constraints(self, y):
         """Named constraint residuals (all should stay ~0)."""

@@ -151,14 +151,17 @@ class CotangentSystem(System):
 
     def gamma_dot_of(self, gamma, p):
         """Invert p = m rho^2 gamma' - I(gamma ^ gamma') gamma on T_gamma."""
-        gh = gamma / np.linalg.norm(gamma)
+        return self._unit_gamma_dot(gamma / np.linalg.norm(gamma), p)
+
+    def _unit_gamma_dot(self, gh, p):
+        """gamma_dot_of for a gamma already normalized to ``gh``."""
         return np.linalg.solve(self.tangent_inertia(gh), p - (gh @ p) * gh)
 
     def rhs(self, y):
         gamma = y[self.slice_of("gamma")]
         p = y[self.slice_of("p")]
         gh = gamma / np.linalg.norm(gamma)
-        gamma_dot = self.gamma_dot_of(gamma, p)
+        gamma_dot = self._unit_gamma_dot(gh, p)
         # -Phi x = gamma' (gamma, x) - gamma (gamma', x) for Phi = gamma ^ gamma'
         out = np.empty(self.dim)
         out[self.slice_of("gamma")] = gamma_dot * (gh @ gamma) - gh * (gamma_dot @ gamma)

@@ -13,7 +13,8 @@ adds no-twist conditions at every contact and only changes the operator:
     B* = I + (sum_i D_i) Id + sum_i D_i (1 - rho_i^2) / rho_i^2 pr_{R^n ^ gamma_i}.
 
 Both flows conserve the coefficients of tr(B omega + sum_i mu^i X_i)^k,
-X_i = gamma_i gamma_i^T, for k = 1..n.
+X_i = gamma_i gamma_i^T, for k = 1..n; ``conserved()`` reports the exact
+coefficients of each power k >= 2 as one group ``trace{k}_mu0 .. mu{kN}``.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ class _SupportBase(ConstrainedEulerSystem):
         comps = [rotation_component(n), skew_component("omega", n)]
         comps += [Component(f"gamma{i + 1}", UNIT, n) for i in range(self.n_bodies)]
         super().__init__(n, comps)
-        self._trace_cache = {}  # k -> (state bytes, coefficients) of the last state fitted
 
     def _gammas(self, y):
         return [y[self.slice_of(f"gamma{i + 1}")] for i in range(self.n_bodies)]
@@ -81,31 +81,22 @@ class _SupportBase(ConstrainedEulerSystem):
         return float(np.trace(np.linalg.matrix_power(m, k)))
 
     def trace_coefficients(self, y, k):
-        """Coefficients in mu of tr(B omega + sum mu^i X_i)^k (degree k*N)."""
-        deg = k * self.n_bodies
-        nodes = np.linspace(-1.0, 1.0, deg + 1) if deg else np.array([0.0])
-        vals = np.array([self.trace_polynomial(y, mu, k) for mu in nodes])
-        if deg == 0:
-            return vals
-        v = np.vander(nodes, deg + 1, increasing=True)
-        return np.linalg.solve(v, vals)
-
-    def _cached_trace_coefficients(self, y, k):
-        """trace_coefficients, fitted once for consecutive queries at one state."""
-        key = y.tobytes()
-        hit = self._trace_cache.get(k)
-        if hit is None or hit[0] != key:
-            hit = (key, self.trace_coefficients(y, k))
-            self._trace_cache[k] = hit
-        return hit[1]
+        """Coefficients in mu of tr(B omega + sum mu^i X_i)^k (degree k*N), exact:
+        the matrix polynomial (B omega, X_1, ..., X_N) is multiplied out and traced."""
+        poly = np.array([self.momentum_matrix(y), *(np.outer(g, g) for g in self._gammas(y))])
+        power = poly
+        for _ in range(k - 1):
+            prod = np.zeros((len(power) + self.n_bodies, self.n, self.n))
+            for i, coeff in enumerate(poly):
+                prod[i:i + len(power)] += power @ coeff
+            power = prod
+        return np.trace(power, axis1=1, axis2=2)
 
     def conserved(self):
         out = {"energy": self.energy}
         for k in range(2, self.n + 1):
-            for j in range(k * self.n_bodies + 1):
-                out[f"trace{k}_mu{j}"] = (
-                    lambda y, k=k, j=j: float(self._cached_trace_coefficients(y, k)[j])
-                )
+            names = tuple(f"trace{k}_mu{j}" for j in range(k * self.n_bodies + 1))
+            out[names] = lambda y, k=k: self.trace_coefficients(y, k)
         return out
 
 

@@ -207,16 +207,35 @@ class TestCliRun:
         assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 401
 
     def test_wrong_typed_support_body_exit_2(self, tmp_path):
-        data = {
+        cases = [{
             "system": "support",
             "n": 3,
             "bodies": [5],
             "initial": {"g": "identity", "omega": {"pairs": [[1, 2, 0.3]]}},
-        }
-        scen = write_yaml(tmp_path / "bad.yaml", data)
-        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
-        with pytest.raises(ScenarioParseError, match="wrong-typed"):
-            load_scenario(scen)
+        }]
+        # wrong-typed numbers in shipped files: (file, path to the value, value)
+        for name, path, value in [
+            ("rubber_chaplygin3.yaml", ["mass"], "heavy"),
+            ("free_top.yaml", ["initial", "omega"], "fast"),
+            ("support.yaml", ["bodies", 0, "gamma"], "up"),
+            ("free_top.yaml", ["inertia", "values"], "abc"),
+            ("free_top.yaml", ["inertia", "values"], [True, 2.0, 3.0]),
+            ("free_top.yaml", ["initial", "omega", "pairs", 0], [1, "a", 0.3]),
+            ("free_top.yaml", ["integrator", "steps"], 2.5),
+            ("free_top.yaml", ["integrator", "steps"], True),
+            ("free_top.yaml", ["integrator", "renormalize_every"], True),
+        ]:
+            data = shipped(name)
+            parent = data
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            cases.append(data)
+        for idx, data in enumerate(cases):
+            scen = write_yaml(tmp_path / f"bad{idx}.yaml", data)
+            assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2, data
+            with pytest.raises(ScenarioParseError, match="wrong-typed"):
+                load_scenario(scen)
 
     def test_diverged_run_exit_4_with_finite_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -228,9 +247,14 @@ class TestCliRun:
         data = np.genfromtxt(out / "trajectory.csv", delimiter=",", skip_header=1)
         assert data.shape[0] >= 1 and np.isfinite(data).all()
 
-    @pytest.mark.parametrize("entry", ["bogus", 5, "constraint:bogus"])
-    def test_unknown_diagnostics_entry_exit_2(self, tmp_path, entry):
-        data = shipped("free_top.yaml")
+    @pytest.mark.parametrize("name, entry", [
+        pytest.param("free_top.yaml", "bogus", id="bogus"),
+        pytest.param("free_top.yaml", 5, id="5"),
+        pytest.param("free_top.yaml", "constraint:bogus", id="constraint:bogus"),
+        pytest.param("support.yaml", "trace9_mu0", id="trace9_mu0"),
+    ])
+    def test_unknown_diagnostics_entry_exit_2(self, tmp_path, name, entry):
+        data = shipped(name)
         data["diagnostics"] = [entry]
         scen = write_yaml(tmp_path / "bad.yaml", data)
         out = tmp_path / "out"
@@ -244,13 +268,17 @@ class TestCliRun:
         assert not (out / "trajectory.csv").exists()
 
     def test_known_diagnostics_entries_are_reported(self, tmp_path):
-        data = shipped("free_top.yaml")
-        data["diagnostics"] = ["momentum_norm", "constraint:g_orthogonality"]
-        scen = write_yaml(tmp_path / "top.yaml", data)
-        out = tmp_path / "out"
-        assert main(["run", scen, "--out", str(out), "--steps", "20"]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert sorted(report["quantities"]) == sorted(data["diagnostics"])
+        for name, entries in [
+            ("free_top.yaml", ["momentum_norm", "constraint:g_orthogonality"]),
+            ("support.yaml", ["energy", "trace3_mu2", "constraint:gamma1_norm"]),
+        ]:
+            data = shipped(name)
+            data["diagnostics"] = entries
+            scen = write_yaml(tmp_path / name, data)
+            out = tmp_path / f"out-{name}"
+            assert main(["run", scen, "--out", str(out), "--steps", "20"]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert sorted(report["quantities"]) == sorted(entries)
 
     def test_invalid_initial_state_exit_3(self, tmp_path):
         data = dict(MINIMAL_FREE_TOP)

@@ -172,16 +172,33 @@ class TestRubberSupportField:
     def test_four_conserved_quantities_flat_over_long_run(self):
         system, y0 = make_rubber_support(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10000))
-        conserved = system.conserved()
+        conserved = system.conserved_entries()
         flat = 0
         for name in ("energy", "trace2_mu0", "trace2_mu1", "trace3_mu1", "trace3_mu2"):
             if name not in conserved:
                 continue
-            vals = np.array([conserved[name](y) for y in traj.states])
+            fn, idx = conserved[name]
+            vals = np.array([fn(y) if idx is None else fn(y)[idx] for y in traj.states])
             scale = max(abs(vals[0]), 1.0)
             if np.max(np.abs(vals - vals[0])) / scale < 1e-8:
                 flat += 1
         assert flat >= 4
+
+
+@pytest.mark.parametrize("make", [make_support, make_rubber_support],
+                         ids=["support", "rubber-support"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_trace_coefficients_match_trace_polynomial(n, make):
+    # the coefficients, summed at sample mu, give the directly formed trace
+    local = np.random.default_rng(40 + n)
+    system, y = make(local, n)
+    for k in range(1, n + 1):
+        coeffs = system.trace_coefficients(y, k)
+        assert coeffs.shape == (k * system.n_bodies + 1,)
+        for mu in (-1.7, -0.3, 0.55, 2.0):
+            powers = mu ** np.arange(coeffs.size)
+            scale = np.abs(coeffs) @ np.abs(powers)
+            assert abs(coeffs @ powers - system.trace_polynomial(y, mu, k)) <= 1e-13 * scale
 
 
 def test_five_dimensional_support_runs_and_conserves():
