@@ -4,6 +4,13 @@ Conservation drift reports, invariant-measure divergence checks in flat
 redundant charts, the penalty-limit comparison between L+R and LR flows,
 reduction equivalences, time-reparametrized cross-checks, and contact-point
 reconstruction.
+
+The certificate evaluates its fields on stacked states.  The chart fields
+and densities, and the reduced rubber Chaplygin field, map a (m, dim) array
+of states to (m, dim) derivatives and (m,) densities in one sequence of
+numpy calls.  :func:`measure_divergence` sends its whole central-difference
+stencil through them at once, and :func:`hamiltonization_check` evaluates
+the field along its physical-time path in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from .systems import (
     reconstruct_support_W,
 )
 from .systems.chaplygin import tangent_inertia
-from .systems.lr import constrained_torque
 
 FD_STEP = 1e-5
 
@@ -123,21 +129,21 @@ def measure_divergence(field, density, state, fd_step=FD_STEP):
     A vanishing value certifies that density * (coordinate volume) is
     preserved by the flow.  The estimate is repeated at half the step; a
     large disagreement flags cancellation trouble.
+
+    Both stencils, +-h and +-h/2 along each of the dim coordinates, go out
+    as one (4 dim, dim) stack of states: ``field`` maps (m, dim) states to
+    (m, dim) derivatives, and ``density`` maps them to (m,) values or
+    returns a scalar that holds at every state.
     """
     state = np.asarray(state, dtype=float)
-
-    def estimate(h):
-        total = 0.0
-        for i in range(state.size):
-            up = state.copy()
-            up[i] += h
-            dn = state.copy()
-            dn[i] -= h
-            total += (density(up) * field(up)[i] - density(dn) * field(dn)[i]) / (2.0 * h)
-        return total
-
-    value = estimate(fd_step)
-    refined = estimate(0.5 * fd_step)
+    dim = state.size
+    steps = np.array([fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step])
+    points = state + (steps[:, None, None] * np.eye(dim)).reshape(4 * dim, dim)
+    densities = np.broadcast_to(density(points), (4 * dim,)).reshape(4, dim)
+    # component i of the field at the states shifted along coordinate i
+    flux = densities * np.diagonal(field(points).reshape(4, dim, dim), axis1=1, axis2=2)
+    value = float(np.sum((flux[0] - flux[1]) / (2.0 * steps[0])))
+    refined = float(np.sum((flux[2] - flux[3]) / (2.0 * steps[2])))
     # roundoff-corrupted estimates are both large and mutually inconsistent;
     # a genuinely vanishing divergence gives two tiny values, a genuinely
     # nonzero one gives two values that agree
@@ -153,22 +159,36 @@ def lr_measure_chart(inertia, k):
 
     Returns (field, density): the momentum equation with multipliers solved
     from the Gram system, the transport equations for the alpha, and the
-    density sqrt(det <I^-1 alpha_i, alpha_j>).
+    density sqrt(det <I^-1 alpha_i, alpha_j>).  Both take one state or a
+    stack of them along leading axes.
     """
     n = inertia.n
     N = inertia.N
 
     def field(z):
-        mv, alphas = z[:N], z[N:].reshape(k, N)
-        wv = inertia.solve_vec(mv)
-        omega = lie.vec_to_skew(wv, n)
+        lead = z.shape[:-1]
+        mv = z[..., :N]
+        alphas = z[..., N:].reshape(lead + (k, N))
+        omega = lie.vec_to_skew(inertia.solve_vec(mv[..., None])[..., 0], n)
         torque = lie.skew_to_vec(lie.ad(lie.vec_to_skew(mv, n), omega))
-        torque = constrained_torque(inertia._cho, torque, alphas.T)
-        adots = [lie.skew_to_vec(lie.ad(lie.vec_to_skew(a, n), omega)) for a in alphas]
-        return np.concatenate([torque] + adots) if k else torque
+        if not k:
+            return torque
+        # the reaction C lambda over C = (alpha_i) with
+        # (C^T I^-1 C) lambda = -C^T I^-1 torque, as the kernel's constrained_torque
+        basis = np.swapaxes(alphas, -1, -2)
+        binv_basis = inertia.solve_vec(basis)
+        lam = np.linalg.solve(
+            alphas @ binv_basis, -(np.swapaxes(binv_basis, -1, -2) @ torque[..., None])
+        )
+        torque = torque + (basis @ lam)[..., 0]
+        alpha_mats = lie.vec_to_skew(alphas, n)
+        omegas = np.broadcast_to(omega[..., None, :, :], alpha_mats.shape)
+        adots = lie.skew_to_vec(lie.ad(alpha_mats, omegas))
+        return np.concatenate([torque, adots.reshape(lead + (k * N,))], axis=-1)
 
     def density(z):
-        return float(np.sqrt(restricted_inverse_det(inertia, z[N:].reshape(k, N).T)))
+        alphas = z[..., N:].reshape(z.shape[:-1] + (k, N))
+        return np.sqrt(restricted_inverse_det(inertia, np.swapaxes(alphas, -1, -2)))
 
     return field, MeasureDensity("lr", density)
 
@@ -186,39 +206,44 @@ def _sym_indices(N):
 
 
 def sym_to_coords(mat):
-    return mat[_sym_indices(mat.shape[0])]
+    """Upper-triangle entries of a symmetric (..., N, N) stack, shape (..., N(N+1)/2)."""
+    rows, cols = _sym_indices(mat.shape[-1])
+    return mat[..., rows, cols]
 
 
 def coords_to_sym(coords, N):
-    mat = np.zeros((N, N))
+    """Symmetric (..., N, N) stack from upper-triangle entries (inverse of sym_to_coords)."""
+    mat = np.zeros(coords.shape[:-1] + (N, N))
     rows, cols = _sym_indices(N)
-    mat[rows, cols] = coords
-    return mat + mat.T - np.diag(np.diag(mat))
+    mat[..., rows, cols] = coords
+    mat[..., cols, rows] = coords
+    return mat
 
 
 def lplusr_measure_chart(inertia):
     """L+R flow on the flat (omega, Pi) chart with density sqrt(det(I + Pi)).
 
     Pi is a symmetric operator on the algebra; its upper-triangle entries
-    are the chart coordinates.
+    are the chart coordinates.  Field and density take one state or a stack
+    of them along leading axes.
     """
     n = inertia.n
     N = inertia.N
 
     def field(z):
-        wv = z[:N]
-        pi = coords_to_sym(z[N:], N)
+        wv = z[..., :N]
+        pi = coords_to_sym(z[..., N:], N)
         omega = lie.vec_to_skew(wv, n)
-        iw = lie.vec_to_skew(inertia.apply_vec(wv), n)
-        # one solve per field call beats factor_inertia + cho_solve for a B used once
-        wdot = np.linalg.solve(inertia.matrix + pi, lie.skew_to_vec(lie.ad(iw, omega)))
+        iw = lie.vec_to_skew(wv @ inertia.matrix, n)  # I is symmetric
+        torque = lie.skew_to_vec(lie.ad(iw, omega))
+        # one solve per B beats factor_inertia + cho_solve for a B used once
+        wdot = np.linalg.solve(inertia.matrix + pi, torque[..., None])[..., 0]
         adw = lie.ad_matrix(omega)
         pidot = pi @ adw - adw @ pi
-        return np.concatenate([wdot, sym_to_coords(pidot)])
+        return np.concatenate([wdot, sym_to_coords(pidot)], axis=-1)
 
     def density(z):
-        pi = coords_to_sym(z[N:], N)
-        return float(np.sqrt(np.linalg.det(inertia.matrix + pi)))
+        return np.sqrt(np.linalg.det(inertia.matrix + coords_to_sym(z[..., N:], N)))
 
     return field, MeasureDensity("lplusr", density)
 
@@ -229,14 +254,16 @@ def reduced_chaplygin_density(inertia, mass, radius):
     Evaluated as (det L(gamma) / m rho^2)^{-1/2} with L of
     :func:`~lrsim.systems.chaplygin.tangent_inertia`.  Only gamma enters; it
     is normalized first, making the density invariant under rescaling of
-    gamma (the same extension the cotangent field uses).
+    gamma (the same extension the cotangent field uses).  It takes one state
+    or a stack of them along leading axes.
     """
     mr2 = mass * radius**2
     n = inertia.n
 
     def density(z):
-        e = lie.wedge_map(z[:n] / np.linalg.norm(z[:n]))
-        return float(np.sqrt(mr2 / np.linalg.det(tangent_inertia(inertia, mr2, e))))
+        gamma = z[..., :n]
+        e = lie.wedge_map(gamma / np.linalg.norm(gamma, axis=-1, keepdims=True))
+        return np.sqrt(mr2 / np.linalg.det(tangent_inertia(inertia, mr2, e)))
 
     return MeasureDensity("cotangent", density)
 
@@ -355,7 +382,8 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
     :func:`reparametrize_trajectory` and interpolates gamma with the
     piecewise cubic Hermite interpolant whose node slopes are the exact
     field dgamma/dtau = (dgamma/dt) sqrt((A gamma, gamma)); its error is
-    O(h^4) as well.  Both read the field evaluated once per state.
+    O(h^4) as well.  Both read the field, evaluated on the whole
+    physical-time path in one call.
     Returns the sup deviation of gamma between the rescaled flow and the
     geodesic flow, the dual-path deviation, and the geodesic trajectory
     for further checks.
@@ -381,7 +409,7 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
     t_end = 1.25 * tau_end / rate_min
     cfg_t = IntegratorConfig(h=h, steps=int(round(t_end / h)))
     traj_t = integrate(cot, y0, cfg_t)
-    fields = np.array([cot.rhs(y) for y in traj_t.states])
+    fields = cot.rhs(traj_t.states)
     tau_of_t = reparametrize_trajectory(traj_t, axes, fields)
     gammas = traj_t.component("gamma")
     rescale = np.sqrt(np.einsum("ki,i,ki->k", gammas, axes, gammas))

@@ -125,23 +125,46 @@ def _pair_indices(n):
     return _PAIR_CACHE[n]
 
 
+_FLAT_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+def _flat_indices(n):
+    """Flat positions of the entries (i, j) and (j, i), i < j, of an n x n
+    matrix, and of the entries (i, (i, j)) and (j, (i, j)) of an n x N one."""
+    if n not in _FLAT_CACHE:
+        rows, cols = _pair_indices(n)
+        pairs = np.arange(rows.size)
+        indices = (rows * n + cols, cols * n + rows, rows * rows.size + pairs, cols * rows.size + pairs)
+        for arr in indices:
+            arr.setflags(write=False)
+        _FLAT_CACHE[n] = indices
+    return _FLAT_CACHE[n]
+
+
 def skew_to_vec(x):
-    """Coordinates of a skew matrix in the ordered bivector basis."""
+    """Coordinates of a skew matrix in the ordered bivector basis.
+
+    Leading axes are a stack: (..., n, n) maps to (..., N).
+    """
     x = np.asarray(x, dtype=float)
-    rows, cols = _pair_indices(x.shape[0])
-    return x[rows, cols].copy()
+    rows, cols = _pair_indices(x.shape[-1])
+    return x[..., rows, cols]
 
 
 def vec_to_skew(v, n):
-    """Skew matrix with the given bivector coordinates."""
+    """Skew matrix with the given bivector coordinates; (..., N) maps to (..., n, n)."""
     v = np.asarray(v, dtype=float)
-    rows, cols = _pair_indices(n)
-    if v.size != rows.size:
-        raise DimensionError(f"expected {rows.size} coordinates for so({n}), got {v.size}")
-    x = np.zeros((n, n))
-    x[rows, cols] = v
-    x[cols, rows] = -v
-    return x
+    upper, lower, _, _ = _flat_indices(n)
+    if v.shape[-1:] != upper.shape:
+        raise DimensionError(f"expected {upper.size} coordinates for so({n}), got {v.shape[-1:]}")
+    lead = v.shape[:-1]
+    x = np.zeros(lead + (n * n,))
+    # the transposes put the stack axes last, so one index array on the
+    # first axis does the scatter; that is also the cheapest path for one state
+    xt = x.T
+    xt[upper] = v.T
+    xt[lower] = -v.T
+    return x.reshape(lead + (n, n))
 
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
@@ -171,13 +194,11 @@ def adjoint_matrix(g):
 
 
 def ad_matrix(x):
-    """Matrix of ad_X = [X, .] on bivector coordinates."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    basis = bivector_basis(n)
-    brk = np.einsum("pq,aqr->apr", x, basis) - np.einsum("apq,qr->apr", basis, x)
-    rows, cols = _pair_indices(n)
-    return brk[:, rows, cols].T.copy()
+    """Matrix of ad_X = [X, .] on bivector coordinates; (..., n, n) maps to (..., N, N)."""
+    x = np.asarray(x, dtype=float)[..., None, :, :]
+    basis = bivector_basis(x.shape[-1])
+    # every basis entry is 0 or +-1, so each product, and the matrix, is exact
+    return np.swapaxes(skew_to_vec(x @ basis - basis @ x), -1, -2)
 
 
 # --- subspaces ------------------------------------------------------------
@@ -295,17 +316,22 @@ def householder_frame(gamma):
 def wedge_map(gamma):
     """The n x N matrix E(gamma) of X -> X gamma on bivector coordinates.
 
-    Column (i, j) is gamma_j e_i - gamma_i e_j.  For unit gamma, E^T E
+    Column (i, j) is gamma_j e_i - gamma_i e_j; a (..., n) stack of gammas
+    gives a (..., n, N) stack of maps.  For unit gamma, E^T E
     projects onto R^n ^ gamma, E E^T = Id - gamma gamma^T and
     ker E = (R^n ^ gamma)^perp.
     """
     gamma = np.asarray(gamma, dtype=float)
-    rows, cols = _pair_indices(gamma.size)
-    pairs = np.arange(rows.size)
-    e = np.zeros((gamma.size, rows.size))
-    e[rows, pairs] = gamma[cols]
-    e[cols, pairs] = -gamma[rows]
-    return e
+    n = gamma.shape[-1]
+    rows, cols = _pair_indices(n)
+    _, _, plus, minus = _flat_indices(n)
+    lead = gamma.shape[:-1]
+    e = np.zeros(lead + (n * rows.size,))
+    # scatter through the transposes, as in vec_to_skew
+    et, gt = e.T, gamma.T
+    et[plus] = gt[cols]
+    et[minus] = -gt[rows]
+    return e.reshape(lead + (n, rows.size))
 
 
 def wedge_subspace_basis(gamma):

@@ -22,5 +22,5 @@ def cho_factor(a):
 
 
 def cho_solve(linv, b):
-    """Solve A x = b given ``linv = cho_factor(A)``; ``b`` is 1-D or 2-D."""
+    """Solve A x = b given ``linv = cho_factor(A)``; ``b`` is 1-D, 2-D or a stack of 2-D."""
     return linv.T @ (linv @ b)

@@ -155,11 +155,12 @@ def restricted_inverse_det(operator, vectors):
     """det of the Gram matrix <a_i, I^{-1} a_j> over the (N, k) columns a_i.
 
     For orthonormal columns it is the determinant of pr o I^{-1} o pr in
-    that basis; no columns yield 1 by the 0x0 determinant convention.
+    that basis; no columns yield 1 by the 0x0 determinant convention.  A
+    (..., N, k) stack of column arrays gives a (...,) stack of determinants.
     """
-    if not vectors.shape[1]:
-        return 1.0
-    return float(np.linalg.det(vectors.T @ cho_solve(operator._cho, vectors)))
+    if not vectors.shape[-1]:
+        return np.ones(vectors.shape[:-2])[()]
+    return np.linalg.det(np.swapaxes(vectors, -1, -2) @ cho_solve(operator._cho, vectors))
 
 
 def restricted_operator_inverse(operator, basis, y, tol=1e-10):
@@ -188,11 +189,12 @@ class MeasureDensity:
     """Invariant-measure density for one system kind.
 
     ``fn`` evaluates the density in the flat chart the corresponding
-    divergence check uses (see :mod:`lrsim.diagnostics`).
+    divergence check uses (see :mod:`lrsim.diagnostics`), at one state or
+    at a stack of states along leading axes.
     """
 
     kind: str
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, state):
         return self.fn(state)

@@ -54,9 +54,14 @@ def vertical_vector(n):
 
 
 def tangent_inertia(inertia, mr2, e):
-    """L(gamma) = m rho^2 Id + E I E^T from the wedge map E = E(gamma)."""
-    lmat = e @ inertia.matrix @ e.T
-    lmat.flat[:: e.shape[0] + 1] += mr2
+    """L(gamma) = m rho^2 Id + E I E^T from the wedge map E = E(gamma).
+
+    A (..., n, N) stack of wedge maps gives a (..., n, n) stack.
+    """
+    lmat = e @ inertia.matrix @ e.swapaxes(-1, -2)
+    n = e.shape[-2]
+    # the diagonals, as a strided view of the flattened (fresh, contiguous) matrices
+    lmat.reshape(e.shape[:-2] + (n * n,))[..., :: n + 1] += mr2
     return lmat
 
 
@@ -131,6 +136,9 @@ class CotangentSystem(System):
     (gamma, p) = 0}: every formula uses the normalized gamma, making the
     extension invariant under rescaling of gamma, and the flow preserves
     both constraint functions exactly.
+
+    ``rhs`` also takes a (..., dim) stack of states and evaluates it in one
+    sequence of numpy calls; a single state keeps its own, cheaper path.
     """
 
     kind = "cotangent"
@@ -158,6 +166,8 @@ class CotangentSystem(System):
         return np.linalg.solve(self.tangent_inertia(gh), p - (gh @ p) * gh)
 
     def rhs(self, y):
+        if y.ndim > 1:
+            return self._stacked_rhs(y)
         gamma = y[self.slice_of("gamma")]
         p = y[self.slice_of("p")]
         gh = gamma / np.linalg.norm(gamma)
@@ -166,6 +176,28 @@ class CotangentSystem(System):
         out = np.empty(self.dim)
         out[self.slice_of("gamma")] = gamma_dot * (gh @ gamma) - gh * (gamma_dot @ gamma)
         out[self.slice_of("p")] = gamma_dot * (gh @ p) - gh * (gamma_dot @ p)
+        return out
+
+    def _stacked_rhs(self, y):
+        """``rhs`` over a (..., dim) stack of states.
+
+        Each dot product, the norm included, is a (1, n) @ (n, 1) matmul: the
+        same BLAS dot that ``@`` and ``np.linalg.norm`` call on one state, and
+        the solve is the same LAPACK call, so each row reproduces its
+        one-state call.
+        """
+
+        def dot(a, b):
+            return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+        gamma = y[..., self.slice_of("gamma")]
+        p = y[..., self.slice_of("p")]
+        gh = gamma / np.sqrt(dot(gamma, gamma))
+        lmat = tangent_inertia(self.inertia, self.mr2, lie.wedge_map(gh))
+        gamma_dot = np.linalg.solve(lmat, (p - dot(gh, p) * gh)[..., None])[..., 0]
+        out = np.empty(y.shape)
+        out[..., self.slice_of("gamma")] = gamma_dot * dot(gh, gamma) - gh * dot(gamma_dot, gamma)
+        out[..., self.slice_of("p")] = gamma_dot * dot(gh, p) - gh * dot(gamma_dot, p)
         return out
 
     def energy(self, y):
@@ -207,30 +239,27 @@ class LstarGeodesicSystem(System):
         return 0.5 * (float((self.axes * v) @ v) - float(a_g @ v) ** 2 / float(a_g @ gamma))
 
     def rhs(self, y):
-        n = self.n
         gamma = y[self.slice_of("gamma")]
         v = y[self.slice_of("v")]
-        a_g = self.axes * gamma
-        a_v = self.axes * v
-        agg = float(a_g @ gamma)
-        ratio = float(a_g @ v) / agg
-        # Euler-Lagrange system with the unit-sphere multiplier:
-        #   M gamma'' = ((Av,v)/(Ag,g) - ratio^2) Ag + lambda gamma,
-        #   (gamma, gamma'') = -|v|^2,  M = A - Ag Ag^T / (Ag,g)
-        mat = np.zeros((n + 1, n + 1))
-        mat[:n, :n] = np.diag(self.axes) - np.outer(a_g, a_g) / agg
-        mat[:n, n] = -gamma
-        mat[n, :n] = gamma
-        rhs_vec = np.empty(n + 1)
-        rhs_vec[:n] = (float(a_v @ v) / agg - ratio**2) * a_g
-        rhs_vec[n] = -float(v @ v)
-        try:
-            sol = np.linalg.solve(mat, rhs_vec)
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("degenerate geodesic configuration") from exc
+        # Euler-Lagrange system with the unit-sphere multiplier lambda:
+        #   M gamma'' = r a + lambda gamma,  (gamma, gamma'') = -|v|^2,
+        #   a = A gamma, s = (a, gamma), r = (Av, v)/s - ((a, v)/s)^2,
+        #   M = A - a a^T / s.
+        # M gamma = 0 and M A^-1 gamma = gamma - |gamma|^2 a / s (as A^-1 a =
+        # gamma), so pairing with gamma gives lambda = -r s / |gamma|^2, and
+        # gamma'' = mu gamma + lambda A^-1 gamma with mu from the second row.
+        gg = float(gamma @ gamma)
+        if gg == 0.0:
+            raise MultiplierError("degenerate geodesic configuration")
+        a = self.axes * gamma
+        s = float(a @ gamma)
+        ratio = float(a @ v) / s
+        lam = -(float((self.axes * v) @ v) / s - ratio**2) * s / gg
+        ainv_gamma = gamma / self.axes
+        mu = (-float(v @ v) - lam * float(gamma @ ainv_gamma)) / gg
         out = np.empty(self.dim)
         out[self.slice_of("gamma")] = v
-        out[self.slice_of("v")] = sol[:n]
+        out[self.slice_of("v")] = mu * gamma + lam * ainv_gamma
         return out
 
     def energy(self, y):

@@ -136,11 +136,12 @@ class ConstrainedEulerSystem(System):
         return lie.adjoint_matrix(g) @ self.inertia.apply_vec(y[self.slice_of("omega")])
 
     def noether(self, basis, prefix):
-        """Integrals {prefix_j: <d_j, Ad_g I omega>} over the columns d_j of a fixed basis."""
-        return {
-            f"{prefix}_{j + 1}": (lambda y, d=basis[:, j]: float(d @ self.spatial_momentum_vec(y)))
-            for j in range(basis.shape[1])
-        }
+        """Integrals prefix_j = <d_j, Ad_g I omega> over the columns d_j of a fixed
+        basis, as one group: {(prefix_1, ...): y -> basis^T Ad_g I omega}."""
+        if not basis.shape[1]:
+            return {}
+        names = tuple(f"{prefix}_{j + 1}" for j in range(basis.shape[1]))
+        return {names: lambda y: basis.T @ self.spatial_momentum_vec(y)}
 
     def acceleration(self, y, wv, omega):
         """(omega', frame): B omega' = torque + C lambda solved through B's factor."""
@@ -240,11 +241,16 @@ class LplusRSystem(ConstrainedEulerSystem):
         if np.max(np.abs(pi0 - pi0.T)) > 1e-10:
             raise ValueError("Pi0 must be symmetric")
         self.pi0 = 0.5 * (pi0 + pi0.T)
-        # B SPD for every g since conjugation preserves the Pi0 spectrum
-        eigs = np.linalg.eigvalsh(inertia.matrix + self.pi0)
-        if eigs[0] <= 0:
+        # B(g) = I + Ad_g^T Pi0 Ad_g conjugates Pi0 but not I.  By Weyl's
+        # inequality lambda_min(B(g)) >= lambda_min(I) + lambda_min(Pi0) for
+        # every g.  At n = 3, where Ad(SO(3)) is all of SO(3), some g aligns
+        # the two lowest eigenvectors and attains the bound, so there the
+        # check is exact; for n > 3 it is sufficient.
+        bound = np.linalg.eigvalsh(inertia.matrix)[0] + np.linalg.eigvalsh(self.pi0)[0]
+        if bound <= 0:
             raise ValueError(
-                f"total operator I + Pi is not positive definite (min eigenvalue {eigs[0]:.6g})"
+                "total operator I + Pi is not positive definite for every rotation "
+                f"(lambda_min(I) + lambda_min(Pi0) = {bound:.6g})"
             )
         super().__init__(inertia.n, [rotation_component(inertia.n), skew_component("omega", inertia.n)])
 

@@ -145,3 +145,43 @@ def wedge_complement_loop(gamma):
         for j in range(i + 1, n - 1)
     ]
     return np.column_stack(cols) if cols else np.zeros((lie.so_dim(n), 0))
+
+
+def measure_divergence_loop(field, density, state, fd_step):
+    """Central-difference divergence of density * field, one state per call.
+
+    Returns the estimates at ``fd_step`` and at half of it.
+    """
+    state = np.asarray(state, dtype=float)
+
+    def estimate(h):
+        total = 0.0
+        for i in range(state.size):
+            up = state.copy()
+            up[i] += h
+            dn = state.copy()
+            dn[i] -= h
+            total += (density(up) * field(up)[i] - density(dn) * field(dn)[i]) / (2.0 * h)
+        return total
+
+    return estimate(fd_step), estimate(0.5 * fd_step)
+
+
+def lstar_bordered_acceleration(axes, gamma, v):
+    """gamma'' of the L* geodesic flow from the bordered Euler-Lagrange system.
+
+    M gamma'' - lambda gamma = r A gamma, (gamma, gamma'') = -|v|^2, with
+    M = A - A gamma (A gamma)^T / (A gamma, gamma) and
+    r = (A v, v)/(A gamma, gamma) - ((A gamma, v)/(A gamma, gamma))^2.
+    """
+    n = gamma.size
+    a = axes * gamma
+    s = a @ gamma
+    mat = np.zeros((n + 1, n + 1))
+    mat[:n, :n] = np.diag(axes) - np.outer(a, a) / s
+    mat[:n, n] = -gamma
+    mat[n, :n] = gamma
+    rhs = np.empty(n + 1)
+    rhs[:n] = ((axes * v) @ v / s - (a @ v / s) ** 2) * a
+    rhs[n] = -(v @ v)
+    return np.linalg.solve(mat, rhs)[:n]

@@ -123,10 +123,10 @@ def test_criterion_05_noether_laws(coupled_full_runs):
     worst = 0.0
     worst_name = ""
     for system, traj in coupled_full_runs:
-        for name, fn in system.conserved().items():
+        for name, (fn, idx) in system.conserved_entries().items():
             if not name.startswith("noether"):
                 continue
-            vals = np.array([fn(y) for y in traj.states])
+            vals = np.array([fn(y) if idx is None else fn(y)[idx] for y in traj.states])
             drift = float(np.max(np.abs(vals - vals[0])))
             if drift > worst:
                 worst, worst_name = drift, name

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from helpers import (
+    make_cotangent,
     make_coupled,
     make_lr,
     make_rubber_chaplygin,
@@ -161,6 +163,67 @@ class TestMeasureDivergence:
             est = diag.measure_divergence(field, density, state, fd_step=1e-13)
             warnings_seen += est.warning
         assert warnings_seen >= 1
+
+
+def _assert_rows_match(stacked, rows, tol=1e-13):
+    """``stacked`` equals the row-by-row values to ``tol`` relative to their largest entry."""
+    rows = np.asarray(rows, dtype=float)
+    assert stacked.shape == rows.shape
+    np.testing.assert_allclose(stacked, rows, rtol=0, atol=tol * np.abs(rows).max())
+
+
+class TestStackedCertificate:
+    """Fields and densities on a stack of states against one call per state."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_chart_fields_and_densities(self, n):
+        local = np.random.default_rng(810 + n)
+        inertia = rand_spd_operator(local, n)
+        pi0 = rand_pi0(local, inertia)
+        N = lie.so_dim(n)
+        charts = {
+            "lr": (diag.lr_measure_chart(inertia, 2), []),
+            "lplusr": (diag.lplusr_measure_chart(inertia), []),
+        }
+        for _ in range(6):
+            q = lie.adjoint_matrix(rand_rotation(local, n))
+            charts["lr"][1].append(np.concatenate([local.normal(size=N), q[:, 0], q[:, 1]]))
+            charts["lplusr"][1].append(
+                np.concatenate([local.normal(size=N), diag.sym_to_coords(q.T @ pi0 @ q)])
+            )
+        cot = CotangentSystem(inertia, 1.1, 0.9)
+        charts["cotangent"] = (
+            (cot.rhs, diag.reduced_chaplygin_density(inertia, 1.1, 0.9)),
+            [np.concatenate([1.5 * rand_unit(local, n), local.normal(size=n)]) for _ in range(6)],
+        )
+        for (field, density), states in charts.values():
+            stack = np.array(states).reshape(2, 3, -1)
+            _assert_rows_match(field(stack), [[field(z) for z in row] for row in stack])
+            _assert_rows_match(density(stack), [[density(z) for z in row] for row in stack])
+
+    def test_sym_coords_round_trip_on_stacks(self):
+        local = np.random.default_rng(820)
+        mats = local.normal(size=(4, 3, 3))
+        mats = mats + np.swapaxes(mats, -1, -2)
+        coords = diag.sym_to_coords(mats)
+        np.testing.assert_array_equal(diag.coords_to_sym(coords, 3), mats)
+        for mat, row in zip(mats, coords):
+            np.testing.assert_array_equal(row, diag.sym_to_coords(mat))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_divergence_matches_per_point_loop(self, n):
+        # the raw cotangent field with unit density has a nonzero divergence
+        local = np.random.default_rng(830 + n)
+        cot, _ = make_cotangent(local, n)
+        for _ in range(5):
+            _, y = make_cotangent(local, n, inertia=cot.inertia, mass=cot.mass, radius=cot.radius)
+            est = diag.measure_divergence(cot.rhs, lambda z: 1.0, y)
+            value, refined = oracles.measure_divergence_loop(
+                cot.rhs, lambda z: 1.0, y, diag.FD_STEP
+            )
+            assert abs(value) > 1e-4
+            assert est.value == pytest.approx(value, rel=1e-9)
+            assert est.refined == pytest.approx(refined, rel=1e-9)
 
 
 class TestChaplyginMeasure:

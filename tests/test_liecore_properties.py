@@ -92,3 +92,21 @@ def test_wedge_map_identities(data, n):
     np.testing.assert_allclose(
         tangent_inertia(inertia, mr2, e) @ gamma, mr2 * gamma, rtol=0, atol=1e-14
     )
+
+
+@PROPERTY
+@given(st.data(), dims, st.sampled_from([(3,), (3, 2)]))
+def test_stacked_helpers_equal_row_by_row(data, n, lead):
+    # leading axes are a stack: each entry is exactly the one-state call
+    count = int(np.prod(lead))
+    xs = np.array([data.draw(skews(n)) for _ in range(count)]).reshape(lead + (n, n))
+    gammas = np.array([data.draw(units(n)) for _ in range(count)]).reshape(lead + (n,))
+    vecs = lie.skew_to_vec(xs)
+    skews_back = lie.vec_to_skew(vecs, n)
+    ads = lie.ad_matrix(xs)
+    wedges = lie.wedge_map(gammas)
+    for idx in np.ndindex(*lead):
+        np.testing.assert_array_equal(vecs[idx], lie.skew_to_vec(xs[idx]))
+        np.testing.assert_array_equal(skews_back[idx], lie.vec_to_skew(vecs[idx], n))
+        np.testing.assert_array_equal(ads[idx], lie.ad_matrix(xs[idx]))
+        np.testing.assert_array_equal(wedges[idx], lie.wedge_map(gammas[idx]))

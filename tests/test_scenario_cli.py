@@ -286,6 +286,16 @@ class TestCliRun:
         scen = write_yaml(tmp_path / "bad.yaml", data)
         assert main(["run", scen, "--out", str(tmp_path / "o")]) == 3
 
+    def test_pi0_indefinite_at_some_rotation_exit_3(self, tmp_path, capsys):
+        # I + Pi0 is positive definite at g = identity, but not for every g
+        data = shipped("geodesic_lpr.yaml")
+        data["inertia"]["values"] = [1.0, 2.0, 3.0]
+        data["pi0"]["values"] = [0.0, 0.0, -2.5]
+        scen = write_yaml(tmp_path / "indefinite.yaml", data)
+        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 3
+        assert "every rotation" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "trajectory.csv").exists()
+
     def test_integration_failure_exit_4_with_partial_csv(self, tmp_path, monkeypatch, capsys):
         from lrsim import cli
         from lrsim.integrators import IntegrationError, Trajectory

@@ -23,6 +23,7 @@ from lrsim.systems import (
     CotangentSystem,
     GsrSystem,
     LstarGeodesicSystem,
+    MultiplierError,
     RubberChaplyginSystem,
     vertical_vector,
 )
@@ -261,6 +262,25 @@ class TestLstarGeodesic:
     def test_rejects_nonpositive_axes(self):
         with pytest.raises(ValueError):
             LstarGeodesicSystem(np.array([1.0, 0.0, 2.0]))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_closed_form_matches_bordered_solve(self, n):
+        local = np.random.default_rng(520 + n)
+        for _ in range(5):
+            system, y = make_lstar(local, n)
+            # an unnormalized gamma and a v off T_gamma exercise the extension
+            off = np.concatenate([1.3 * y[:n], local.normal(size=n)])
+            for state in (y, off):
+                expected = oracles.lstar_bordered_acceleration(system.axes, state[:n], state[n:])
+                got = system.rhs(state)[system.slice_of("v")]
+                np.testing.assert_allclose(
+                    got, expected, rtol=0, atol=1e-13 * np.abs(expected).max()
+                )
+
+    def test_zero_gamma_is_degenerate(self):
+        system = LstarGeodesicSystem(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(MultiplierError, match="degenerate"):
+            system.rhs(np.concatenate([np.zeros(3), np.ones(3)]))
 
     def test_reparametrized_reduced_flow_is_this_geodesic_flow(self):
         from lrsim.diagnostics import hamiltonization_check

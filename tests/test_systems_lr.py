@@ -1,6 +1,7 @@
 """LR and L+R flows: multipliers, conservation, penalty limit."""
 
 import numpy as np
+import pytest
 
 import oracles
 from helpers import make_lplusr, make_lr, rand_pi0, rand_rotation, rand_skew, rand_spd_operator
@@ -76,8 +77,8 @@ class TestLRField:
     def test_noether_integrals_constant(self):
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
-        for name, fn in system.conserved().items():
-            vals = np.array([fn(y) for y in traj.states])
+        for name, (fn, idx) in system.conserved_entries().items():
+            vals = np.array([fn(y) if idx is None else fn(y)[idx] for y in traj.states])
             assert np.max(np.abs(vals - vals[0])) < 1e-10, name
 
 
@@ -96,6 +97,22 @@ class TestLplusRField:
             lr.rhs(y_lr)[lr.slice_of("omega")],
             atol=1e-13,
         )
+
+    def test_rejects_pi0_that_some_rotation_makes_indefinite(self):
+        # eig(I + Pi0) = (0.5, 1, 2) > 0, but I is not conjugated with Pi0:
+        # the cyclic rotations carry E_12 onto E_23 or back, where
+        # B(g) = I + Ad_g^T Pi0 Ad_g has the diagonal entry 1 - 2.5
+        inertia = InertiaOperator.from_bivector_diag(3, [1.0, 2.0, 3.0])
+        pi0 = np.diag([0.0, 0.0, -2.5])
+        assert np.linalg.eigvalsh(inertia.matrix + pi0)[0] > 0
+        cyclic = np.roll(np.eye(3), 1, axis=0)
+        worst = min(
+            np.linalg.eigvalsh(inertia.matrix + q.T @ pi0 @ q)[0]
+            for q in (lie.adjoint_matrix(cyclic), lie.adjoint_matrix(cyclic.T))
+        )
+        assert worst < 0
+        with pytest.raises(ValueError, match="every rotation"):
+            LplusRSystem(inertia, pi0)
 
     def test_isotropic_inertia_is_stationary(self):
         lpr = LplusRSystem(InertiaOperator.identity(3), rand_pi0(rng, InertiaOperator.identity(3)))
