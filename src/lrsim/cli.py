@@ -132,7 +132,8 @@ def cmd_run(args):
         traj = integrate(scenario.system, scenario.initial, scenario.integrator)
     except IntegrationError as exc:
         print(f"integration failed at step {exc.step_index}: {exc}", file=sys.stderr)
-        write_trajectory_csv(outdir / "trajectory.csv", exc.partial)
+        if exc.partial is not None:
+            write_trajectory_csv(outdir / "trajectory.csv", exc.partial)
         return EXIT_RUNTIME
     write_trajectory_csv(outdir / "trajectory.csv", traj)
     report = build_report(scenario, traj)
@@ -315,11 +316,8 @@ def verification_checks(scenario, traj):
             and abs(cot.inertia.params["c"] - cot.mass * cot.radius**2) < 1e-12
         )
         if special_matches:
-            ratios = np.array(
-                [
-                    np.divide(*diag.chaplygin_measure_check(s, cot.inertia, cot.mass, cot.radius))
-                    for s in states
-                ]
+            ratios = np.divide(
+                *diag.chaplygin_measure_check(np.array(states), cot.inertia, cot.mass, cot.radius)
             )
             spread = float((ratios.max() - ratios.min()) / ratios.mean())
             checks.append(Check("measure_ratio_spread", spread, RATIO_SPREAD_TOL))

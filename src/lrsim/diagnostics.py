@@ -174,7 +174,7 @@ def lr_measure_chart(inertia, k):
         if not k:
             return torque
         # the reaction C lambda over C = (alpha_i) with
-        # (C^T I^-1 C) lambda = -C^T I^-1 torque, as the kernel's constrained_torque
+        # (C^T I^-1 C) lambda = -C^T I^-1 torque, as in the kernel's acceleration
         basis = np.swapaxes(alphas, -1, -2)
         binv_basis = inertia.solve_vec(basis)
         lam = np.linalg.solve(
@@ -236,7 +236,6 @@ def lplusr_measure_chart(inertia):
         omega = lie.vec_to_skew(wv, n)
         iw = lie.vec_to_skew(wv @ inertia.matrix, n)  # I is symmetric
         torque = lie.skew_to_vec(lie.ad(iw, omega))
-        # one solve per B beats factor_inertia + cho_solve for a B used once
         wdot = np.linalg.solve(inertia.matrix + pi, torque[..., None])[..., 0]
         adw = lie.ad_matrix(omega)
         pidot = pi @ adw - adw @ pi
@@ -269,19 +268,24 @@ def reduced_chaplygin_density(inertia, mass, radius):
 
 
 def special_chaplygin_density(axes):
-    """Closed-form density (A gamma, gamma)^{-(n-2)/2} for the special inertia."""
+    """Closed-form density (A gamma, gamma)^{-(n-2)/2} for the special inertia.
+
+    gamma is taken normalized, as (A gamma, gamma) / |gamma|^2.  It takes one
+    state or a stack of them along leading axes.
+    """
     axes = np.asarray(axes, dtype=float)
     n = axes.size
 
     def density(z):
-        gamma = z[:n] / np.linalg.norm(z[:n])
-        return float(((axes * gamma) @ gamma) ** (-(n - 2) / 2.0))
+        gamma = z[..., :n]
+        ratio = np.sum(axes * gamma * gamma, axis=-1) / np.sum(gamma * gamma, axis=-1)
+        return ratio ** (-(n - 2) / 2.0)
 
     return MeasureDensity("cotangent-special", density)
 
 
-def chaplygin_measure_check(state, inertia, mass, radius):
-    """Both reduced-measure densities at a (gamma, p) state.
+def chaplygin_measure_check(states, inertia, mass, radius):
+    """Both reduced-measure densities at a (gamma, p) state or a stack of them.
 
     The first is the general restricted-determinant form, the second the
     closed form available for the special inertia; for that inertia their
@@ -289,9 +293,9 @@ def chaplygin_measure_check(state, inertia, mass, radius):
     """
     if inertia.kind != "special":
         raise ValueError("the closed-form density requires the special inertia kind")
-    state = np.asarray(state, dtype=float)
-    general = reduced_chaplygin_density(inertia, mass, radius)(state)
-    closed = special_chaplygin_density(inertia.params["A"])(state)
+    states = np.asarray(states, dtype=float)
+    general = reduced_chaplygin_density(inertia, mass, radius)(states)
+    closed = special_chaplygin_density(inertia.params["A"])(states)
     return general, closed
 
 

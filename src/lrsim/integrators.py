@@ -8,7 +8,9 @@ Two fourth-order methods:
 * ``lie-rk4`` -- a Munthe-Kaas step: rotation components are updated
   multiplicatively, g <- g exp(u), with the algebra increment u built from
   staged body velocities corrected by the truncated inverse differential of
-  exp; the remaining components take the classical update.
+  exp; the remaining components take the classical update.  The first stage
+  is the field at the state itself (u = 0), so it takes no exponential and
+  a step costs four: one per later stage and one for the update.
 
 Both are O(h^5) per step.  A trajectory records the uniform time grid and
 every state; integration aborts cleanly on field errors and on non-finite
@@ -62,7 +64,8 @@ class Trajectory:
 
 
 class IntegrationError(RuntimeError):
-    """A step failed; carries the partial trajectory and failing step index."""
+    """A step failed; carries the partial trajectory (None when none could be
+    allocated) and the failing step index."""
 
     def __init__(self, message, partial, step_index):
         super().__init__(f"{message} (step {step_index})")
@@ -91,49 +94,38 @@ def _dexpinv(u, v):
     For the left convention g' = g v the slope is dexpinv_{-u}(v)
     = v + 1/2 [u, v] + 1/12 [u, [u, v]] + O(u^3).
     """
-    uv = lie.ad(u, v)
-    return v + 0.5 * uv + (1.0 / 12.0) * lie.ad(u, uv)
+    uv = u @ v - v @ u
+    return v + 0.5 * uv + (1.0 / 12.0) * (u @ uv - uv @ u)
 
 
 def _lie_rk4(system, y, h):
-    rot = [(comp, off) for comp, off in zip(system.components, system._offsets)
-           if comp.kind == ROTATION]
     n = system.n
+    rot = [system.slice_of(comp.name) for comp in system.components if comp.kind == ROTATION]
+    g0 = [y[sl].reshape(n, n) for sl in rot]
 
-    g0 = {comp.name: y[off:off + comp.size].reshape(n, n) for comp, off in rot}
-
-    def eval_stage(u_map, y_lin):
+    def eval_stage(us, y_lin):
         """Field at (g0 exp(u), linear part); returns (algebra slopes, flat slope)."""
         y_stage = y_lin.copy()
-        gs = {}
-        for comp, off in rot:
-            g = g0[comp.name] @ expm(u_map[comp.name])
-            gs[comp.name] = g
-            y_stage[off:off + comp.size] = g.ravel()
+        gs = []
+        for g, u, sl in zip(g0, us, rot):
+            gs.append(g @ expm(u))
+            y_stage[sl] = gs[-1].ravel()
         ydot = system.rhs(y_stage)
-        slopes = {}
-        for comp, off in rot:
-            gdot = ydot[off:off + comp.size].reshape(n, n)
-            v = lie.skew_part(gs[comp.name].T @ gdot)
-            slopes[comp.name] = _dexpinv(u_map[comp.name], v)
-        return slopes, ydot
+        return [
+            _dexpinv(u, lie.skew_part(g.T @ ydot[sl].reshape(n, n)))
+            for g, u, sl in zip(gs, us, rot)
+        ], ydot
 
-    zero = {comp.name: np.zeros((n, n)) for comp, _ in rot}
-
-    k1a, k1 = eval_stage(zero, y)
-    u2 = {name: 0.5 * h * k1a[name] for name in zero}
-    k2a, k2 = eval_stage(u2, y + 0.5 * h * k1)
-    u3 = {name: 0.5 * h * k2a[name] for name in zero}
-    k3a, k3 = eval_stage(u3, y + 0.5 * h * k2)
-    u4 = {name: h * k3a[name] for name in zero}
-    k4a, k4 = eval_stage(u4, y + h * k3)
+    # the first stage sits at y itself: exp(0) = I and dexpinv(0, v) = v
+    k1 = system.rhs(y)
+    k1a = [lie.skew_part(g.T @ k1[sl].reshape(n, n)) for g, sl in zip(g0, rot)]
+    k2a, k2 = eval_stage([0.5 * h * k for k in k1a], y + 0.5 * h * k1)
+    k3a, k3 = eval_stage([0.5 * h * k for k in k2a], y + 0.5 * h * k2)
+    k4a, k4 = eval_stage([h * k for k in k3a], y + h * k3)
 
     y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    for comp, off in rot:
-        u = (h / 6.0) * (
-            k1a[comp.name] + 2.0 * k2a[comp.name] + 2.0 * k3a[comp.name] + k4a[comp.name]
-        )
-        y_new[off:off + comp.size] = (g0[comp.name] @ expm(u)).ravel()
+    for g, sl, a1, a2, a3, a4 in zip(g0, rot, k1a, k2a, k3a, k4a):
+        y_new[sl] = (g @ expm((h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))).ravel()
     return y_new
 
 
@@ -154,11 +146,18 @@ def integrate(system, y0, cfg, hook=None):
     ``hook(i, t, y)`` runs after each accepted step.  Field errors and
     non-finite states abort with an :class:`IntegrationError` carrying the
     partial trajectory, which holds only the states before the failing step.
+    A step count whose trajectory cannot be allocated is an
+    :class:`IntegrationError` at step 0 with no partial trajectory.
     """
     y0 = np.asarray(y0, dtype=float)
-    states = np.empty((cfg.steps + 1, system.dim))
+    try:
+        states = np.empty((cfg.steps + 1, system.dim))
+        times = cfg.h * np.arange(cfg.steps + 1)
+    except (MemoryError, ValueError) as exc:
+        raise IntegrationError(
+            f"cannot allocate a trajectory of {cfg.steps} steps ({exc})", None, 0
+        ) from exc
     states[0] = y0
-    times = cfg.h * np.arange(cfg.steps + 1)
     y = y0
     for i in range(cfg.steps):
         project = cfg.renormalize_every > 0 and (i + 1) % cfg.renormalize_every == 0
@@ -197,7 +196,6 @@ def integrate_reparametrized(system, y0, axes, cfg, hook=None):
             self._base = base
             self.dim = base.dim
             self.components = base.components
-            self._offsets = base._offsets
             self.n = base.n
 
         def rhs(self, y):

@@ -183,14 +183,33 @@ def bivector_basis(n):
     return _BASIS_CACHE[n]
 
 
+_COMPOUND_CACHE: dict[int, np.ndarray] = {}
+
+
+def _compound_indices(n):
+    """Flat positions of g_ik, g_jl, g_il and g_jk in an n x n matrix, shape
+    (4, N, N), for the rows (i, j) and columns (k, l) of its second compound."""
+    if n not in _COMPOUND_CACHE:
+        rows, cols = _pair_indices(n)
+        i, j = rows[:, None] * n, cols[:, None] * n
+        k, l = rows[None, :], cols[None, :]
+        indices = np.stack([i + k, j + l, i + l, j + k])
+        indices.setflags(write=False)
+        _COMPOUND_CACHE[n] = indices
+    return _COMPOUND_CACHE[n]
+
+
 def adjoint_matrix(g):
-    """Matrix of Ad_g on bivector coordinates: vec(g X g^T) = Q vec(X)."""
+    """Matrix of Ad_g on bivector coordinates: vec(g X g^T) = Q vec(X).
+
+    Q is the second compound matrix of g, Q[(ij), (kl)] = g_ik g_jl - g_il g_jk,
+    since g (e_k ^ e_l) g^T = g e_k ^ g e_l; one gather collects the four
+    factors.  A (..., n, n) stack of rotations gives a (..., N, N) stack.
+    """
     g = np.asarray(g, dtype=float)
-    n = g.shape[0]
-    basis = bivector_basis(n)
-    conj = np.einsum("ip,apq,jq->aij", g, basis, g)
-    rows, cols = _pair_indices(n)
-    return conj[:, rows, cols].T.copy()
+    n = g.shape[-1]
+    f = g.reshape(g.shape[:-2] + (n * n,)).take(_compound_indices(n), axis=-1)
+    return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
 
 
 def ad_matrix(x):

@@ -39,12 +39,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import liecore as lie
-# cho_factor is unused here, but bound so that perfbench/tracer.py finds
-# both names in every systems module
+# unused here, but bound so that perfbench/tracer.py finds both names in
+# every systems module
 from ..linalg import cho_factor, cho_solve  # noqa: F401
 from ..operators import wedge_projector_matrix
 from .base import Component, System, UNIT, VECTOR, rotation_component, skew_component
-from .lr import ConstrainedEulerSystem, MultiplierError, factor_inertia
+from .lr import ConstrainedEulerSystem, MultiplierError
 
 
 def vertical_vector(n):
@@ -314,7 +314,10 @@ class GsrSystem(System):
         bdot_w = self.mr2 * (
             lie.ad(lie.ad(gamma_dot, omega), gamma) + lie.ad(lie.ad(gamma, omega), gamma_dot)
         )
-        wdot = cho_solve(factor_inertia(b), lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w))
+        try:
+            wdot = np.linalg.solve(b, lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w))
+        except np.linalg.LinAlgError as exc:
+            raise MultiplierError("effective inertia is singular") from exc
         out = np.empty(self.dim)
         out[self.slice_of("gamma")] = lie.skew_to_vec(gamma_dot)
         out[self.slice_of("omega")] = wdot

@@ -30,6 +30,30 @@ with the multipliers lambda over a body-frame basis C solved from the Gram
 system C^T B^-1 C.  :class:`ConstrainedEulerSystem` evaluates it once for
 all of them (the LR flow is Pi = 0, C = (alpha_i)); each flow supplies its
 Pi, its C and the transport of its extra components.
+
+B is symmetric positive definite at every finite state, by construction
+for each flow, so the kernel solves with it and never tests it:
+
+* ``lr``: B = I, positive definite as every :class:`InertiaOperator` is;
+* ``lplusr``, ``geodesic-lpr``: lambda_min(I) + lambda_min(Pi0) > 0,
+  checked by :class:`LplusRSystem`, bounds lambda_min(B) from below
+  (Weyl's inequality);
+* ``coupled``, ``coupled-reduced``: I plus projectors weighted by
+  D / rho_i^2, with D > 0 checked;
+* ``ncoupled``: I plus Ad_g^T (sum_i D_i A_i^T (B_i B_i^T)^-1 A_i) Ad_g, a
+  positive semidefinite sum with D_i > 0 and B_i B_i^T invertible checked;
+* ``support``: I plus projectors weighted by D_i / rho_i^2, with D_i > 0
+  checked;
+* ``rubber-support``: its constructor checks the worst case over all
+  contact directions;
+* ``rubber-chaplygin``: I + m rho^2 pr, whose field solves the n x n
+  matrix L(gamma) = m rho^2 Id + E I E^T instead
+  (:mod:`lrsim.systems.chaplygin`).
+
+The ``gsr`` flow, outside the kernel, solves its B = I + m rho^2
+ad_gamma^T ad_gamma, I plus a positive semidefinite term, the same way.
+
+A singular B or Gram matrix raises :class:`MultiplierError`.
 """
 
 from __future__ import annotations
@@ -37,7 +61,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import liecore as lie
-from ..linalg import cho_factor, cho_solve
+# cho_factor is unused here, but bound so that perfbench/tracer.py finds
+# both names in every systems module
+from ..linalg import cho_factor, cho_solve  # noqa: F401
 from .base import System, rotation_component, skew_component
 
 
@@ -46,32 +72,6 @@ class MultiplierError(RuntimeError):
 
 
 # --- the constrained-Euler kernel ------------------------------------------
-
-def factor_inertia(b):
-    """``cho_factor`` of an effective inertia B; MultiplierError when not SPD."""
-    try:
-        return cho_factor(b)
-    except np.linalg.LinAlgError as exc:
-        raise MultiplierError("effective inertia lost positive definiteness") from exc
-
-
-def constrained_torque(b_cho, torque, basis):
-    """Torque plus the reaction C lambda that keeps <C, omega> constant.
-
-    ``b_cho`` is the factored effective inertia B and ``basis`` the (N, k)
-    body-frame constraint basis C, or None.  lambda solves the Gram system
-    (C^T B^-1 C) lambda = -C^T B^-1 torque, so C^T B^-1 (torque + C lambda)
-    vanishes.
-    """
-    if basis is None or not basis.shape[1]:
-        return torque
-    binv_basis = cho_solve(b_cho, basis)
-    try:
-        lam = cho_solve(cho_factor(basis.T @ binv_basis), -(binv_basis.T @ torque))
-    except np.linalg.LinAlgError as exc:
-        raise MultiplierError("constraint multiplier system is singular") from exc
-    return torque + basis @ lam
-
 
 class ConstrainedEulerSystem(System):
     """Shared field  B omega' = [I omega, omega] + C lambda,  g' = g omega.
@@ -144,13 +144,33 @@ class ConstrainedEulerSystem(System):
         return {names: lambda y: basis.T @ self.spatial_momentum_vec(y)}
 
     def acceleration(self, y, wv, omega):
-        """(omega', frame): B omega' = torque + C lambda solved through B's factor."""
+        """(omega', frame): B omega' = torque + C lambda, C^T omega' = 0.
+
+        One solve of B against the columns [torque | C] gives B^-1 torque and
+        B^-1 C; lambda solves the Gram system (C^T B^-1 C) lambda
+        = -C^T B^-1 torque, and omega' = B^-1 torque + B^-1 C lambda.  For
+        Pi = 0 the solve reuses the stored factor of I.
+        """
         pi, frame = self.pi(y)
-        b_cho = self.inertia._cho if pi is None else factor_inertia(self.inertia.matrix + pi)
-        torque = constrained_torque(
-            b_cho, self.torque(wv, omega, pi), self.constraint_basis(y, frame)
-        )
-        return cho_solve(b_cho, torque), frame
+        torque = self.torque(wv, omega, pi)
+        basis = self.constraint_basis(y, frame)
+        constrained = basis is not None and basis.shape[1] > 0
+        cols = np.column_stack([torque, basis]) if constrained else torque
+        if pi is None:
+            sol = cho_solve(self.inertia._cho, cols)
+        else:
+            try:
+                sol = np.linalg.solve(self.inertia.matrix + pi, cols)
+            except np.linalg.LinAlgError as exc:
+                raise MultiplierError("effective inertia is singular") from exc
+        if not constrained:
+            return sol, frame
+        binv_torque, binv_basis = sol[:, 0], sol[:, 1:]
+        try:
+            lam = np.linalg.solve(basis.T @ binv_basis, -(basis.T @ binv_torque))
+        except np.linalg.LinAlgError as exc:
+            raise MultiplierError("constraint multiplier system is singular") from exc
+        return binv_torque + binv_basis @ lam, frame
 
     def rhs(self, y):
         g = y[self.slice_of("g")].reshape(self.n, self.n)

@@ -11,11 +11,13 @@ from lrsim.systems import (
     GeodesicLplusRSystem,
     GsrSystem,
     LplusRSystem,
+    NCoupledSystem,
     LRSystem,
     LstarGeodesicSystem,
     RubberChaplyginSystem,
     RubberSupportSystem,
     SupportSystem,
+    commutator_constraint_matrices,
 )
 
 
@@ -118,6 +120,23 @@ def make_coupled_reduced(rng, n):
     return make_coupled(rng, n, full=False)
 
 
+def make_coupled_full(rng, n):
+    return make_coupled(rng, n, full=True)
+
+
+def make_ncoupled(rng, n):
+    """Commutator-coupled flow, [Omega, Gamma_1] + rho W_1 = 0, W_1 slaved."""
+    inertia = rand_spd_operator(rng, n)
+    gamma = rand_skew(rng, n)
+    rho = float(rng.uniform(0.4, 1.2))
+    a_mats, b_mats = commutator_constraint_matrices([gamma], [rho])
+    system = NCoupledSystem(inertia, a_mats, b_mats, [float(rng.uniform(0.5, 1.5))])
+    g = rand_rotation(rng, n)
+    wv = rng.normal(size=system.N)
+    w1 = -(a_mats[0] @ (lie.adjoint_matrix(g) @ wv)) / rho
+    return system, system.pack(g=g, omega=lie.vec_to_skew(wv, n), W1=w1)
+
+
 def make_support(rng, n, rubber=False):
     inertia = rand_spd_operator(rng, n)
     n_bodies = int(rng.integers(1, 3))
@@ -203,4 +222,19 @@ MAKERS = {
     "cotangent": make_cotangent,
     "lstar-geodesic": make_lstar,
     "gsr": make_gsr,
+}
+
+
+# every flow the constrained-Euler kernel evaluates, and the kinds lie-rk4
+# integrates in the benchmark ensemble
+KERNEL_MAKERS = {
+    "lr": make_lr,
+    "lplusr": make_lplusr,
+    "geodesic-lpr": make_geodesic_lpr,
+    "coupled": make_coupled_full,
+    "coupled-reduced": make_coupled_reduced,
+    "ncoupled": make_ncoupled,
+    "support": make_support,
+    "rubber-support": make_rubber_support,
+    "rubber-chaplygin": make_rubber_chaplygin,
 }

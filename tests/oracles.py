@@ -185,3 +185,79 @@ def lstar_bordered_acceleration(axes, gamma, v):
     rhs[:n] = ((axes * v) @ v / s - (a @ v / s) ** 2) * a
     rhs[n] = -(v @ v)
     return np.linalg.solve(mat, rhs)[:n]
+
+
+def lie_rk4_step(system, y, h):
+    """One Munthe-Kaas RK4 step with every stage through exp, exp(0) included.
+
+    The slopes carry the truncated dexpinv v + 1/2 [u, v] + 1/12 [u, [u, v]]
+    and each stage builds its state from name-keyed dicts; the exponential
+    is scipy's, called directly.
+    """
+    from scipy.linalg import expm
+
+    rot = [(comp, system.slice_of(comp.name)) for comp in system.components
+           if comp.kind == "rotation"]
+    n = system.n
+    g0 = {comp.name: y[sl].reshape(n, n) for comp, sl in rot}
+
+    def dexpinv(u, v):
+        uv = lie.ad(u, v)
+        return v + 0.5 * uv + (1.0 / 12.0) * lie.ad(u, uv)
+
+    def eval_stage(u_map, y_lin):
+        y_stage = y_lin.copy()
+        gs = {}
+        for comp, sl in rot:
+            g = g0[comp.name] @ expm(u_map[comp.name])
+            gs[comp.name] = g
+            y_stage[sl] = g.ravel()
+        ydot = system.rhs(y_stage)
+        slopes = {}
+        for comp, sl in rot:
+            v = lie.skew_part(gs[comp.name].T @ ydot[sl].reshape(n, n))
+            slopes[comp.name] = dexpinv(u_map[comp.name], v)
+        return slopes, ydot
+
+    zero = {comp.name: np.zeros((n, n)) for comp, _ in rot}
+    k1a, k1 = eval_stage(zero, y)
+    k2a, k2 = eval_stage({k: 0.5 * h * v for k, v in k1a.items()}, y + 0.5 * h * k1)
+    k3a, k3 = eval_stage({k: 0.5 * h * v for k, v in k2a.items()}, y + 0.5 * h * k2)
+    k4a, k4 = eval_stage({k: h * v for k, v in k3a.items()}, y + h * k3)
+    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for comp, sl in rot:
+        name = comp.name
+        u = (h / 6.0) * (k1a[name] + 2.0 * k2a[name] + 2.0 * k3a[name] + k4a[name])
+        y_new[sl] = (g0[name] @ expm(u)).ravel()
+    return y_new
+
+
+def factored_acceleration(system, y):
+    """omega' of a constrained-Euler flow through a Cholesky factor of B.
+
+    B = I + Pi is factored; the Gram system C^T B^-1 C is factored too, and
+    B is solved once more against torque + C lambda.  Only the flow's
+    ``pi``, ``torque`` and ``constraint_basis`` hooks are shared with the
+    library's field.
+    """
+    from lrsim.linalg import cho_factor, cho_solve
+
+    wv = y[system.slice_of("omega")]
+    omega = lie.vec_to_skew(wv, system.n)
+    pi, frame = system.pi(y)
+    b_cho = system.inertia._cho if pi is None else cho_factor(system.inertia.matrix + pi)
+    torque = system.torque(wv, omega, pi)
+    basis = system.constraint_basis(y, frame)
+    if basis is not None and basis.shape[1]:
+        binv_basis = cho_solve(b_cho, basis)
+        lam = cho_solve(cho_factor(basis.T @ binv_basis), -(binv_basis.T @ torque))
+        torque = torque + basis @ lam
+    return cho_solve(b_cho, torque)
+
+
+def adjoint_matrix_einsum(g):
+    """Matrix of Ad_g on bivector coordinates, conjugating each basis element."""
+    n = g.shape[0]
+    conj = np.einsum("ip,apq,jq->aij", g, lie.bivector_basis(n), g)
+    rows, cols = zip(*lie.bivector_pairs(n))
+    return conj[:, list(rows), list(cols)].T.copy()

@@ -261,6 +261,21 @@ class TestChaplyginMeasure:
             slope = np.polyfit(logs[:, 0], logs[:, 1], 1)[0]
             assert abs(slope - (-(n - 2) / 2.0)) < 1e-6
 
+    def test_stack_matches_row_by_row(self):
+        local = np.random.default_rng(230)
+        for n in (3, 4, 5):
+            inertia, axes, c = special_inertia(local, n)
+            # gamma off the unit sphere too: both densities normalize it
+            states = local.normal(size=(100, 2 * n))
+            general, closed = diag.chaplygin_measure_check(states, inertia, c, 1.0)
+            assert general.shape == closed.shape == (100,)
+            rows = np.array([diag.chaplygin_measure_check(s, inertia, c, 1.0) for s in states])
+            np.testing.assert_allclose(general, rows[:, 0], rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(closed, rows[:, 1], rtol=1e-15, atol=0.0)
+            units = states[:, :n] / np.linalg.norm(states[:, :n], axis=1, keepdims=True)
+            formula = [((axes * u) @ u) ** (-(n - 2) / 2.0) for u in units]
+            np.testing.assert_allclose(closed, formula, rtol=1e-14, atol=0.0)
+
     def test_requires_special_kind(self):
         inertia = rand_spd_operator(rng, 3)
         with pytest.raises(ValueError, match="special"):

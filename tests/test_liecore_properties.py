@@ -110,3 +110,14 @@ def test_stacked_helpers_equal_row_by_row(data, n, lead):
         np.testing.assert_array_equal(skews_back[idx], lie.vec_to_skew(vecs[idx], n))
         np.testing.assert_array_equal(ads[idx], lie.ad_matrix(xs[idx]))
         np.testing.assert_array_equal(wedges[idx], lie.wedge_map(gammas[idx]))
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([2, 3, 4, 5, 6]))
+def test_adjoint_matrix_is_the_conjugation_einsum_exactly(data, n):
+    g = data.draw(rotations(n))
+    q = lie.adjoint_matrix(g)
+    np.testing.assert_array_equal(q, oracles.adjoint_matrix_einsum(g))
+    # a stack gives each member's matrix
+    h = data.draw(rotations(n))
+    np.testing.assert_array_equal(lie.adjoint_matrix(np.array([g, h]))[1], lie.adjoint_matrix(h))

@@ -267,6 +267,23 @@ class TestCliRun:
         assert "scenario error" in proc.stderr and "Traceback" not in proc.stderr
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_unallocatable_step_count_exit_4(self, tmp_path, command):
+        # 2**62 steps overflow the array size limit whatever the host's memory
+        out = tmp_path / "out"
+        args = [str(SCENARIO_DIR / "free_top.yaml"), "--steps", str(2**62)]
+        if command == "run":
+            args += ["--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrsim.cli", command, *args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert f"trajectory of {2**62} steps" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / "trajectory.csv").exists()
+
     def test_known_diagnostics_entries_are_reported(self, tmp_path):
         for name, entries in [
             ("free_top.yaml", ["momentum_norm", "constraint:g_orthogonality"]),
