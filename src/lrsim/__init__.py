@@ -2,7 +2,7 @@
 
 from . import diagnostics, integrators, liecore, operators, systems
 from .integrators import IntegrationError, IntegratorConfig, Trajectory, integrate, step
-from .operators import InertiaOperator, MeasureDensity
+from .operators import InertiaOperator
 from .systems import (
     CotangentSystem,
     CoupledFullSystem,

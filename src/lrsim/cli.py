@@ -131,7 +131,7 @@ def cmd_run(args):
     try:
         traj = integrate(scenario.system, scenario.initial, scenario.integrator)
     except IntegrationError as exc:
-        print(f"integration failed at step {exc.step_index}: {exc}", file=sys.stderr)
+        print(f"integration failed: {exc}", file=sys.stderr)
         if exc.partial is not None:
             write_trajectory_csv(outdir / "trajectory.csv", exc.partial)
         return EXIT_RUNTIME
@@ -380,7 +380,7 @@ def cmd_verify(args):
     try:
         traj = integrate(scenario.system, scenario.initial, scenario.integrator)
     except IntegrationError as exc:
-        print(f"integration failed at step {exc.step_index}: {exc}", file=sys.stderr)
+        print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     checks = verification_checks(scenario, traj)
     if not checks:

@@ -8,9 +8,12 @@ reconstruction.
 The certificate evaluates its fields on stacked states.  The chart fields
 and densities, and the reduced rubber Chaplygin field, map a (m, dim) array
 of states to (m, dim) derivatives and (m,) densities in one sequence of
-numpy calls.  :func:`measure_divergence` sends its whole central-difference
-stencil through them at once, and :func:`hamiltonization_check` evaluates
-the field along its physical-time path in one call.
+numpy calls; the densities are plain functions of the state.  The LR and
+L+R chart fields solve for omega' with the flows' own stack-aware
+:func:`~lrsim.systems.lr.constrained_acceleration`.
+:func:`measure_divergence` sends its whole central-difference stencil
+through them at once, and :func:`hamiltonization_check` evaluates the field
+along its physical-time path in one call.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .integrators import (
     integrate_reparametrized,
     reparametrize_trajectory,
 )
-from .operators import MeasureDensity, restricted_inverse_det
+from .operators import restricted_inverse_det
 from .systems import (
     CotangentSystem,
     LplusRSystem,
@@ -40,6 +43,7 @@ from .systems import (
     reconstruct_support_W,
 )
 from .systems.chaplygin import tangent_inertia
+from .systems.lr import constrained_acceleration
 
 FD_STEP = 1e-5
 
@@ -157,8 +161,9 @@ def measure_divergence(field, density, state, fd_step=FD_STEP):
 def lr_measure_chart(inertia, k):
     """Extended LR flow on the flat (m, alpha_1..alpha_k) chart.
 
-    Returns (field, density): the momentum equation with multipliers solved
-    from the Gram system, the transport equations for the alpha, and the
+    Returns (field, density): the momentum equation m' = I omega' with
+    omega' from the kernel's :func:`~lrsim.systems.lr.constrained_acceleration`
+    over C = (alpha_i), the transport equations for the alpha, and the
     density sqrt(det <I^-1 alpha_i, alpha_j>).  Both take one state or a
     stack of them along leading axes.
     """
@@ -171,26 +176,18 @@ def lr_measure_chart(inertia, k):
         alphas = z[..., N:].reshape(lead + (k, N))
         omega = lie.vec_to_skew(inertia.solve_vec(mv[..., None])[..., 0], n)
         torque = lie.skew_to_vec(lie.ad(lie.vec_to_skew(mv, n), omega))
-        if not k:
-            return torque
-        # the reaction C lambda over C = (alpha_i) with
-        # (C^T I^-1 C) lambda = -C^T I^-1 torque, as in the kernel's acceleration
-        basis = np.swapaxes(alphas, -1, -2)
-        binv_basis = inertia.solve_vec(basis)
-        lam = np.linalg.solve(
-            alphas @ binv_basis, -(np.swapaxes(binv_basis, -1, -2) @ torque[..., None])
-        )
-        torque = torque + (basis @ lam)[..., 0]
+        wdot = constrained_acceleration(inertia, None, torque, np.swapaxes(alphas, -1, -2))
         alpha_mats = lie.vec_to_skew(alphas, n)
         omegas = np.broadcast_to(omega[..., None, :, :], alpha_mats.shape)
         adots = lie.skew_to_vec(lie.ad(alpha_mats, omegas))
-        return np.concatenate([torque, adots.reshape(lead + (k * N,))], axis=-1)
+        # m' = I omega', as I is symmetric
+        return np.concatenate([wdot @ inertia.matrix, adots.reshape(lead + (k * N,))], axis=-1)
 
     def density(z):
         alphas = z[..., N:].reshape(z.shape[:-1] + (k, N))
         return np.sqrt(restricted_inverse_det(inertia, np.swapaxes(alphas, -1, -2)))
 
-    return field, MeasureDensity("lr", density)
+    return field, density
 
 
 _SYM_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -236,7 +233,7 @@ def lplusr_measure_chart(inertia):
         omega = lie.vec_to_skew(wv, n)
         iw = lie.vec_to_skew(wv @ inertia.matrix, n)  # I is symmetric
         torque = lie.skew_to_vec(lie.ad(iw, omega))
-        wdot = np.linalg.solve(inertia.matrix + pi, torque[..., None])[..., 0]
+        wdot = constrained_acceleration(inertia, pi, torque)
         adw = lie.ad_matrix(omega)
         pidot = pi @ adw - adw @ pi
         return np.concatenate([wdot, sym_to_coords(pidot)], axis=-1)
@@ -244,7 +241,7 @@ def lplusr_measure_chart(inertia):
     def density(z):
         return np.sqrt(np.linalg.det(inertia.matrix + coords_to_sym(z[..., N:], N)))
 
-    return field, MeasureDensity("lplusr", density)
+    return field, density
 
 
 def reduced_chaplygin_density(inertia, mass, radius):
@@ -264,7 +261,7 @@ def reduced_chaplygin_density(inertia, mass, radius):
         e = lie.wedge_map(gamma / np.linalg.norm(gamma, axis=-1, keepdims=True))
         return np.sqrt(mr2 / np.linalg.det(tangent_inertia(inertia, mr2, e)))
 
-    return MeasureDensity("cotangent", density)
+    return density
 
 
 def special_chaplygin_density(axes):
@@ -281,7 +278,7 @@ def special_chaplygin_density(axes):
         ratio = np.sum(axes * gamma * gamma, axis=-1) / np.sum(gamma * gamma, axis=-1)
         return ratio ** (-(n - 2) / 2.0)
 
-    return MeasureDensity("cotangent-special", density)
+    return density
 
 
 def chaplygin_measure_check(states, inertia, mass, radius):

@@ -11,9 +11,6 @@ defining data so that special forms act exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import liecore as lie
@@ -182,19 +179,3 @@ def restricted_operator_inverse(operator, basis, y, tol=1e-10):
     except np.linalg.LinAlgError as exc:
         raise OperatorError("restricted operator is singular") from exc
     return lie.vec_to_skew(basis.vectors @ sol, basis.n)
-
-
-@dataclass(frozen=True)
-class MeasureDensity:
-    """Invariant-measure density for one system kind.
-
-    ``fn`` evaluates the density in the flat chart the corresponding
-    divergence check uses (see :mod:`lrsim.diagnostics`), at one state or
-    at a stack of states along leading axes.
-    """
-
-    kind: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, state):
-        return self.fn(state)

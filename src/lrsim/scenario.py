@@ -9,7 +9,8 @@ entries ``pairs: [[i, j, value], ...]`` with 1-based i < j.
 Schema errors, wrong-typed values among them, raise
 :class:`ScenarioParseError` (CLI exit 2); numeric
 validation failures, including initial states violating the target
-system's constraints, raise :class:`ScenarioValidationError` (exit 3).
+system's constraints and finite values whose arithmetic overflows, raise
+:class:`ScenarioValidationError` (exit 3).
 """
 
 from __future__ import annotations
@@ -125,6 +126,9 @@ def build_scenario(data, name="<memory>", overrides=None):
         y0 = _build_initial(system, kind, data)
     except TypeError as exc:
         raise ScenarioParseError(f"wrong-typed scenario value: {exc}") from exc
+    except OverflowError as exc:
+        # Python's float ** raises where numpy would return inf
+        raise ScenarioValidationError(f"a scenario value overflows: {exc}") from exc
     except (OperatorError, lie.DimensionError, ValueError) as exc:
         if isinstance(exc, (ScenarioParseError, ScenarioValidationError)):
             raise

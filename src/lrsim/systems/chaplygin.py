@@ -44,7 +44,7 @@ from .. import liecore as lie
 from ..linalg import cho_factor, cho_solve  # noqa: F401
 from ..operators import wedge_projector_matrix
 from .base import Component, System, UNIT, VECTOR, rotation_component, skew_component
-from .lr import ConstrainedEulerSystem, MultiplierError
+from .lr import ConstrainedEulerSystem, MultiplierError, constrained_acceleration
 
 
 def vertical_vector(n):
@@ -63,6 +63,11 @@ def tangent_inertia(inertia, mr2, e):
     # the diagonals, as a strided view of the flattened (fresh, contiguous) matrices
     lmat.reshape(e.shape[:-2] + (n * n,))[..., :: n + 1] += mr2
     return lmat
+
+
+def _dot(a, b):
+    """Dot products over the last axis, kept as a trailing axis of length 1."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
 class RubberChaplyginSystem(ConstrainedEulerSystem):
@@ -137,8 +142,8 @@ class CotangentSystem(System):
     extension invariant under rescaling of gamma, and the flow preserves
     both constraint functions exactly.
 
-    ``rhs`` also takes a (..., dim) stack of states and evaluates it in one
-    sequence of numpy calls; a single state keeps its own, cheaper path.
+    ``rhs`` takes one state or a (..., dim) stack of them and evaluates
+    either in one sequence of numpy calls.
     """
 
     kind = "cotangent"
@@ -159,45 +164,27 @@ class CotangentSystem(System):
 
     def gamma_dot_of(self, gamma, p):
         """Invert p = m rho^2 gamma' - I(gamma ^ gamma') gamma on T_gamma."""
-        return self._unit_gamma_dot(gamma / np.linalg.norm(gamma), p)
+        return self._velocity(gamma, p)[1]
 
-    def _unit_gamma_dot(self, gh, p):
-        """gamma_dot_of for a gamma already normalized to ``gh``."""
-        return np.linalg.solve(self.tangent_inertia(gh), p - (gh @ p) * gh)
-
-    def rhs(self, y):
-        if y.ndim > 1:
-            return self._stacked_rhs(y)
-        gamma = y[self.slice_of("gamma")]
-        p = y[self.slice_of("p")]
-        gh = gamma / np.linalg.norm(gamma)
-        gamma_dot = self._unit_gamma_dot(gh, p)
-        # -Phi x = gamma' (gamma, x) - gamma (gamma', x) for Phi = gamma ^ gamma'
-        out = np.empty(self.dim)
-        out[self.slice_of("gamma")] = gamma_dot * (gh @ gamma) - gh * (gamma_dot @ gamma)
-        out[self.slice_of("p")] = gamma_dot * (gh @ p) - gh * (gamma_dot @ p)
-        return out
-
-    def _stacked_rhs(self, y):
-        """``rhs`` over a (..., dim) stack of states.
+    def _velocity(self, gamma, p):
+        """(gamma / |gamma|, gamma') over leading stack axes.
 
         Each dot product, the norm included, is a (1, n) @ (n, 1) matmul: the
-        same BLAS dot that ``@`` and ``np.linalg.norm`` call on one state, and
-        the solve is the same LAPACK call, so each row reproduces its
-        one-state call.
+        same BLAS dot that ``@`` and ``np.linalg.norm`` call on one vector, so
+        a stack reproduces its rows bit for bit.
         """
+        gh = gamma / np.sqrt(_dot(gamma, gamma))
+        lmat = tangent_inertia(self.inertia, self.mr2, lie.wedge_map(gh))
+        return gh, np.linalg.solve(lmat, (p - _dot(gh, p) * gh)[..., None])[..., 0]
 
-        def dot(a, b):
-            return (a[..., None, :] @ b[..., :, None])[..., 0]
-
+    def rhs(self, y):
         gamma = y[..., self.slice_of("gamma")]
         p = y[..., self.slice_of("p")]
-        gh = gamma / np.sqrt(dot(gamma, gamma))
-        lmat = tangent_inertia(self.inertia, self.mr2, lie.wedge_map(gh))
-        gamma_dot = np.linalg.solve(lmat, (p - dot(gh, p) * gh)[..., None])[..., 0]
+        gh, gamma_dot = self._velocity(gamma, p)
+        # -Phi x = gamma' (gamma, x) - gamma (gamma', x) for Phi = gamma ^ gamma'
         out = np.empty(y.shape)
-        out[..., self.slice_of("gamma")] = gamma_dot * dot(gh, gamma) - gh * dot(gamma_dot, gamma)
-        out[..., self.slice_of("p")] = gamma_dot * dot(gh, p) - gh * dot(gamma_dot, p)
+        out[..., self.slice_of("gamma")] = gamma_dot * _dot(gh, gamma) - gh * _dot(gamma_dot, gamma)
+        out[..., self.slice_of("p")] = gamma_dot * _dot(gh, p) - gh * _dot(gamma_dot, p)
         return out
 
     def energy(self, y):
@@ -294,33 +281,31 @@ class GsrSystem(System):
         n = inertia.n
         super().__init__(n, [skew_component("gamma", n), skew_component("omega", n)])
 
-    def _b_matrix(self, gamma_mat):
+    def _pi(self, gamma_mat):
+        """Pi = m rho^2 ad_gamma^T ad_gamma, the orbit-dependent part of B."""
         adg = lie.ad_matrix(gamma_mat)
-        return self.inertia.matrix + self.mr2 * (adg.T @ adg)
+        return self.mr2 * (adg.T @ adg)
 
     def momentum_vec(self, y):
         gamma = lie.vec_to_skew(y[self.slice_of("gamma")], self.n)
-        return self._b_matrix(gamma) @ y[self.slice_of("omega")]
+        return (self.inertia.matrix + self._pi(gamma)) @ y[self.slice_of("omega")]
 
     def rhs(self, y):
         n = self.n
         gamma = lie.vec_to_skew(y[self.slice_of("gamma")], n)
         wv = y[self.slice_of("omega")]
         omega = lie.vec_to_skew(wv, n)
-        b = self._b_matrix(gamma)
-        kmat = lie.vec_to_skew(b @ wv, n)
+        pi = self._pi(gamma)
+        kmat = lie.vec_to_skew((self.inertia.matrix + pi) @ wv, n)
         gamma_dot = lie.ad(gamma, omega)
         # d/dt of the orbit-dependent part of the operator applied to omega
         bdot_w = self.mr2 * (
             lie.ad(lie.ad(gamma_dot, omega), gamma) + lie.ad(lie.ad(gamma, omega), gamma_dot)
         )
-        try:
-            wdot = np.linalg.solve(b, lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w))
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("effective inertia is singular") from exc
+        torque = lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w)
         out = np.empty(self.dim)
         out[self.slice_of("gamma")] = lie.skew_to_vec(gamma_dot)
-        out[self.slice_of("omega")] = wdot
+        out[self.slice_of("omega")] = constrained_acceleration(self.inertia, pi, torque)
         return out
 
     def energy(self, y):

@@ -27,9 +27,12 @@ Both, and the coupled, support and rubber Chaplygin flows, are one field
     B omega' = [I omega, omega] + C lambda,   B = I + Pi,   g' = g omega,
 
 with the multipliers lambda over a body-frame basis C solved from the Gram
-system C^T B^-1 C.  :class:`ConstrainedEulerSystem` evaluates it once for
-all of them (the LR flow is Pi = 0, C = (alpha_i)); each flow supplies its
-Pi, its C and the transport of its extra components.
+system C^T B^-1 C.  :func:`constrained_acceleration` is the one solve for
+omega', over any leading stack axes; :class:`ConstrainedEulerSystem`
+evaluates the field with it for all of them (the LR flow is Pi = 0,
+C = (alpha_i)), and each flow supplies its Pi, its C and the transport of
+its extra components.  The flat measure charts of :mod:`lrsim.diagnostics`
+solve through it on stacks of states.
 
 B is symmetric positive definite at every finite state, by construction
 for each flow, so the kernel solves with it and never tests it:
@@ -50,8 +53,8 @@ for each flow, so the kernel solves with it and never tests it:
   matrix L(gamma) = m rho^2 Id + E I E^T instead
   (:mod:`lrsim.systems.chaplygin`).
 
-The ``gsr`` flow, outside the kernel, solves its B = I + m rho^2
-ad_gamma^T ad_gamma, I plus a positive semidefinite term, the same way.
+The ``gsr`` flow, outside the kernel, solves with the same function for
+Pi = m rho^2 ad_gamma^T ad_gamma, a positive semidefinite term.
 
 A singular B or Gram matrix raises :class:`MultiplierError`.
 """
@@ -72,6 +75,37 @@ class MultiplierError(RuntimeError):
 
 
 # --- the constrained-Euler kernel ------------------------------------------
+
+def constrained_acceleration(inertia, pi, torque, basis=None):
+    """omega' with B omega' = torque + C lambda and C^T omega' = 0, B = I + Pi.
+
+    ``pi`` is a (..., N, N) stack or None for Pi = 0, ``torque`` (..., N)
+    and ``basis`` C (..., N, k) or None; the leading axes are a stack and
+    the result is (..., N).  One solve of B against the columns
+    [torque | C] gives B^-1 torque and B^-1 C; lambda solves the Gram
+    system (C^T B^-1 C) lambda = -C^T B^-1 torque, and omega' = B^-1 torque
+    + B^-1 C lambda.  For Pi = 0 the solve reuses the stored factor of I.
+    """
+    constrained = basis is not None and basis.shape[-1] > 0
+    cols = np.concatenate([torque[..., None], basis], axis=-1) if constrained else torque[..., None]
+    if pi is None:
+        sol = cho_solve(inertia._cho, cols)
+    else:
+        try:
+            sol = np.linalg.solve(inertia.matrix + pi, cols)
+        except np.linalg.LinAlgError as exc:
+            raise MultiplierError("effective inertia is singular") from exc
+    binv_torque = sol[..., :1]
+    if not constrained:
+        return binv_torque[..., 0]
+    binv_basis = sol[..., 1:]
+    basis_t = np.swapaxes(basis, -1, -2)
+    try:
+        lam = np.linalg.solve(basis_t @ binv_basis, -(basis_t @ binv_torque))
+    except np.linalg.LinAlgError as exc:
+        raise MultiplierError("constraint multiplier system is singular") from exc
+    return (binv_torque + binv_basis @ lam)[..., 0]
+
 
 class ConstrainedEulerSystem(System):
     """Shared field  B omega' = [I omega, omega] + C lambda,  g' = g omega.
@@ -144,33 +178,10 @@ class ConstrainedEulerSystem(System):
         return {names: lambda y: basis.T @ self.spatial_momentum_vec(y)}
 
     def acceleration(self, y, wv, omega):
-        """(omega', frame): B omega' = torque + C lambda, C^T omega' = 0.
-
-        One solve of B against the columns [torque | C] gives B^-1 torque and
-        B^-1 C; lambda solves the Gram system (C^T B^-1 C) lambda
-        = -C^T B^-1 torque, and omega' = B^-1 torque + B^-1 C lambda.  For
-        Pi = 0 the solve reuses the stored factor of I.
-        """
+        """(omega', frame): :func:`constrained_acceleration` at one state."""
         pi, frame = self.pi(y)
-        torque = self.torque(wv, omega, pi)
         basis = self.constraint_basis(y, frame)
-        constrained = basis is not None and basis.shape[1] > 0
-        cols = np.column_stack([torque, basis]) if constrained else torque
-        if pi is None:
-            sol = cho_solve(self.inertia._cho, cols)
-        else:
-            try:
-                sol = np.linalg.solve(self.inertia.matrix + pi, cols)
-            except np.linalg.LinAlgError as exc:
-                raise MultiplierError("effective inertia is singular") from exc
-        if not constrained:
-            return sol, frame
-        binv_torque, binv_basis = sol[:, 0], sol[:, 1:]
-        try:
-            lam = np.linalg.solve(basis.T @ binv_basis, -(basis.T @ binv_torque))
-        except np.linalg.LinAlgError as exc:
-            raise MultiplierError("constraint multiplier system is singular") from exc
-        return binv_torque + binv_basis @ lam, frame
+        return constrained_acceleration(self.inertia, pi, self.torque(wv, omega, pi), basis), frame
 
     def rhs(self, y):
         g = y[self.slice_of("g")].reshape(self.n, self.n)

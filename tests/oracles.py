@@ -167,6 +167,26 @@ def measure_divergence_loop(field, density, state, fd_step):
     return estimate(fd_step), estimate(0.5 * fd_step)
 
 
+def cotangent_rhs_one_state(system, y):
+    """The reduced rubber Chaplygin field at one (gamma, p) state, with 1-D numpy
+    calls: ``np.linalg.norm``, ``@`` dot products and a solve against a vector.
+
+    gamma' solves L(gamma) gamma' = p - (gh, p) gh at gh = gamma / |gamma|,
+    and -Phi x = gamma' (gh, x) - gh (gamma', x) for Phi = gh ^ gamma'.
+    """
+    from lrsim.systems.chaplygin import tangent_inertia
+
+    gamma = y[system.slice_of("gamma")]
+    p = y[system.slice_of("p")]
+    gh = gamma / np.linalg.norm(gamma)
+    lmat = tangent_inertia(system.inertia, system.mr2, lie.wedge_map(gh))
+    gamma_dot = np.linalg.solve(lmat, p - (gh @ p) * gh)
+    out = np.empty(system.dim)
+    out[system.slice_of("gamma")] = gamma_dot * (gh @ gamma) - gh * (gamma_dot @ gamma)
+    out[system.slice_of("p")] = gamma_dot * (gh @ p) - gh * (gamma_dot @ p)
+    return out
+
+
 def lstar_bordered_acceleration(axes, gamma, v):
     """gamma'' of the L* geodesic flow from the bordered Euler-Lagrange system.
 

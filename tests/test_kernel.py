@@ -3,17 +3,19 @@
 The references in :mod:`oracles` are the step with an exponential at every
 stage and the field through Cholesky factors of B and of the Gram matrix.
 The step must reproduce its reference bit for bit; the field agrees to
-roundoff, since it solves B once against [torque | C] instead.
+roundoff, since it solves B once against [torque | C] instead.  The shared
+solve on a stack of states equals its one-state calls bit for bit.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from helpers import KERNEL_MAKERS, rand_skew, rand_spd_operator
+from helpers import KERNEL_MAKERS, rand_pi0, rand_skew, rand_spd_operator
 from lrsim import integrators
 from lrsim import liecore as lie
 from lrsim.systems import LRSystem, MultiplierError
+from lrsim.systems.lr import constrained_acceleration
 
 ENSEMBLE_KINDS = (
     "lr", "lplusr", "geodesic-lpr", "coupled", "ncoupled", "support", "rubber-support",
@@ -106,3 +108,60 @@ def test_singular_gram_system_is_a_multiplier_error():
     y[system.slice_of("alpha2")] = y[system.slice_of("alpha1")]
     with pytest.raises(MultiplierError, match="multiplier system is singular"):
         system.rhs(y)
+
+
+def _solve_cases(rng, n, lead):
+    """(inertia, pi, torque, basis) stacks for the three uses of the shared solve."""
+    inertia = rand_spd_operator(rng, n)
+    N = inertia.N
+    torque = rng.normal(size=lead + (N,))
+    # Pi = Ad_g^T Pi0 Ad_g at one rotation g per state, as the L+R kinds build it
+    rotations = np.array([lie.random_rotation(rng, n) for _ in range(int(np.prod(lead)))])
+    q = lie.adjoint_matrix(rotations.reshape(lead + (n, n)))
+    pis = np.swapaxes(q, -1, -2) @ rand_pi0(rng, inertia) @ q
+    # two orthonormal columns per state, as the LR alphas or a rotated h0 basis
+    bases = np.linalg.qr(rng.normal(size=lead + (N, 2)))[0]
+    return {
+        "lr": (inertia, None, torque, bases),
+        "lplusr": (inertia, pis, torque, None),
+        "coupled": (inertia, pis, torque, bases),
+    }
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)], ids=["3", "2x3"])
+@pytest.mark.parametrize("case", ["lr", "lplusr", "coupled"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_stacked_solve_equals_row_by_row(n, case, lead):
+    rng = np.random.default_rng([17, n, len(lead)])
+    inertia, pi, torque, basis = _solve_cases(rng, n, lead)[case]
+    got = constrained_acceleration(inertia, pi, torque, basis)
+    assert got.shape == torque.shape
+    for idx in np.ndindex(*lead):
+        row = constrained_acceleration(
+            inertia, None if pi is None else pi[idx], torque[idx],
+            None if basis is None else basis[idx],
+        )
+        np.testing.assert_array_equal(got[idx], row)
+    if basis is not None:
+        # the solution obeys the constraints C^T omega' = 0
+        np.testing.assert_allclose(
+            np.einsum("...ik,...i->...k", basis, got), 0.0, atol=1e-13 * np.abs(got).max()
+        )
+
+
+@pytest.mark.parametrize("case", ["lr", "lplusr", "coupled"])
+def test_singular_system_in_a_stack_is_a_multiplier_error(case):
+    inertia, pi, torque, basis = _solve_cases(np.random.default_rng(18), 4, (2, 3))[case]
+    if basis is None:
+        # B = I + Pi = 0 at one state
+        pi = pi.copy()
+        pi[1, 2] = -inertia.matrix
+        match = "effective inertia is singular"
+    else:
+        # a zero column makes one Gram matrix C^T B^-1 C exactly singular; equal
+        # columns need not, as the products round independently
+        basis = basis.copy()
+        basis[1, 2, :, 1] = 0.0
+        match = "multiplier system is singular"
+    with pytest.raises(MultiplierError, match=match):
+        constrained_acceleration(inertia, pi, torque, basis)

@@ -62,6 +62,17 @@ NON_FINITE_CASES = [
 ]
 
 
+# finite values whose square overflows: (file, path to the value)
+OVERFLOW_CASES = [
+    ("cotangent.yaml", ["radius"]),
+    ("gsr.yaml", ["radius"]),
+    ("rubber_chaplygin3.yaml", ["radius"]),
+    ("rubber_chaplygin4.yaml", ["radius"]),
+    ("coupled.yaml", ["coupling", "rhos", 0]),
+    ("rubber_support.yaml", ["bodies", 0, "rho"]),
+]
+
+
 class TestScenarioBuilding:
     def test_minimal_free_top(self):
         scenario = build_scenario(MINIMAL_FREE_TOP)
@@ -243,7 +254,9 @@ class TestCliRun:
             code = main(["run", str(SCENARIO_DIR / "lstar_geodesic.yaml"), "--h", "3",
                          "--out", str(out)])
         assert code == 4
-        assert "non-finite state" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "non-finite state" in err
+        assert err.count("step ") == 1  # only in "(step i)"
         data = np.genfromtxt(out / "trajectory.csv", delimiter=",", skip_header=1)
         assert data.shape[0] >= 1 and np.isfinite(data).all()
 
@@ -281,6 +294,29 @@ class TestCliRun:
         )
         assert proc.returncode == 4
         assert f"trajectory of {2**62} steps" in proc.stderr
+        assert proc.stderr.count("step ") == 1  # only in "(step i)"
+        assert "Traceback" not in proc.stderr
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("name, path", OVERFLOW_CASES, ids=[case[0] for case in OVERFLOW_CASES])
+    def test_overflowing_finite_value_exit_3(self, tmp_path, name, path, command):
+        # finite, but its square overflows Python's float ** in the constructor
+        data = shipped(name)
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 1.0e308
+        scen = write_yaml(tmp_path / "huge.yaml", data)
+        out = tmp_path / "out"
+        args = [scen, "--out", str(out)] if command == "run" else [scen]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrsim.cli", command, *args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert "scenario validation error" in proc.stderr and "overflows" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (out / "trajectory.csv").exists()
 
@@ -325,7 +361,9 @@ class TestCliRun:
         scen = write_yaml(tmp_path / "top.yaml", MINIMAL_FREE_TOP)
         out = tmp_path / "out"
         assert main(["run", scen, "--out", str(out)]) == 4
-        assert "step 3" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "step 3" in err
+        assert err.count("step ") == 1  # only in "(step i)"
         assert (out / "trajectory.csv").exists()
 
     def test_rolling_demo_scenario_energy_drift(self, tmp_path):
@@ -368,6 +406,7 @@ class TestCliVerify:
             assert main(["verify", scen, "--h", "3"]) == 4
         captured = capsys.readouterr()
         assert "non-finite state" in captured.err
+        assert captured.err.count("step ") == 1  # only in "(step i)"
         assert "PASS" not in captured.out
 
     @pytest.mark.parametrize(

@@ -185,6 +185,16 @@ class TestCotangent:
             )
         assert worst < 1e-7
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_rhs_equals_one_state_oracle_bitwise(self, n):
+        # one body serves a state and a stack; at one state it reproduces the
+        # 1-D numpy calls of the oracle bit for bit, on and off the constraint set
+        local = np.random.default_rng(420 + n)
+        system, y0 = make_cotangent(local, n)
+        off = np.concatenate([1.7 * rand_unit(local, n), local.normal(size=n)])
+        for y in [y0, off, *integrate(system, y0, IntegratorConfig(h=1e-2, steps=4)).states]:
+            np.testing.assert_array_equal(system.rhs(y), oracles.cotangent_rhs_one_state(system, y))
+
     def test_constraints_preserved(self):
         system, y0 = make_cotangent(rng, 4)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
