@@ -167,19 +167,18 @@ def lr_measure_chart(inertia, k):
     density sqrt(det <I^-1 alpha_i, alpha_j>).  Both take one state or a
     stack of them along leading axes.
     """
-    n = inertia.n
     N = inertia.N
 
     def field(z):
         lead = z.shape[:-1]
         mv = z[..., :N]
         alphas = z[..., N:].reshape(lead + (k, N))
-        omega = lie.vec_to_skew(inertia.solve_vec(mv[..., None])[..., 0], n)
-        torque = lie.skew_to_vec(lie.ad(lie.vec_to_skew(mv, n), omega))
+        # ad_omega, omega = I^-1 m; [m, omega] = -ad_omega m
+        adw = lie.ad_vec(inertia.solve_vec(mv[..., None])[..., 0])
+        torque = -(adw @ mv[..., None])[..., 0]
         wdot = constrained_acceleration(inertia, None, torque, np.swapaxes(alphas, -1, -2))
-        alpha_mats = lie.vec_to_skew(alphas, n)
-        omegas = np.broadcast_to(omega[..., None, :, :], alpha_mats.shape)
-        adots = lie.skew_to_vec(lie.ad(alpha_mats, omegas))
+        # alpha_i' = [alpha_i, omega] = -ad_omega alpha_i, row i of alphas @ ad_omega
+        adots = alphas @ adw
         # m' = I omega', as I is symmetric
         return np.concatenate([wdot @ inertia.matrix, adots.reshape(lead + (k * N,))], axis=-1)
 
@@ -224,17 +223,15 @@ def lplusr_measure_chart(inertia):
     are the chart coordinates.  Field and density take one state or a stack
     of them along leading axes.
     """
-    n = inertia.n
     N = inertia.N
 
     def field(z):
         wv = z[..., :N]
         pi = coords_to_sym(z[..., N:], N)
-        omega = lie.vec_to_skew(wv, n)
-        iw = lie.vec_to_skew(wv @ inertia.matrix, n)  # I is symmetric
-        torque = lie.skew_to_vec(lie.ad(iw, omega))
+        adw = lie.ad_vec(wv)
+        # [I omega, omega] = -ad_omega I omega, with I symmetric
+        torque = -(adw @ (wv @ inertia.matrix)[..., None])[..., 0]
         wdot = constrained_acceleration(inertia, pi, torque)
-        adw = lie.ad_matrix(omega)
         pidot = pi @ adw - adw @ pi
         return np.concatenate([wdot, sym_to_coords(pidot)], axis=-1)
 

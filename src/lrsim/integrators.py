@@ -10,7 +10,11 @@ Two fourth-order methods:
   staged body velocities corrected by the truncated inverse differential of
   exp; the remaining components take the classical update.  The first stage
   is the field at the state itself (u = 0), so it takes no exponential and
-  a step costs four: one per later stage and one for the update.
+  a step costs four: one per later stage and one for the update.  As
+  g exp(u) stays orthogonal to roundoff, only unit vectors are renormalized
+  after it; rotations get no polar factor.
+
+Only ``rk4-projected`` polar-projects rotations.
 
 Both are O(h^5) per step.  A trajectory records the uniform time grid and
 every state; integration aborts cleanly on field errors and on non-finite
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import liecore as lie
-from .systems.base import ROTATION
+from .systems.base import ROTATION, normalize_units
 
 METHODS = ("rk4-projected", "lie-rk4")
 
@@ -130,14 +134,19 @@ def _lie_rk4(system, y, h):
 
 
 def step(system, y, h, method="rk4-projected", project=True):
-    """One integration step; projection keeps states on their manifolds."""
+    """One integration step; projection keeps states on their manifolds.
+
+    With ``project``, ``rk4-projected`` applies ``system.project`` (polar
+    factors of the rotations, unit vectors renormalized) and ``lie-rk4``
+    renormalizes the unit vectors only.
+    """
     if method == "rk4-projected":
         y_new = _rk4_flat(system.rhs, y, h)
-    elif method == "lie-rk4":
+        return system.project(y_new) if project else y_new
+    if method == "lie-rk4":
         y_new = _lie_rk4(system, y, h)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return system.project(y_new) if project else y_new
+        return normalize_units(system, y_new) if project else y_new
+    raise ValueError(f"unknown method {method!r}")
 
 
 def integrate(system, y0, cfg, hook=None):

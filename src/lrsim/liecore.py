@@ -8,10 +8,17 @@ The scalar product used throughout is the Ad-invariant one,
 under which the elementary bivectors E_ij = e_i ^ e_j (i < j, ordered
 lexicographically) form an orthonormal basis.  Skew matrices are freely
 converted to/from their coordinate vectors in that basis.
+
+Brackets on the hot paths never leave those coordinates.  The structure
+constants of so(n) form an (N, N^2) matrix S whose row a is ad_{E_a}
+flattened, so ad_x = (x @ S).reshape(N, N) for a coordinate vector x and
+[X, Y] has coordinates ad_x y (:func:`ad_vec`).  Every entry of S is 0 or
++-1 and every entry of ad_x is +-x_a for exactly one a, so the map is exact.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -218,6 +225,38 @@ def ad_matrix(x):
     basis = bivector_basis(x.shape[-1])
     # every basis entry is 0 or +-1, so each product, and the matrix, is exact
     return np.swapaxes(skew_to_vec(x @ basis - basis @ x), -1, -2)
+
+
+_STRUCTURE_CACHE: dict[int, np.ndarray] = {}
+
+
+def structure_constants(n):
+    """The (N, N^2) structure-constant matrix S of so(n), S[a] = ad_{E_a} flattened.
+
+    S[a, b N + c] is the E_b coordinate of [E_a, E_c], 0 or +-1.  It is built
+    once per n, on first use, and is read-only.
+    """
+    if n not in _STRUCTURE_CACHE:
+        s = ad_matrix(bivector_basis(n)).reshape(so_dim(n), -1)
+        s.setflags(write=False)
+        _STRUCTURE_CACHE[n] = s
+    return _STRUCTURE_CACHE[n]
+
+
+def ad_vec(x):
+    """Matrix of ad_x on bivector coordinates from the coordinates x of X.
+
+    (..., N) maps to (..., N, N), and ad_vec(x) @ y are the coordinates of
+    [X, Y].  It equals ``ad_matrix(vec_to_skew(x, n))`` bit for bit, with one
+    matmul against :func:`structure_constants` instead of a round trip
+    through n x n matrices.
+    """
+    x = np.asarray(x, dtype=float)
+    N = x.shape[-1]
+    n = (1 + math.isqrt(1 + 8 * N)) // 2
+    if so_dim(n) != N:
+        raise DimensionError(f"{N} is not the dimension of any so(n)")
+    return (x @ structure_constants(n)).reshape(x.shape[:-1] + (N, N))
 
 
 # --- subspaces ------------------------------------------------------------

@@ -45,6 +45,18 @@ def polar_project(g):
     return r
 
 
+def normalize_units(system, y):
+    """Divide every unit component of the flat state ``y`` by its norm, in place.
+
+    It reads only ``system.components`` and ``system.slice_of``.
+    """
+    for comp in system.components:
+        if comp.kind == UNIT:
+            sl = system.slice_of(comp.name)
+            y[sl] /= np.linalg.norm(y[sl])
+    return y
+
+
 class System:
     """Base class: flat-state layout plus generic projection and reports."""
 
@@ -105,14 +117,11 @@ class System:
 
     def project(self, y):
         """Re-orthogonalize rotations, renormalize unit vectors."""
-        y = y.copy()
+        y = normalize_units(self, y.copy())
         for comp, off in zip(self.components, self._offsets):
             if comp.kind == ROTATION:
                 g = y[off:off + comp.size].reshape(self.n, self.n)
                 y[off:off + comp.size] = polar_project(g).ravel()
-            elif comp.kind == UNIT:
-                v = y[off:off + comp.size]
-                y[off:off + comp.size] = v / np.linalg.norm(v)
         return y
 
     def column_names(self):

@@ -103,12 +103,12 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         gamma = self.gamma_of(y)
         return self.mr2 * wedge_projector_matrix(gamma), gamma
 
-    def acceleration(self, y, wv, omega):
+    def acceleration(self, y, wv, adw):
         """(omega', gamma) with omega' = E^T x, L(gamma) x = E [I omega, omega]."""
         gamma = self.gamma_of(y)
         e = lie.wedge_map(gamma)
         lmat = tangent_inertia(self.inertia, self.mr2, e)
-        return e.T @ np.linalg.solve(lmat, e @ self.torque(wv, omega, None)), gamma
+        return e.T @ np.linalg.solve(lmat, e @ self.torque(wv, adw, None)), gamma
 
     def constraints(self, y):
         out = super().constraints(y)
@@ -164,27 +164,28 @@ class CotangentSystem(System):
 
     def gamma_dot_of(self, gamma, p):
         """Invert p = m rho^2 gamma' - I(gamma ^ gamma') gamma on T_gamma."""
-        return self._velocity(gamma, p)[1]
+        return self._velocity(gamma, p)[2]
 
     def _velocity(self, gamma, p):
-        """(gamma / |gamma|, gamma') over leading stack axes.
+        """(gh, (gh, p), gamma') with gh = gamma / |gamma|, over leading stack axes.
 
         Each dot product, the norm included, is a (1, n) @ (n, 1) matmul: the
         same BLAS dot that ``@`` and ``np.linalg.norm`` call on one vector, so
         a stack reproduces its rows bit for bit.
         """
         gh = gamma / np.sqrt(_dot(gamma, gamma))
+        ghp = _dot(gh, p)
         lmat = tangent_inertia(self.inertia, self.mr2, lie.wedge_map(gh))
-        return gh, np.linalg.solve(lmat, (p - _dot(gh, p) * gh)[..., None])[..., 0]
+        return gh, ghp, np.linalg.solve(lmat, (p - ghp * gh)[..., None])[..., 0]
 
     def rhs(self, y):
         gamma = y[..., self.slice_of("gamma")]
         p = y[..., self.slice_of("p")]
-        gh, gamma_dot = self._velocity(gamma, p)
+        gh, ghp, gamma_dot = self._velocity(gamma, p)
         # -Phi x = gamma' (gamma, x) - gamma (gamma', x) for Phi = gamma ^ gamma'
         out = np.empty(y.shape)
         out[..., self.slice_of("gamma")] = gamma_dot * _dot(gh, gamma) - gh * _dot(gamma_dot, gamma)
-        out[..., self.slice_of("p")] = gamma_dot * _dot(gh, p) - gh * _dot(gamma_dot, p)
+        out[..., self.slice_of("p")] = gamma_dot * ghp - gh * _dot(gamma_dot, p)
         return out
 
     def energy(self, y):
@@ -281,30 +282,28 @@ class GsrSystem(System):
         n = inertia.n
         super().__init__(n, [skew_component("gamma", n), skew_component("omega", n)])
 
-    def _pi(self, gamma_mat):
+    def _pi(self, adg):
         """Pi = m rho^2 ad_gamma^T ad_gamma, the orbit-dependent part of B."""
-        adg = lie.ad_matrix(gamma_mat)
         return self.mr2 * (adg.T @ adg)
 
     def momentum_vec(self, y):
-        gamma = lie.vec_to_skew(y[self.slice_of("gamma")], self.n)
-        return (self.inertia.matrix + self._pi(gamma)) @ y[self.slice_of("omega")]
+        adg = lie.ad_vec(y[self.slice_of("gamma")])
+        return (self.inertia.matrix + self._pi(adg)) @ y[self.slice_of("omega")]
 
     def rhs(self, y):
-        n = self.n
-        gamma = lie.vec_to_skew(y[self.slice_of("gamma")], n)
         wv = y[self.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
-        pi = self._pi(gamma)
-        kmat = lie.vec_to_skew((self.inertia.matrix + pi) @ wv, n)
-        gamma_dot = lie.ad(gamma, omega)
-        # d/dt of the orbit-dependent part of the operator applied to omega
-        bdot_w = self.mr2 * (
-            lie.ad(lie.ad(gamma_dot, omega), gamma) + lie.ad(lie.ad(gamma, omega), gamma_dot)
-        )
-        torque = lie.skew_to_vec(lie.ad(kmat, omega) - bdot_w)
+        adg = lie.ad_vec(y[self.slice_of("gamma")])
+        adw = lie.ad_vec(wv)
+        pi = self._pi(adg)
+        gamma_dot = adg @ wv
+        # d/dt of the orbit-dependent part of the operator applied to omega,
+        # m rho^2 [[gamma', omega], gamma]; its other term [[gamma, omega], gamma']
+        # is [gamma', gamma'] = 0
+        bdot_w = self.mr2 * (adg @ (adw @ gamma_dot))
+        # [k, omega] - bdot_w
+        torque = -(adw @ ((self.inertia.matrix + pi) @ wv)) - bdot_w
         out = np.empty(self.dim)
-        out[self.slice_of("gamma")] = lie.skew_to_vec(gamma_dot)
+        out[self.slice_of("gamma")] = gamma_dot
         out[self.slice_of("omega")] = constrained_acceleration(self.inertia, pi, torque)
         return out
 

@@ -93,7 +93,7 @@ class CoupledFullSystem(_CoupledBase):
         comps = [rotation_component(n), skew_component("omega", n), skew_component("W", n)]
         super().__init__(inertia, h0, subspaces, coupling, rhos, comps)
 
-    def transport(self, y, frame, omega, wdot, out):
+    def transport(self, y, frame, omega, adw, wdot, out):
         omega_dot_space = frame @ wdot
         w_dot = np.zeros(self.N)
         for h, rho in zip(self.subspaces, self.rhos):
@@ -180,7 +180,7 @@ class NCoupledSystem(ConstrainedEulerSystem):
         self.pi0 = pi0
         super().__init__(n, comps)
 
-    def transport(self, y, frame, omega, wdot, out):
+    def transport(self, y, frame, omega, adw, wdot, out):
         omega_dot_space = frame @ wdot
         for idx, body in enumerate(self.bodies):
             out[self.slice_of(f"W{idx + 1}")] = -(body["b"].T @ (body["cinv_a"] @ omega_dot_space))

@@ -118,8 +118,12 @@ class ConstrainedEulerSystem(System):
       reused; it also returns per-state data (the Ad_g matrix, the contact
       directions) that the other two hooks receive as ``frame``;
     * ``constraint_basis(y, frame)`` -- the body-frame basis C, or None;
-    * ``transport(y, frame, omega, wdot, out)`` -- fills the derivatives of
-      the components after g and omega.
+    * ``transport(y, frame, omega, adw, wdot, out)`` -- fills the derivatives
+      of the components after g and omega.
+
+    ``rhs`` builds omega twice, once as a skew matrix for g' = g omega and
+    once as ad_omega = ``lie.ad_vec(wv)`` for every bracket with it; the hooks
+    receive both.
 
     The default ``pi`` is Ad_g^T Pi0 Ad_g for systems that set ``pi0``.
     The kernel also reports the integrals every flow shares: the energy
@@ -138,13 +142,12 @@ class ConstrainedEulerSystem(System):
     def constraint_basis(self, y, frame):
         return None
 
-    def transport(self, y, frame, omega, wdot, out):
+    def transport(self, y, frame, omega, adw, wdot, out):
         pass
 
-    def torque(self, wv, omega, pi):
-        """[I omega, omega]."""
-        iw = lie.vec_to_skew(self.inertia.apply_vec(wv), self.n)
-        return lie.skew_to_vec(lie.ad(iw, omega))
+    def torque(self, wv, adw, pi):
+        """[I omega, omega] = -ad_omega I omega."""
+        return -(adw @ self.inertia.apply_vec(wv))
 
     def effective_inertia(self, y):
         """B = I + Pi at a state."""
@@ -177,21 +180,22 @@ class ConstrainedEulerSystem(System):
         names = tuple(f"{prefix}_{j + 1}" for j in range(basis.shape[1]))
         return {names: lambda y: basis.T @ self.spatial_momentum_vec(y)}
 
-    def acceleration(self, y, wv, omega):
+    def acceleration(self, y, wv, adw):
         """(omega', frame): :func:`constrained_acceleration` at one state."""
         pi, frame = self.pi(y)
         basis = self.constraint_basis(y, frame)
-        return constrained_acceleration(self.inertia, pi, self.torque(wv, omega, pi), basis), frame
+        return constrained_acceleration(self.inertia, pi, self.torque(wv, adw, pi), basis), frame
 
     def rhs(self, y):
         g = y[self.slice_of("g")].reshape(self.n, self.n)
         wv = y[self.slice_of("omega")]
         omega = lie.vec_to_skew(wv, self.n)
-        wdot, frame = self.acceleration(y, wv, omega)
+        adw = lie.ad_vec(wv)
+        wdot, frame = self.acceleration(y, wv, adw)
         out = np.empty(self.dim)
         out[self.slice_of("g")] = (g @ omega).ravel()
         out[self.slice_of("omega")] = wdot
-        self.transport(y, frame, omega, wdot, out)
+        self.transport(y, frame, omega, adw, wdot, out)
         return out
 
 
@@ -219,22 +223,19 @@ class LRSystem(ConstrainedEulerSystem):
             parts[f"alpha{i + 1}"] = lie.Ad(parts["g"].T, a)
         return self.pack(**parts)
 
-    def _alphas(self, y):
-        return [
-            y[self.slice_of(f"alpha{i + 1}")]
-            for i in range(self.k)
-        ]
+    def _alpha_block(self, y):
+        """The alpha components, stored one after another after omega, as (k, N) rows."""
+        start = self.slice_of("omega").stop
+        return y[start:start + self.k * self.N].reshape(self.k, self.N)
 
     def constraint_basis(self, y, frame):
-        # the alpha components are stored one after another after omega
-        start = self.slice_of("omega").stop
-        return y[start:start + self.k * self.N].reshape(self.k, self.N).T
+        return self._alpha_block(y).T
 
-    def transport(self, y, frame, omega, wdot, out):
-        for i, a in enumerate(self._alphas(y)):
-            out[self.slice_of(f"alpha{i + 1}")] = lie.skew_to_vec(
-                lie.ad(lie.vec_to_skew(a, self.n), omega)
-            )
+    def transport(self, y, frame, omega, adw, wdot, out):
+        # alpha_i' = [alpha_i, omega] = -ad_omega alpha_i is row i of
+        # alphas @ ad_omega, as ad_omega is skew: all of them in one matmul
+        start = self.slice_of("omega").stop
+        out[start:start + self.k * self.N] = (self._alpha_block(y) @ adw).ravel()
 
     def conserved(self):
         out = {"energy": self.energy}
@@ -247,7 +248,7 @@ class LRSystem(ConstrainedEulerSystem):
     def constraints(self, y):
         out = super().constraints(y)
         wv = y[self.slice_of("omega")]
-        alphas = self._alphas(y)
+        alphas = self._alpha_block(y)
         for i, a in enumerate(alphas):
             out[f"right_invariant_{i + 1}"] = abs(float(a @ wv))
         for i in range(self.k):
@@ -294,11 +295,9 @@ class GeodesicLplusRSystem(LplusRSystem):
 
     kind = "geodesic-lpr"
 
-    def torque(self, wv, omega, pi):
-        """[B omega, omega] + 2 [omega, Pi omega]."""
-        bw = lie.vec_to_skew((self.inertia.matrix + pi) @ wv, self.n)
-        piw = lie.vec_to_skew(pi @ wv, self.n)
-        return lie.skew_to_vec(lie.ad(bw, omega) + 2.0 * lie.ad(omega, piw))
+    def torque(self, wv, adw, pi):
+        """[B omega, omega] + 2 [omega, Pi omega] = ad_omega (Pi omega - I omega)."""
+        return adw @ (pi @ wv - self.inertia.apply_vec(wv))
 
     def conserved(self):
         return {"energy": self.energy}

@@ -48,26 +48,33 @@ class _SupportBase(ConstrainedEulerSystem):
         comps = [rotation_component(n), skew_component("omega", n)]
         comps += [Component(f"gamma{i + 1}", UNIT, n) for i in range(self.n_bodies)]
         super().__init__(n, comps)
+        # c_i once per row of the stacked (bodies * n, N) wedge maps
+        self._weights = np.repeat(self._coefficients(), n)[:, None]
 
     def _gammas(self, y):
-        return [y[self.slice_of(f"gamma{i + 1}")] for i in range(self.n_bodies)]
+        """The contact directions, stored one after another after omega, as (bodies, n) rows."""
+        start = self.slice_of("omega").stop
+        return y[start:start + self.n_bodies * self.n].reshape(self.n_bodies, self.n)
 
     def _coefficients(self):
         raise NotImplementedError
 
     def _contact_pi(self, gammas):
-        pi = self.shift * np.eye(self.N)
-        for c, gamma in zip(self._coefficients(), gammas):
-            pi += c * wedge_projector_matrix(gamma / np.linalg.norm(gamma))
+        """shift Id + sum_i c_i E_i^T E_i over the wedge maps E_i of the unit gammas."""
+        units = gammas / np.linalg.norm(gammas, axis=-1, keepdims=True)
+        e = lie.wedge_map(units).reshape(-1, self.N)
+        pi = e.T @ (self._weights * e)
+        pi.flat[:: self.N + 1] += self.shift
         return pi
 
     def pi(self, y):
         gammas = self._gammas(y)
         return self._contact_pi(gammas), gammas
 
-    def transport(self, y, frame, omega, wdot, out):
-        for i, gamma in enumerate(frame):
-            out[self.slice_of(f"gamma{i + 1}")] = -omega @ gamma
+    def transport(self, y, frame, omega, adw, wdot, out):
+        # gamma_i' = -omega gamma_i is row i of gammas @ omega, as omega is skew
+        start = self.slice_of("omega").stop
+        out[start:start + frame.size] = (frame @ omega).ravel()
 
     def momentum_matrix(self, y):
         """B omega as a skew matrix (the conserved-trace building block)."""

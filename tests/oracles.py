@@ -263,10 +263,9 @@ def factored_acceleration(system, y):
     from lrsim.linalg import cho_factor, cho_solve
 
     wv = y[system.slice_of("omega")]
-    omega = lie.vec_to_skew(wv, system.n)
     pi, frame = system.pi(y)
     b_cho = system.inertia._cho if pi is None else cho_factor(system.inertia.matrix + pi)
-    torque = system.torque(wv, omega, pi)
+    torque = system.torque(wv, lie.ad_vec(wv), pi)
     basis = system.constraint_basis(y, frame)
     if basis is not None and basis.shape[1]:
         binv_basis = cho_solve(b_cho, basis)

@@ -14,7 +14,7 @@ import oracles
 from helpers import KERNEL_MAKERS, rand_pi0, rand_skew, rand_spd_operator
 from lrsim import integrators
 from lrsim import liecore as lie
-from lrsim.systems import LRSystem, MultiplierError
+from lrsim.systems import LRSystem, MultiplierError, base
 from lrsim.systems.lr import constrained_acceleration
 
 ENSEMBLE_KINDS = (
@@ -50,6 +50,47 @@ def test_lie_step_takes_four_exponentials_per_rotation(kind, monkeypatch):
     assert not any(np.all(a == 0.0) for a in calls)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("kind", ["lr", "support", "ncoupled", "rubber-chaplygin"])
+def test_lie_rk4_stays_orthogonal_without_a_polar_factor(kind, n, monkeypatch):
+    # g exp(u) is orthogonal to roundoff, so the step never polar-projects;
+    # only the unit vectors (the support gammas) are renormalized
+    def no_polar(g):
+        raise AssertionError("lie-rk4 took a polar factor")
+
+    monkeypatch.setattr(base, "polar_project", no_polar)
+    system, y = kernel_case(kind, n, 17)
+    traj = integrators.integrate(system, y, integrators.IntegratorConfig("lie-rk4", 1e-3, 10_000))
+    units = [c.name for c in system.components if c.kind == "unit"]
+    if kind == "support":
+        assert units
+    for z in traj.states[::250]:
+        residuals = system.constraints(z)
+        assert residuals["g_orthogonality"] < 1e-12
+        for name in units:
+            assert residuals[f"{name}_norm"] < 1e-15
+
+
+def test_only_rk4_projected_takes_polar_factors(monkeypatch):
+    calls = []
+    polar = base.polar_project
+    monkeypatch.setattr(base, "polar_project", lambda g: calls.append(g) or polar(g))
+    system, y = kernel_case("support", 4, 18)
+    # a rotation off SO(n) by 1e-7: the polar factor removes the defect, the
+    # Lie step carries it along
+    y = y.copy()
+    y[system.slice_of("g")] *= 1.0 + 1e-7
+    projected = integrators.step(system, y, 1e-3, method="rk4-projected")
+    assert len(calls) == 1
+    assert system.constraints(projected)["g_orthogonality"] < 1e-14
+    lie_step = integrators.step(system, y, 1e-3, method="lie-rk4")
+    assert len(calls) == 1
+    assert system.constraints(lie_step)["g_orthogonality"] > 1e-7
+    for comp in system.components:
+        if comp.kind == "unit":
+            assert system.constraints(lie_step)[f"{comp.name}_norm"] < 1e-15
+
+
 # rubber-chaplygin overrides the solve with its own n x n one
 SOLVE_KINDS = sorted(set(KERNEL_MAKERS) - {"rubber-chaplygin"})
 
@@ -68,12 +109,12 @@ def test_acceleration_matches_factored_reference(kind, n):
     off[system.slice_of("omega")] += rng.normal(size=system.N)
     for y in list(integrators.integrate(system, y0, cfg).states) + [off]:
         wv = y[system.slice_of("omega")]
-        omega = lie.vec_to_skew(wv, n)
-        got, _ = system.acceleration(y, wv, omega)
+        adw = lie.ad_vec(wv)
+        got, _ = system.acceleration(y, wv, adw)
         ref = oracles.factored_acceleration(system, y)
         # relative to B^-1 torque: with constraints, omega' is what is left
         # after the reaction cancels most of it
-        torque = system.torque(wv, omega, system.pi(y)[0])
+        torque = system.torque(wv, adw, system.pi(y)[0])
         scale = np.linalg.norm(np.linalg.solve(system.effective_inertia(y), torque))
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
@@ -106,6 +147,17 @@ def test_singular_gram_system_is_a_multiplier_error():
     y = system.initial_state(lie.random_rotation(rng, 4), rand_skew(rng, 4))
     # two equal constraint columns make C^T B^-1 C exactly singular
     y[system.slice_of("alpha2")] = y[system.slice_of("alpha1")]
+    with pytest.raises(MultiplierError, match="multiplier system is singular"):
+        system.rhs(y)
+
+
+def test_zero_constraint_column_is_a_multiplier_error():
+    rng = np.random.default_rng(16)
+    basis = lie.orthonormal_basis_of([rand_skew(rng, 4), rand_skew(rng, 4)], n=4)
+    system = LRSystem(rand_spd_operator(rng, 4), basis)
+    y = system.initial_state(lie.random_rotation(rng, 4), rand_skew(rng, 4))
+    # a zero constraint column makes C^T B^-1 C singular under any rounding
+    y[system.slice_of("alpha2")] = 0.0
     with pytest.raises(MultiplierError, match="multiplier system is singular"):
         system.rhs(y)
 

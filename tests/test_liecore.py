@@ -219,6 +219,32 @@ class TestBivectorCoordinates:
         )
 
 
+class TestStructureConstants:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_ad_vec_is_ad_matrix_exactly(self, n):
+        x = np.random.default_rng([30, n]).normal(size=(2, 3, lie.so_dim(n)))
+        # every entry is +-x_a for one a, so no rounding separates the two
+        np.testing.assert_array_equal(lie.ad_vec(x[0, 0]), lie.ad_matrix(lie.vec_to_skew(x[0, 0], n)))
+        stacked = lie.ad_vec(x)
+        assert stacked.shape == (2, 3, lie.so_dim(n), lie.so_dim(n))
+        np.testing.assert_array_equal(stacked, lie.ad_matrix(lie.vec_to_skew(x, n)))
+        # and exactly skew, which the transports of the flows rely on
+        np.testing.assert_array_equal(np.swapaxes(stacked, -1, -2), -stacked)
+
+    def test_structure_constants_are_cached_and_read_only(self):
+        s = lie.structure_constants(4)
+        assert s.shape == (6, 36)
+        assert not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0, 0] = 1.0
+        assert lie.structure_constants(4) is s
+        assert set(np.unique(s)) <= {-1.0, 0.0, 1.0}
+
+    def test_ad_vec_rejects_a_length_that_is_no_so_n(self):
+        with pytest.raises(lie.DimensionError):
+            lie.ad_vec(np.ones(4))
+
+
 class TestHouseholderFrame:
     def test_maps_last_axis_to_gamma(self):
         for _ in range(10):

@@ -47,6 +47,28 @@ def test_jacobi_identity(data, n):
     np.testing.assert_allclose(cyclic, 0.0, atol=1e-13)
 
 
+def vecs(n):
+    return st.lists(coords, min_size=lie.so_dim(n), max_size=lie.so_dim(n)).map(np.array)
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from([2, 3, 4, 5, 6]))
+def test_coordinate_bracket_is_the_commutator(data, n):
+    x, y = data.draw(vecs(n)), data.draw(vecs(n))
+    ref = lie.skew_to_vec(lie.ad(lie.vec_to_skew(x, n), lie.vec_to_skew(y, n)))
+    scale = max(np.linalg.norm(x) * np.linalg.norm(y), np.finfo(float).tiny)
+    assert np.max(np.abs(lie.ad_vec(x) @ y - ref)) <= 1e-15 * scale
+
+
+@PROPERTY
+@given(st.data(), dims)
+def test_jacobi_identity_in_coordinates(data, n):
+    x, y, z = (data.draw(vecs(n)) for _ in range(3))
+    ad = lie.ad_vec
+    cyclic = ad(x) @ (ad(y) @ z) + ad(y) @ (ad(z) @ x) + ad(z) @ (ad(x) @ y)
+    np.testing.assert_allclose(cyclic, 0.0, atol=1e-13)
+
+
 @PROPERTY
 @given(st.data(), dims)
 def test_inner_is_ad_invariant(data, n):
