@@ -224,24 +224,9 @@ def verification_checks(scenario, traj):
             alphas = [q.T @ system.h_space.vectors[:, i] for i in range(system.k)]
             states.append(np.concatenate([rng.normal(size=system.N)] + alphas))
         checks.append(_divergence_checks("measure[lr]", field, density, states))
-        study = diag.epsilon_limit_study(
-            system.inertia,
-            system.h_space,
-            np.eye(n),
-            _constrained_omega(system, rng),
-            (1e2, 1e4, 1e6),
-            IntegratorConfig(h=scenario.integrator.h, steps=min(scenario.integrator.steps, 1000)),
+        checks += _penalty_limit_checks(
+            scenario, system.h_space, np.eye(n), _constrained_omega(system, rng), table=False
         )
-        decreasing = all(a > b for a, b in zip(study.errors, study.errors[1:]))
-        checks.append(
-            Check(
-                "epsilon_limit[decreasing]",
-                0.0 if decreasing else 1.0,
-                0.5,
-                "errors " + ", ".join(f"{e:.3e}" for e in study.errors),
-            )
-        )
-        checks.append(Check("epsilon_limit[final]", study.errors[-1], EPSILON_FINAL_TOL))
 
     if isinstance(system, LplusRSystem):
         field, density = diag.lplusr_measure_chart(system.inertia)
@@ -259,22 +244,8 @@ def verification_checks(scenario, traj):
             basis, _ = scenario.penalty_form
             wv = traj.states[0][system.slice_of("omega")]
             wv = wv - basis.vectors @ (basis.vectors.T @ wv)
-            study = diag.epsilon_limit_study(
-                system.inertia,
-                basis,
-                traj.states[0][system.slice_of("g")].reshape(n, n),
-                lie.vec_to_skew(wv, n),
-                (1e2, 1e4, 1e6),
-                IntegratorConfig(h=scenario.integrator.h, steps=min(scenario.integrator.steps, 1000)),
-            )
-            decreasing = all(a > b for a, b in zip(study.errors, study.errors[1:]))
-            print("  penalty-limit error table:")
-            for eps, err in zip(study.epsilons, study.errors):
-                print(f"    eps={eps:.1e}  sup-error={err:.6e}")
-            checks.append(
-                Check("epsilon_limit[decreasing]", 0.0 if decreasing else 1.0, 0.5)
-            )
-            checks.append(Check("epsilon_limit[final]", study.errors[-1], EPSILON_FINAL_TOL))
+            g0 = traj.states[0][system.slice_of("g")].reshape(n, n)
+            checks += _penalty_limit_checks(scenario, basis, g0, lie.vec_to_skew(wv, n), table=True)
 
     if isinstance(system, CoupledFullSystem):
         reduced = CoupledReducedSystem(
@@ -344,6 +315,26 @@ def verification_checks(scenario, traj):
     return checks
 
 
+def _penalty_limit_checks(scenario, basis, g0, omega0, table):
+    """Penalty-limit checks from (g0, omega0) over eps = 1e2, 1e4, 1e6; the
+    errors are printed as a table with ``table``, else noted on the first check."""
+    cfg = IntegratorConfig(h=scenario.integrator.h, steps=min(scenario.integrator.steps, 1000))
+    study = diag.epsilon_limit_study(
+        scenario.system.inertia, basis, g0, omega0, (1e2, 1e4, 1e6), cfg
+    )
+    decreasing = all(a > b for a, b in zip(study.errors, study.errors[1:]))
+    note = "errors " + ", ".join(f"{e:.3e}" for e in study.errors)
+    if table:
+        print("  penalty-limit error table:")
+        for eps, err in zip(study.epsilons, study.errors):
+            print(f"    eps={eps:.1e}  sup-error={err:.6e}")
+        note = ""
+    return [
+        Check("epsilon_limit[decreasing]", 0.0 if decreasing else 1.0, 0.5, note),
+        Check("epsilon_limit[final]", study.errors[-1], EPSILON_FINAL_TOL),
+    ]
+
+
 def _constrained_omega(system, rng):
     wv = rng.normal(size=system.N)
     wv -= system.h_space.vectors @ (system.h_space.vectors.T @ wv)
@@ -361,7 +352,7 @@ def _gc_field_deviation(system, gc_form, y):
     for (gamma_space, rho), body in zip(gc_form, system.bodies):
         gamma_body = lie.Ad(g.T, gamma_space)
         adg = lie.ad_matrix(gamma_body)
-        b += (body["d"] / rho**2) * (adg.T @ adg)
+        b += (body.d / rho**2) * (adg.T @ adg)
     iw = lie.vec_to_skew(system.inertia.apply_vec(wv), n)
     wdot_closed = np.linalg.solve(b, lie.skew_to_vec(lie.ad(iw, omega)))
     wdot = system.rhs(y)[system.slice_of("omega")]

@@ -39,8 +39,6 @@ from .systems import (
     LstarGeodesicSystem,
     contact_velocity,
     penalty_pi0,
-    reconstruct_coupled_W,
-    reconstruct_support_W,
 )
 from .systems.chaplygin import tangent_inertia
 from .systems.lr import constrained_acceleration
@@ -337,21 +335,33 @@ def reconstruct_contact(traj):
 
 
 def reconstruct_W(traj, w0=None):
-    """Partner velocities slaved to a coupled or support trajectory.
+    """Partner velocities slaved to a coupled, N-coupled or support trajectory.
 
-    For coupled systems ``w0`` supplies the initial second-factor velocity
-    whose free component is transported; for support systems the contact
-    constraints determine everything and a list of per-body W arrays is
-    returned (see :mod:`lrsim.systems`).
+    Each partner of the flow (:class:`~lrsim.systems.coupled.Partner`) keeps
+    the free part of its velocity and follows the body in the rest,
+
+        W_i(t) = free_i W_i(0) + slave_i Ad_g(t) omega(t),
+
+    over all states at once.  ``w0`` is one W(0) as an array (a skew matrix
+    or its coordinates) for a flow with one partner, and the result one
+    (steps, m) array; or a list of W_i(0), and the result a list.  Without
+    ``w0`` the W_i(0) are zero, which only a flow whose partners have no
+    free part may leave out.
     """
     system = traj.system
-    if hasattr(system, "n_bodies"):
-        return reconstruct_support_W(system, traj.states, w0)
-    if w0 is None:
-        raise ValueError("coupled reconstruction needs the initial W")
-    w0 = np.asarray(w0, dtype=float)
-    w0_vec = lie.skew_to_vec(w0) if w0.ndim == 2 else w0
-    return reconstruct_coupled_W(system, traj.states, w0_vec)
+    partners = system.partners(traj.states[0])
+    single = isinstance(w0, np.ndarray)
+    if single:
+        w0 = [lie.skew_to_vec(w0) if w0.ndim == 2 else w0]
+    elif w0 is None:
+        if not all(p.slaved for p in partners):
+            raise ValueError("reconstruction needs the initial W of partners with a free part")
+        w0 = [np.zeros(p.b.shape[1]) for p in partners]
+    if len(w0) != len(partners):
+        raise ValueError(f"need one initial W per partner, {len(partners)} in all")
+    omega_space = system.spatial_velocity(traj.states).T
+    series = [p.free @ w + p.slave(omega_space).T for p, w in zip(partners, w0)]
+    return series[0] if single else series
 
 
 # --- cross-checks -----------------------------------------------------------

@@ -84,7 +84,6 @@ class Scenario:
     initial: np.ndarray
     integrator: IntegratorConfig
     diagnostics: list = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
     penalty_form: tuple | None = None
     gc_form: list | None = None
 
@@ -141,7 +140,7 @@ def build_scenario(data, name="<memory>", overrides=None):
 
     cfg = _build_integrator(data.get("integrator", {}), overrides or {})
     diagnostics = _diagnostics(data.get("diagnostics"), system, y0)
-    return Scenario(name, system, y0, cfg, diagnostics, data, **forms)
+    return Scenario(name, system, y0, cfg, diagnostics, **forms)
 
 
 # --- pieces -----------------------------------------------------------------
@@ -409,19 +408,15 @@ def _build_initial(system, kind, data):
     init = _require(data, "initial", dict)
     n = system.n
     parts = {}
-    # derived components: LR carries the moving constraint covectors, the
-    # support systems read their contact directions from the body list
-    if kind == "lr":
-        g = _rotation(init.get("g", "identity"), n, "initial.g")
-        for i in range(system.k):
-            a = lie.vec_to_skew(system.h_space.vectors[:, i], n)
-            parts[f"alpha{i + 1}"] = lie.Ad(g.T, a)
+    # derived components: the support systems read their contact directions
+    # from the body list, and LRSystem.initial_state derives the moving
+    # constraint covectors from g
     if kind in ("support", "rubber-support"):
         for i, body in enumerate(data["bodies"]):
             parts[f"gamma{i + 1}"] = _vector(
                 _require(body, "gamma"), n, f"bodies[{i}].gamma"
             )
-    for comp in system.components:
+    for comp in system.components[:2] if kind == "lr" else system.components:
         name = comp.name
         if name in parts:
             continue
@@ -437,6 +432,8 @@ def _build_initial(system, kind, data):
             parts[name] = _vector(val, comp.size, f"initial.{name}")
         else:
             parts[name] = _rotation(val, n, f"initial.{name}")
+    if kind == "lr":
+        return system.initial_state(parts["g"], parts["omega"])
     return system.pack(**parts)
 
 

@@ -13,11 +13,11 @@ from .coupled import (
     CoupledFullSystem,
     CoupledReducedSystem,
     NCoupledSystem,
+    Partner,
     commutator_constraint_matrices,
-    reconstruct_coupled_W,
 )
 from .lr import GeodesicLplusRSystem, LplusRSystem, LRSystem, MultiplierError, penalty_pi0
-from .support import RubberSupportSystem, SupportSystem, reconstruct_support_W
+from .support import RubberSupportSystem, SupportSystem
 
 __all__ = [
     "Component",
@@ -35,11 +35,10 @@ __all__ = [
     "CoupledFullSystem",
     "CoupledReducedSystem",
     "NCoupledSystem",
+    "Partner",
     "commutator_constraint_matrices",
-    "reconstruct_coupled_W",
     "SupportSystem",
     "RubberSupportSystem",
-    "reconstruct_support_W",
     "RubberChaplyginSystem",
     "CotangentSystem",
     "LstarGeodesicSystem",

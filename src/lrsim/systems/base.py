@@ -15,7 +15,6 @@ quantities for drift reports, and named constraint residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,19 +80,6 @@ class System:
 
     def slice_of(self, name):
         return self._slices[name]
-
-    def unpack(self, y):
-        """Named matrix/vector views of a flat state (copies)."""
-        out = {}
-        for comp, off in zip(self.components, self._offsets):
-            chunk = y[off:off + comp.size]
-            if comp.kind == ROTATION:
-                out[comp.name] = chunk.reshape(self.n, self.n).copy()
-            elif comp.kind == SKEW:
-                out[comp.name] = lie.vec_to_skew(chunk, self.n)
-            else:
-                out[comp.name] = chunk.copy()
-        return SimpleNamespace(**out)
 
     def pack(self, **parts):
         """Flat state from named components."""

@@ -1,26 +1,25 @@
-"""Coupled nonholonomic systems on SO(n) x G1 and their reductions.
+"""Coupled nonholonomic systems: a body on SO(n) geared to partner factors.
 
-The two-factor system couples a body with inertia I to a second factor with
-isotropic inertia D through right-invariant constraints
+Partner i has a velocity W_i in a fixed orthonormal basis, kinetic energy
+D_i/2 |W_i|^2 and the right-invariant constraint A_i Ad_g(omega) + B_i W_i
+= 0, with fixed A_i (k_i x N) and B_i (k_i x m_i) and B_i B_i^T invertible
+(:class:`Partner`).  Eliminating the reaction forces closes the (g, omega)
+equations as the L+R flow of Pi0 = sum_i D_i A_i^T (B_i B_i^T)^-1 A_i, and
+slaves every partner to the body:
 
-    <Ad_g omega, h_0> = 0,
-    <Ad_g omega + rho_i W, h_i> = 0,   i = 1..q,
+    W_i = free_i W_i(0) + slave_i Ad_g(omega),
+    slave_i = -B_i^T (B_i B_i^T)^-1 A_i,  free_i = I - B_i^T (B_i B_i^T)^-1 B_i.
 
-with h_1..h_q mutually orthogonal subspaces fixed in space.  Eliminating
-the reaction forces of the h_i family yields
-
-    B omega' = [I omega, omega] + lambda_0,
-    W'       = -sum_i (1/rho_i) pr_{h_i} Ad_g(omega'),
-    g'       = g omega,
-
-where B = I + sum_i (D/rho_i^2) pr_{h_i^g} and lambda_0 in h_0^g is solved
-from <omega', h_0^g> = 0.  The (g, omega) equations close by themselves:
-that closed system is the reduced flow, an L+R flow constrained by h_0^g,
-and W is slaved to it.
-
-The N-coupled generalization takes constraints A_i Omega + B_i W_i = 0 with
-matrices in fixed orthonormal bases; it reduces to an L+R flow whose
-right-invariant operator is sum_i D_i A_i^T (B_i B_i^T)^{-1} A_i.
+``ncoupled`` takes the A_i, B_i, D_i as given; the commutator family
+[Omega, Gamma_i] + rho_i W_i = 0 is A_i = -ad_{Gamma_i}, B_i = rho_i Id.
+The two-factor ``coupled`` flow is one partner with isotropic inertia D,
+geared through mutually orthogonal subspaces h_1..h_q fixed in space by
+<Ad_g omega + rho_i W, h_i> = 0: A stacks the rows h_i^T and B the rows
+rho_i h_i^T, so Pi0 = sum_i (D/rho_i^2) pr_{h_i} and free = pr_k, k the
+complement of the h_i.  The body alone also keeps <Ad_g omega, h_0> = 0,
+whose multiplier the kernel solves over h_0^g; ``coupled-reduced`` is the
+closed (g, omega) flow, W reconstructable.  The spherical support flows of
+:mod:`lrsim.systems.support` are partners too, one per contact.
 """
 
 from __future__ import annotations
@@ -33,6 +32,65 @@ from .base import Component, VECTOR, rotation_component, skew_component
 from .lr import ConstrainedEulerSystem
 
 
+class Partner:
+    """A factor geared to the body by A Ad_g(omega) + B W = 0, energy D/2 |W|^2.
+
+    A is (k, N) and B (k, m), in fixed orthonormal bases of the fixed frame;
+    ``label`` names the partner in errors.  It holds ``cinv_a`` =
+    (B B^T)^-1 A, its L+R term ``pi0`` = D A^T (B B^T)^-1 A, and ``free`` =
+    I - B^T (B B^T)^-1 B; ``slave`` applies -B^T (B B^T)^-1 A.  ``slaved``
+    is true when B is square, so that the constraints fix all of W.
+    """
+
+    def __init__(self, a, b, d, N, label):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if d <= 0:
+            raise ValueError(f"coupling constant D of {label} must be positive")
+        if a.ndim != 2 or b.ndim != 2 or a.shape != (b.shape[0], N):
+            raise ValueError(
+                f"constraint matrices of {label} have inconsistent shapes {a.shape}, {b.shape}"
+            )
+        self.a, self.b, self.d = a, b, float(d)
+        try:
+            with np.errstate(over="raise"):
+                c_cho = cho_factor(b @ b.T)
+                self.cinv_a = cho_solve(c_cho, a)
+                self.pi0 = self.d * (a.T @ self.cinv_a)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"B B^T of {label} is not invertible") from exc
+        except FloatingPointError as exc:
+            raise OverflowError(f"the constraint matrices of {label} overflow") from exc
+        self.free = np.eye(b.shape[1]) - b.T @ cho_solve(c_cho, b)
+        self.slaved = b.shape[0] == b.shape[1]
+
+    def slave(self, omega_space):
+        """-B^T (B B^T)^-1 A applied to Ad_g(omega), one vector or its columns."""
+        return -(self.b.T @ (self.cinv_a @ omega_space))
+
+    def residual(self, omega_space, w):
+        """A Ad_g(omega) + B W."""
+        return self.a @ omega_space + self.b @ w
+
+
+class _PartnerVelocities:
+    """Transport and energy D_i/2 |W_i|^2 of partner velocities carried in the
+    state: ``partner_components`` pairs each :class:`Partner` with its W's name."""
+
+    def transport(self, y, frame, omega, adw, wdot, out):
+        omega_dot_space = frame @ wdot
+        for partner, name in self.partner_components:
+            out[self.slice_of(name)] = partner.slave(omega_dot_space)
+
+    def energy(self, y):
+        wv = y[self.slice_of("omega")]
+        total = 0.5 * float(wv @ self.inertia.apply_vec(wv))
+        for partner, name in self.partner_components:
+            w = y[self.slice_of(name)]
+            total += 0.5 * partner.d * float(w @ w)
+        return total
+
+
 def _check_mutually_orthogonal(subspaces):
     for i in range(len(subspaces)):
         for j in range(i + 1, len(subspaces)):
@@ -42,13 +100,11 @@ def _check_mutually_orthogonal(subspaces):
 
 
 class _CoupledBase(ConstrainedEulerSystem):
+    partner_components = ()
+
     def __init__(self, inertia, h0, subspaces, coupling, rhos, components):
         if len(subspaces) != len(rhos):
             raise ValueError("need one rho per constraint subspace")
-        if coupling <= 0:
-            raise ValueError("coupling constant D must be positive")
-        if any(r == 0 for r in rhos):
-            raise ValueError("rho parameters must be nonzero")
         _check_mutually_orthogonal(subspaces)
         self.inertia = inertia
         self.h0 = h0
@@ -56,18 +112,22 @@ class _CoupledBase(ConstrainedEulerSystem):
         self.coupling = float(coupling)
         self.rhos = [float(r) for r in rhos]
         super().__init__(inertia.n, components)
-        # Pi0 = sum_i (D / rho_i^2) pr_{h_i} in the fixed frame
-        self.pi0 = sum(
-            (self.coupling / r**2) * (h.vectors @ h.vectors.T)
-            for h, r in zip(self.subspaces, self.rhos)
-        ) if self.subspaces else np.zeros((self.N, self.N))
-        h_vectors = [v for h in self.subspaces for v in h.vectors.T]
+        # one row of A per basis vector of each h_i, and rho_i times it in B
+        a = np.concatenate([np.zeros((0, self.N))] + [h.vectors.T for h in self.subspaces])
+        dims = [h.dim for h in self.subspaces]
+        self._row_ends = np.cumsum(dims[:-1], dtype=int)
+        b = np.repeat(self.rhos, dims)[:, None] * a
+        self.partner = Partner(a, b, self.coupling, self.N, "the second factor")
+        self.pi0 = self.partner.pi0
         h0_vectors = list(h0.vectors.T) if h0 is not None else []
-        self.k_space = self._complement_of(h_vectors)
-        self.k0_space = self._complement_of(h0_vectors + h_vectors)
+        self.k_space = self._complement_of(list(self.partner.a))
+        self.k0_space = self._complement_of(h0_vectors + list(self.partner.a))
 
     def _complement_of(self, vectors):
         return lie.complement(lie.SubspaceBasis(self.n, lie.gram_schmidt(vectors, self.N)))
+
+    def partners(self, y):
+        return [self.partner]
 
     def constraint_basis(self, y, frame):
         # frame is Ad_g, so the columns span h_0^g
@@ -75,15 +135,18 @@ class _CoupledBase(ConstrainedEulerSystem):
 
     def constraints(self, y):
         out = super().constraints(y)
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        wv = y[self.slice_of("omega")]
-        omega_space = lie.adjoint_matrix(g) @ wv
+        omega_space = self.spatial_velocity(y)
         if self.h0 is not None and self.h0.dim:
             out["h0_constraint"] = float(np.max(np.abs(self.h0.vectors.T @ omega_space)))
-        return out, omega_space
+        # only the full flow carries W; the partner's rows come subspace by subspace
+        for partner, name in self.partner_components:
+            resid = partner.residual(omega_space, y[self.slice_of(name)])
+            for i, part in enumerate(np.split(resid, self._row_ends)[:len(self.subspaces)]):
+                out[f"h{i + 1}_constraint"] = float(np.max(np.abs(part))) if part.size else 0.0
+        return out
 
 
-class CoupledFullSystem(_CoupledBase):
+class CoupledFullSystem(_PartnerVelocities, _CoupledBase):
     """Two-factor coupled flow; state components g, omega, W (space frame)."""
 
     kind = "coupled"
@@ -92,18 +155,7 @@ class CoupledFullSystem(_CoupledBase):
         n = inertia.n
         comps = [rotation_component(n), skew_component("omega", n), skew_component("W", n)]
         super().__init__(inertia, h0, subspaces, coupling, rhos, comps)
-
-    def transport(self, y, frame, omega, adw, wdot, out):
-        omega_dot_space = frame @ wdot
-        w_dot = np.zeros(self.N)
-        for h, rho in zip(self.subspaces, self.rhos):
-            w_dot -= (1.0 / rho) * (h.vectors @ (h.vectors.T @ omega_dot_space))
-        out[self.slice_of("W")] = w_dot
-
-    def energy(self, y):
-        wv = y[self.slice_of("omega")]
-        Wv = y[self.slice_of("W")]
-        return 0.5 * float(wv @ self.inertia.apply_vec(wv)) + 0.5 * self.coupling * float(Wv @ Wv)
+        self.partner_components = [(self.partner, "W")]
 
     def conserved(self):
         out = {"energy": self.energy}
@@ -112,14 +164,6 @@ class CoupledFullSystem(_CoupledBase):
                 lambda y, j=j: float(self.k_space.vectors[:, j] @ y[self.slice_of("W")])
             )
         out.update(self.noether(self.k0_space.vectors, "noether_k0"))
-        return out
-
-    def constraints(self, y):
-        out, omega_space = super().constraints(y)
-        Wv = y[self.slice_of("W")]
-        for i, (h, rho) in enumerate(zip(self.subspaces, self.rhos)):
-            resid = h.vectors.T @ (omega_space + rho * Wv)
-            out[f"h{i + 1}_constraint"] = float(np.max(np.abs(resid))) if resid.size else 0.0
         return out
 
 
@@ -136,16 +180,13 @@ class CoupledReducedSystem(_CoupledBase):
     def conserved(self):
         return {"energy": self.energy, **self.noether(self.k0_space.vectors, "noether_k0")}
 
-    def constraints(self, y):
-        out, _ = super().constraints(y)
-        return out
 
-
-class NCoupledSystem(ConstrainedEulerSystem):
+class NCoupledSystem(_PartnerVelocities, ConstrainedEulerSystem):
     """N-coupled system with matrix constraints A_i Omega + B_i W_i = 0.
 
     State components: g, omega, W1..WN (coordinate vectors of the
-    right-trivialized velocities of the coupled factors).
+    right-trivialized velocities of the coupled factors); ``bodies`` holds
+    one :class:`Partner` per factor.
     """
 
     kind = "ncoupled"
@@ -154,52 +195,25 @@ class NCoupledSystem(ConstrainedEulerSystem):
         if not (len(a_mats) == len(b_mats) == len(couplings)):
             raise ValueError("need matching lists of A_i, B_i, D_i")
         self.inertia = inertia
+        self.bodies = [
+            Partner(a, b, d, inertia.N, f"body {idx + 1}")
+            for idx, (a, b, d) in enumerate(zip(a_mats, b_mats, couplings))
+        ]
+        self.pi0 = sum((body.pi0 for body in self.bodies), np.zeros((inertia.N, inertia.N)))
+        self.partner_components = [(body, f"W{idx + 1}") for idx, body in enumerate(self.bodies)]
         n = inertia.n
-        self.bodies = []
-        pi0 = np.zeros((inertia.N, inertia.N))
         comps = [rotation_component(n), skew_component("omega", n)]
-        for idx, (a, b, d) in enumerate(zip(a_mats, b_mats, couplings)):
-            a = np.asarray(a, dtype=float)
-            b = np.asarray(b, dtype=float)
-            if d <= 0:
-                raise ValueError("coupling constants D_i must be positive")
-            if a.shape[1] != inertia.N or a.shape[0] != b.shape[0]:
-                raise ValueError(
-                    f"constraint matrices of body {idx + 1} have inconsistent shapes "
-                    f"{a.shape}, {b.shape}"
-                )
-            c = b @ b.T
-            try:
-                c_cho = cho_factor(c)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"B_{idx + 1} B_{idx + 1}^T is not invertible") from exc
-            cinv_a = cho_solve(c_cho, a)
-            pi0 += d * (a.T @ cinv_a)
-            self.bodies.append({"a": a, "b": b, "d": float(d), "cinv_a": cinv_a})
-            comps.append(Component(f"W{idx + 1}", VECTOR, b.shape[1]))
-        self.pi0 = pi0
+        comps += [Component(name, VECTOR, body.b.shape[1]) for body, name in self.partner_components]
         super().__init__(n, comps)
 
-    def transport(self, y, frame, omega, adw, wdot, out):
-        omega_dot_space = frame @ wdot
-        for idx, body in enumerate(self.bodies):
-            out[self.slice_of(f"W{idx + 1}")] = -(body["b"].T @ (body["cinv_a"] @ omega_dot_space))
-
-    def energy(self, y):
-        wv = y[self.slice_of("omega")]
-        total = 0.5 * float(wv @ self.inertia.apply_vec(wv))
-        for idx, body in enumerate(self.bodies):
-            Wv = y[self.slice_of(f"W{idx + 1}")]
-            total += 0.5 * body["d"] * float(Wv @ Wv)
-        return total
+    def partners(self, y):
+        return self.bodies
 
     def constraints(self, y):
         out = super().constraints(y)
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        omega_space = lie.adjoint_matrix(g) @ y[self.slice_of("omega")]
-        for idx, body in enumerate(self.bodies):
-            Wv = y[self.slice_of(f"W{idx + 1}")]
-            resid = body["a"] @ omega_space + body["b"] @ Wv
+        omega_space = self.spatial_velocity(y)
+        for idx, (body, name) in enumerate(self.partner_components):
+            resid = body.residual(omega_space, y[self.slice_of(name)])
             out[f"body{idx + 1}_constraint"] = float(np.max(np.abs(resid)))
         return out
 
@@ -218,23 +232,3 @@ def commutator_constraint_matrices(gamma_algebra_elements, rhos):
         a_mats.append(-lie.ad_matrix(gamma))
         b_mats.append(float(rho) * np.eye(N))
     return a_mats, b_mats
-
-
-def reconstruct_coupled_W(system, trajectory_states, w0_vec):
-    """Slaved second-factor velocity along a reduced coupled trajectory.
-
-    pr_k W stays at its initial value while the h_i components follow
-    -(1/rho_i) pr_{h_i} Ad_g(omega).  Returns bivector coordinates, one row
-    per state.
-    """
-    k_proj = system.k_space.vectors @ system.k_space.vectors.T
-    const_part = k_proj @ w0_vec
-    rows = []
-    for y in trajectory_states:
-        g = y[system.slice_of("g")].reshape(system.n, system.n)
-        omega_space = lie.adjoint_matrix(g) @ y[system.slice_of("omega")]
-        w = const_part.copy()
-        for h, rho in zip(system.subspaces, system.rhos):
-            w -= (1.0 / rho) * (h.vectors @ (h.vectors.T @ omega_space))
-        rows.append(w)
-    return np.array(rows)

@@ -41,10 +41,10 @@ for each flow, so the kernel solves with it and never tests it:
 * ``lplusr``, ``geodesic-lpr``: lambda_min(I) + lambda_min(Pi0) > 0,
   checked by :class:`LplusRSystem`, bounds lambda_min(B) from below
   (Weyl's inequality);
-* ``coupled``, ``coupled-reduced``: I plus projectors weighted by
-  D / rho_i^2, with D > 0 checked;
-* ``ncoupled``: I plus Ad_g^T (sum_i D_i A_i^T (B_i B_i^T)^-1 A_i) Ad_g, a
-  positive semidefinite sum with D_i > 0 and B_i B_i^T invertible checked;
+* ``coupled``, ``coupled-reduced``, ``ncoupled``: I plus
+  Ad_g^T (sum_i D_i A_i^T (B_i B_i^T)^-1 A_i) Ad_g over their partners, a
+  positive semidefinite sum with D_i > 0 and B_i B_i^T invertible checked
+  by :class:`~lrsim.systems.coupled.Partner`;
 * ``support``: I plus projectors weighted by D_i / rho_i^2, with D_i > 0
   checked;
 * ``rubber-support``: its constructor checks the worst case over all
@@ -166,6 +166,11 @@ class ConstrainedEulerSystem(System):
         """|B omega|^2, conserved by the isospectral L+R flow."""
         bw = self.momentum_vec(y)
         return float(bw @ bw)
+
+    def spatial_velocity(self, y):
+        """Ad_g omega at a state or, along leading axes, a stack of them."""
+        g = y[..., self.slice_of("g")].reshape(y.shape[:-1] + (self.n, self.n))
+        return (lie.adjoint_matrix(g) @ y[..., self.slice_of("omega"), None])[..., 0]
 
     def spatial_momentum_vec(self, y):
         """Ad_g I omega."""

@@ -1,14 +1,21 @@
 """Spherical support systems: a ball spinning about its fixed center while
 touching N dynamically symmetric balls without sliding.
 
-With gamma_i the contact directions in the body frame, the no-slip system
-reduces to the L+R flow
+Each ball is a partner of the body in the model of
+:mod:`lrsim.systems.coupled` (:meth:`_SupportBase.partners`).  With Gamma_i
+the contact direction fixed in space and V_i a basis of R^n ^ Gamma_i, ball i
+has velocity W_i, energy D_i/2 |W_i|^2 and the no-slip constraint
+V_i^T (Ad_g omega + rho_i W_i) = 0: A_i = V_i^T, B_i = rho_i V_i^T.  The
+rubber variant adds the no-twist rows U_i^T (Ad_g omega - W_i) = 0, U_i a
+basis of the complement: A_i gains U_i^T and B_i gains -U_i^T.
 
-    d(B omega)/dt = [B omega, omega],   gamma_i' = -omega gamma_i,
+The flows here are the reduction of that model, carried in the body frame
+with gamma_i = g^T Gamma_i.  The partners' Pi0, conjugated by Ad_g, is
+
     B = I + sum_i (D_i / rho_i^2) pr_{R^n ^ gamma_i},
+    d(B omega)/dt = [B omega, omega],   gamma_i' = -omega gamma_i,
 
-which resolves to omega' = B^{-1} [I omega, omega].  The rubber variant
-adds no-twist conditions at every contact and only changes the operator:
+which resolves to omega' = B^{-1} [I omega, omega]; with the no-twist rows
 
     B* = I + (sum_i D_i) Id + sum_i D_i (1 - rho_i^2) / rho_i^2 pr_{R^n ^ gamma_i}.
 
@@ -25,8 +32,8 @@ from .. import liecore as lie
 # unused here, but bound so that perfbench/tracer.py finds both names in
 # every systems module
 from ..linalg import cho_factor, cho_solve  # noqa: F401
-from ..operators import wedge_projector_matrix
 from .base import Component, UNIT, rotation_component, skew_component
+from .coupled import Partner
 from .lr import ConstrainedEulerSystem
 
 
@@ -70,6 +77,21 @@ class _SupportBase(ConstrainedEulerSystem):
     def pi(self, y):
         gammas = self._gammas(y)
         return self._contact_pi(gammas), gammas
+
+    def partners(self, y):
+        """The balls as partners, through Gamma_i = g gamma_i at the state ``y``."""
+        g = y[self.slice_of("g")].reshape(self.n, self.n)
+        out = []
+        for i, (gamma, d, rho) in enumerate(zip(self._gammas(y), self.couplings, self.rhos)):
+            gamma_space = g @ gamma
+            wedge = lie.wedge_subspace_basis(gamma_space / np.linalg.norm(gamma_space))
+            # no-slip rows V^T (Omega + rho W) = 0; the rubber no-twist rows
+            # U^T (Omega - W) = 0 are what gives Pi its shift
+            v = wedge.vectors.T
+            u = lie.complement(wedge).vectors.T if self.shift else v[:0]
+            out.append(Partner(np.concatenate([v, u]), np.concatenate([rho * v, -u]), d,
+                               self.N, f"ball {i + 1}"))
+        return out
 
     def transport(self, y, frame, omega, adw, wdot, out):
         # gamma_i' = -omega gamma_i is row i of gammas @ omega, as omega is skew
@@ -136,39 +158,3 @@ class RubberSupportSystem(_SupportBase):
 
     def _coefficients(self):
         return [d * (1.0 - r**2) / r**2 for d, r in zip(self.couplings, self.rhos)]
-
-
-def reconstruct_support_W(system, trajectory_states, w0_vecs=None):
-    """Peripheral-body angular velocities slaved to a support trajectory.
-
-    For the no-slip system the component of W_i along R^n ^ Gamma_i follows
-    -(1/rho_i) pr Omega while the complementary component keeps its initial
-    value (zero when not supplied).  For the rubber variant the no-twist
-    condition replaces that constant by pr_k Omega, so W_i is fully slaved:
-    W_i = Omega - (1 + 1/rho_i) pr_{h_i} Omega.
-
-    Gamma_i is read off the first state as g gamma_i.  Returns a list of
-    (steps, N) arrays of bivector coordinates.
-    """
-    rubber = isinstance(system, RubberSupportSystem)
-    y0 = trajectory_states[0]
-    g0 = y0[system.slice_of("g")].reshape(system.n, system.n)
-    projs = []
-    for i in range(system.n_bodies):
-        gamma_space = g0 @ y0[system.slice_of(f"gamma{i + 1}")]
-        gamma_space /= np.linalg.norm(gamma_space)
-        projs.append(wedge_projector_matrix(gamma_space))
-    if w0_vecs is None:
-        w0_vecs = [np.zeros(system.N) for _ in range(system.n_bodies)]
-    out = [[] for _ in range(system.n_bodies)]
-    for y in trajectory_states:
-        g = y[system.slice_of("g")].reshape(system.n, system.n)
-        omega_space = lie.adjoint_matrix(g) @ y[system.slice_of("omega")]
-        for i, (proj, rho) in enumerate(zip(projs, system.rhos)):
-            wedge_part = -(1.0 / rho) * (proj @ omega_space)
-            if rubber:
-                rest = omega_space - proj @ omega_space
-            else:
-                rest = w0_vecs[i] - proj @ w0_vecs[i]
-            out[i].append(wedge_part + rest)
-    return [np.array(rows) for rows in out]

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import make_coupled, rand_rotation, rand_skew, rand_spd_operator, rand_subspaces
+from helpers import (
+    make_coupled,
+    make_ncoupled,
+    rand_rotation,
+    rand_skew,
+    rand_spd_operator,
+    rand_subspaces,
+)
 from lrsim import liecore as lie
 from lrsim.diagnostics import reconstruct_W, reduction_equivalence
 from lrsim.integrators import IntegratorConfig, integrate
@@ -279,3 +286,39 @@ class TestNCoupled:
         b_singular = np.zeros((2, 2))
         with pytest.raises(ValueError, match="not invertible"):
             NCoupledSystem(inertia, [a], [b_singular], [1.0])
+
+
+class TestPartnerModel:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_coupled_pi0_is_the_weighted_projector_sum(self, n):
+        # one partner with rows h_i^T in A and rho_i h_i^T in B
+        local = np.random.default_rng(50 + n)
+        h0, h1, h2 = rand_subspaces(local, n, [1, 1, n - 2])
+        coupling, rhos = 1.1, [0.7, -1.3]
+        system = CoupledReducedSystem(rand_spd_operator(local, n), h0, [h1, h2], coupling, rhos)
+        expected = sum(
+            (coupling / rho**2) * (h.vectors @ h.vectors.T) for h, rho in zip([h1, h2], rhos)
+        )
+        np.testing.assert_allclose(system.pi0, expected, rtol=0, atol=1e-14)
+
+    def test_reconstruct_W_matches_integrated_ncoupled_W1(self):
+        # the commutator family has B = rho Id: W1 is slaved entirely
+        system, y0 = make_ncoupled(np.random.default_rng(55), 3)
+        traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=1000))
+        (w_rec,) = reconstruct_W(traj)
+        assert np.max(np.abs(w_rec - traj.component("W1"))) < 1e-7
+
+    def test_reconstruct_W_carries_the_free_part_of_ncoupled_W1(self):
+        # B is 2 x 4, so W1 keeps a two-dimensional free part
+        local = np.random.default_rng(56)
+        a, b = local.normal(size=(2, 3)), local.normal(size=(2, 4))
+        system = NCoupledSystem(rand_spd_operator(local, 3), [a], [b], [0.9])
+        g, wv = rand_rotation(local, 3), local.normal(size=3)
+        pinv_b = np.linalg.pinv(b)
+        w1 = -pinv_b @ (a @ (lie.adjoint_matrix(g) @ wv))
+        w1 += (np.eye(4) - pinv_b @ b) @ local.normal(size=4)
+        y0 = system.pack(g=g, omega=wv, W1=w1)
+        system.validate(y0)
+        traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=1000))
+        (w_rec,) = reconstruct_W(traj, [w1])
+        assert np.max(np.abs(w_rec - traj.component("W1"))) < 1e-7

@@ -212,11 +212,11 @@ def test_five_dimensional_support_runs_and_conserves():
 
 
 def test_support_reconstructed_W_conserves_complement_component():
-    from lrsim.systems import reconstruct_support_W
+    from lrsim.diagnostics import reconstruct_W
 
     system, y0 = make_support(rng, 3)
     traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=500))
-    w_series = reconstruct_support_W(system, traj.states)
+    w_series = reconstruct_W(traj, [np.zeros(system.N)] * system.n_bodies)
     # the complement component of each W_i is the (zero) initial value
     g0 = traj.states[0][system.slice_of("g")].reshape(3, 3)
     for i in range(system.n_bodies):
@@ -230,11 +230,11 @@ def test_support_reconstructed_W_conserves_complement_component():
 
 
 def test_rubber_support_reconstructed_W_satisfies_both_constraint_families():
-    from lrsim.systems import reconstruct_support_W
+    from lrsim.diagnostics import reconstruct_W
 
     system, y0 = make_rubber_support(rng, 3)
     traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=500))
-    w_series = reconstruct_support_W(system, traj.states)
+    w_series = reconstruct_W(traj)
     g0 = traj.states[0][system.slice_of("g")].reshape(3, 3)
     for i, rho in enumerate(system.rhos):
         gamma_space = g0 @ traj.states[0][system.slice_of(f"gamma{i + 1}")]
@@ -276,3 +276,19 @@ def test_report_fits_trace_coefficients_once_per_state_and_power(monkeypatch):
             q = report[f"trace{k}_mu{j}"]
             assert q.initial == ref[0, j]
             assert q.max_abs_drift == np.max(np.abs(ref[:, j] - ref[0, j]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("make", [make_support, make_rubber_support])
+def test_body_frame_pi_is_the_conjugated_partner_sum(n, make):
+    # each contact is a partner with A = V^T, B = rho V^T (plus the no-twist
+    # rows U^T, -U^T for rubber); the flow carries their Pi0 in the body
+    # frame, with gamma_i = g^T Gamma_i
+    local = np.random.default_rng(60 + n)
+    system, y = make(local, n)
+    g = y[system.slice_of("g")].reshape(n, n)
+    for i in range(system.n_bodies):
+        y[system.slice_of(f"gamma{i + 1}")] = g.T @ rand_unit(local, n)
+    q = lie.adjoint_matrix(g)
+    pi0 = sum(partner.pi0 for partner in system.partners(y))
+    np.testing.assert_allclose(system.pi(y)[0], q.T @ pi0 @ q, rtol=0, atol=1e-13)
