@@ -283,11 +283,11 @@ def chaplygin_measure_check(states, inertia, mass, radius):
     closed form available for the special inertia; for that inertia their
     ratio is independent of gamma.
     """
-    if inertia.kind != "special":
-        raise ValueError("the closed-form density requires the special inertia kind")
+    if inertia.axes is None:
+        raise ValueError("the closed-form density requires the special inertia")
     states = np.asarray(states, dtype=float)
     general = reduced_chaplygin_density(inertia, mass, radius)(states)
-    closed = special_chaplygin_density(inertia.params["A"])(states)
+    closed = special_chaplygin_density(inertia.axes)(states)
     return general, closed
 
 
@@ -329,7 +329,7 @@ def reconstruct_contact(traj):
     Cumulative trapezoidal quadrature of rho * Ad_g(omega) Gamma; the last
     coordinate is conserved (the corresponding constraint is holonomic).
     """
-    vels = np.array([contact_velocity(traj.system, y) for y in traj.states])
+    vels = contact_velocity(traj.system, traj.states)
     steps = np.diff(traj.times)[:, None] * (vels[1:] + vels[:-1]) / 2.0
     return np.concatenate([np.zeros((1, vels.shape[1])), np.cumsum(steps, axis=0)])
 
@@ -396,9 +396,9 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
     geodesic flow, the dual-path deviation, and the geodesic trajectory
     for further checks.
     """
-    if inertia.kind != "special":
-        raise ValueError("the Hamiltonization check requires the special inertia kind")
-    axes = inertia.params["A"]
+    axes = inertia.axes
+    if axes is None:
+        raise ValueError("the Hamiltonization check requires the special inertia")
     cot = CotangentSystem(inertia, mass, radius)
     y0 = cot.pack(gamma=gamma0, p=p0)
     steps = int(round(tau_end / h))

@@ -63,9 +63,6 @@ class Trajectory:
         sl = self.system.slice_of(name)
         return self.states[:, sl]
 
-    def final(self):
-        return self.states[-1]
-
 
 class IntegrationError(RuntimeError):
     """A step failed; carries the partial trajectory (None when none could be
@@ -190,7 +187,7 @@ def _rescale_factor(system, axes, y):
     return float(np.sqrt((axes * gamma) @ gamma))
 
 
-def integrate_reparametrized(system, y0, axes, cfg, hook=None):
+def integrate_reparametrized(system, y0, axes, cfg):
     """Integrate a gamma-carrying flow in the rescaled time tau.
 
     dtau = dt / sqrt((A gamma, gamma)), so the tau-field is the original
@@ -219,7 +216,7 @@ def integrate_reparametrized(system, y0, axes, cfg, hook=None):
         def slice_of(self, name):
             return self._base.slice_of(name)
 
-    traj = integrate(_Rescaled(system), y0, cfg, hook=hook)
+    traj = integrate(_Rescaled(system), y0, cfg)
     return Trajectory(system, traj.times, traj.states)
 
 

@@ -58,24 +58,6 @@ def wedge(x, y):
     return np.outer(x, y) - np.outer(y, x)
 
 
-def inner(x, y):
-    """Ad-invariant scalar product <X, Y> = -1/2 tr(X Y) of skew matrices.
-
-    For skew operands this equals half the Frobenius pairing, which is how
-    it is evaluated here.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise DimensionError(f"inner product of mismatched shapes {x.shape} and {y.shape}")
-    return 0.5 * float(np.tensordot(x, y))
-
-
-def norm(x):
-    """Norm induced by :func:`inner`."""
-    return np.sqrt(max(inner(x, x), 0.0))
-
-
 def ad(x, y):
     """Commutator [X, Y] = X Y - Y X."""
     x = np.asarray(x, dtype=float)
@@ -92,20 +74,6 @@ def Ad(g, x):
     if g.shape != x.shape:
         raise DimensionError(f"Ad of mismatched shapes {g.shape} and {x.shape}")
     return skew_part(g @ x @ g.T)
-
-
-def proj_wedge_subspace(gamma, x):
-    """Orthogonal projection of a skew matrix onto R^n ^ gamma.
-
-    For a unit vector gamma the projection is
-    X gamma gamma^T + gamma gamma^T X.
-    """
-    gamma = check_unit(gamma, tol=1e-10)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (gamma.size, gamma.size):
-        raise DimensionError(f"projection of shape {x.shape} against vector of size {gamma.size}")
-    outer = np.outer(gamma, gamma)
-    return x @ outer + outer @ x
 
 
 # --- bivector coordinates -------------------------------------------------
@@ -288,18 +256,6 @@ class SubspaceBasis:
     def dim(self):
         return self.vectors.shape[1]
 
-    def elements(self):
-        """Basis as a list of skew matrices."""
-        return [vec_to_skew(self.vectors[:, j], self.n) for j in range(self.dim)]
-
-    def project_vec(self, v):
-        """Coordinates of the orthogonal projection onto the subspace."""
-        return self.vectors @ (self.vectors.T @ v)
-
-    def project(self, x):
-        """Orthogonal projection of a skew matrix onto the subspace."""
-        return vec_to_skew(self.project_vec(skew_to_vec(x)), self.n)
-
 
 def gram_schmidt(vectors, dim, tol=RANK_TOL):
     """Orthonormal columns, shape (dim, k), spanning the given vectors in order.
@@ -404,33 +360,9 @@ def wedge_complement_basis(gamma):
     With h_i the columns of H, h_0..h_{n-2} span the tangent space at
     gamma = h_{n-1}, so the bivectors h_i ^ h_j, i < j < n - 1, span the
     complement.  They are the columns of Ad_H for the pairs (i, j) with
-    j < n - 1, in the same lexicographic order.  No flow calls it (they use
-    the kernel of :func:`wedge_map`); it remains the reference for tests.
+    j < n - 1, in the same lexicographic order.
     """
     gamma = check_unit(gamma, tol=1e-10)
     n = gamma.size
     _, cols = _pair_indices(n)
     return SubspaceBasis(n, adjoint_matrix(householder_frame(gamma))[:, cols < n - 1])
-
-
-def iso3(v):
-    """so(3) <-> R^3 isomorphism: iso3(a) x = a x for all x (hat map).
-
-    The sign is fixed so that iso3(a x b) = [iso3(a), iso3(b)].
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise DimensionError(f"iso3 expects a 3-vector, got shape {v.shape}")
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
-
-
-def iso3_inv(x):
-    """Inverse of :func:`iso3`."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3, 3):
-        raise DimensionError(f"iso3_inv expects a 3x3 matrix, got shape {x.shape}")
-    return np.array([x[2, 1], x[0, 2], x[1, 0]])

@@ -158,10 +158,6 @@ class CotangentSystem(System):
         n = inertia.n
         super().__init__(n, [Component("gamma", UNIT, n), Component("p", VECTOR, n)])
 
-    def tangent_inertia(self, gamma):
-        """The velocity-to-momentum matrix L(gamma) at a unit gamma."""
-        return tangent_inertia(self.inertia, self.mr2, lie.wedge_map(gamma))
-
     def gamma_dot_of(self, gamma, p):
         """Invert p = m rho^2 gamma' - I(gamma ^ gamma') gamma on T_gamma."""
         return self._velocity(gamma, p)[2]
@@ -319,8 +315,10 @@ class GsrSystem(System):
 
 
 def contact_velocity(system, y):
-    """Space-frame velocity of the rolling ball center, rho * Ad_g(omega) Gamma."""
-    n = system.n
-    g = y[system.slice_of("g")].reshape(n, n)
-    omega = lie.vec_to_skew(y[system.slice_of("omega")], n)
-    return system.radius * (lie.Ad(g, omega) @ vertical_vector(n))
+    """Space-frame velocity of the rolling ball center, rho * Ad_g(omega) Gamma.
+
+    It takes one state or a stack of them along leading axes: Gamma = e_n
+    picks the last column of the skew matrix of the kernel's
+    ``spatial_velocity``, whose diagonal is exactly zero.
+    """
+    return system.radius * lie.vec_to_skew(system.spatial_velocity(y), system.n)[..., :, -1]

@@ -84,11 +84,11 @@ class _SupportBase(ConstrainedEulerSystem):
         out = []
         for i, (gamma, d, rho) in enumerate(zip(self._gammas(y), self.couplings, self.rhos)):
             gamma_space = g @ gamma
-            wedge = lie.wedge_subspace_basis(gamma_space / np.linalg.norm(gamma_space))
+            gamma_space /= np.linalg.norm(gamma_space)
             # no-slip rows V^T (Omega + rho W) = 0; the rubber no-twist rows
             # U^T (Omega - W) = 0 are what gives Pi its shift
-            v = wedge.vectors.T
-            u = lie.complement(wedge).vectors.T if self.shift else v[:0]
+            v = lie.wedge_subspace_basis(gamma_space).vectors.T
+            u = lie.wedge_complement_basis(gamma_space).vectors.T if self.shift else v[:0]
             out.append(Partner(np.concatenate([v, u]), np.concatenate([rho * v, -u]), d,
                                self.N, f"ball {i + 1}"))
         return out

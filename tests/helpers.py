@@ -59,6 +59,38 @@ def rand_subspaces(rng, n, dims):
     return out
 
 
+def iso3(v):
+    """so(3) <-> R^3 isomorphism: iso3(a) x = a x for all x (hat map).
+
+    The sign is fixed so that iso3(a x b) = [iso3(a), iso3(b)].
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise lie.DimensionError(f"iso3 expects a 3-vector, got shape {v.shape}")
+    return np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+
+
+def iso3_inv(x):
+    """Inverse of :func:`iso3`."""
+    return np.array([x[2, 1], x[0, 2], x[1, 0]])
+
+
+def special_from_vector_inertia(inertia3, c):
+    """Special operator matching a diagonal 3D vector inertia under the hat map.
+
+    Given the diagonal of I and c = m rho^2, the diagonal
+    A = sqrt(det(I + c)) (I + c)^{-1} makes the bivector operator
+    A X A - c X act exactly as I does on angular-velocity vectors.
+    """
+    shifted = np.asarray(inertia3, dtype=float) + c
+    delta = np.sqrt(np.prod(shifted))
+    return InertiaOperator.special(delta / shifted, c)
+
+
 def special_inertia(rng, n):
     axes = rng.uniform(0.8, 2.2, n)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

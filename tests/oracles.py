@@ -7,7 +7,38 @@ are written in classical vector form.
 
 import numpy as np
 
+from helpers import iso3
 from lrsim import liecore as lie
+
+
+def inner(x, y):
+    """Ad-invariant scalar product <X, Y> = -1/2 tr(X Y) of skew matrices.
+
+    For skew operands this equals half the Frobenius pairing, which is how
+    it is evaluated here.
+    """
+    return 0.5 * float(np.tensordot(x, y))
+
+
+def norm(x):
+    """Norm induced by :func:`inner`."""
+    return np.sqrt(max(inner(x, x), 0.0))
+
+
+def proj_wedge_subspace(gamma, x):
+    """Orthogonal projection X gamma gamma^T + gamma gamma^T X of a skew
+    matrix onto R^n ^ gamma, for a unit vector gamma."""
+    gamma = lie.check_unit(gamma, tol=1e-10)
+    outer = np.outer(gamma, gamma)
+    return x @ outer + outer @ x
+
+
+def apply(op, x):
+    """Image of a skew matrix under an inertia operator; a special operator
+    acts by its exact form A X A - c X, any other through its matrix."""
+    if op.axes is not None:
+        return (op.axes[:, None] * x) * op.axes[None, :] - op.c * x
+    return lie.vec_to_skew(op.apply_vec(lie.skew_to_vec(x)), op.n)
 
 
 def kkt_accelerations(mass_blocks, forces, rows):
@@ -89,7 +120,7 @@ def chaplygin_sphere_rhs(omega, gamma, inertia3, d):
 def rodrigues(omega_vec):
     """Closed-form exp of a 3D skew matrix."""
     theta = np.linalg.norm(omega_vec)
-    k = lie.iso3(omega_vec)
+    k = iso3(omega_vec)
     if theta < 1e-14:
         return np.eye(3) + k + 0.5 * k @ k
     return (
@@ -109,7 +140,7 @@ def rk4_step(f, y, h):
 
 def momentum_of_velocity(inertia, mr2, gamma, v):
     """Reduced rubber Chaplygin momentum m rho^2 v - I(gamma ^ v) gamma."""
-    return mr2 * v - inertia.apply(lie.wedge(gamma, v)) @ gamma
+    return mr2 * v - apply(inertia, lie.wedge(gamma, v)) @ gamma
 
 
 def householder_gamma_dot(inertia, mr2, gamma, p):

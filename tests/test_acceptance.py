@@ -11,11 +11,20 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import MAKERS, make_coupled, rand_skew, rand_spd_operator, rand_unit, special_inertia
+from helpers import (
+    MAKERS,
+    iso3,
+    iso3_inv,
+    make_coupled,
+    rand_skew,
+    rand_spd_operator,
+    rand_unit,
+    special_from_vector_inertia,
+    special_inertia,
+)
 from lrsim import diagnostics as diag
 from lrsim import liecore as lie
 from lrsim.integrators import IntegratorConfig, integrate
-from lrsim.operators import special_from_vector_inertia
 from lrsim.systems import (
     CoupledReducedSystem,
     GsrSystem,
@@ -311,7 +320,7 @@ def test_criterion_10_three_dimensional_cross_checks():
     g0 = rand_rotation(rng, 3)
     gamma0 = g0.T @ vertical_vector(3)
     omega_vec0 = np.cross(gamma0, rng.normal(size=3))
-    y0 = system.pack(g=g0, omega=lie.iso3(omega_vec0))
+    y0 = system.pack(g=g0, omega=iso3(omega_vec0))
     steps = 1000
     traj = integrate(system, y0, IntegratorConfig(h=H, steps=steps))
 
@@ -324,7 +333,7 @@ def test_criterion_10_three_dimensional_cross_checks():
     for i in range(steps):
         z = oracles.rk4_step(vector_rhs, z, H)
         y = traj.states[i + 1]
-        omega_vec = lie.iso3_inv(lie.vec_to_skew(y[system.slice_of("omega")], 3))
+        omega_vec = iso3_inv(lie.vec_to_skew(y[system.slice_of("omega")], 3))
         worst_traj = max(
             worst_traj,
             float(np.max(np.abs(omega_vec - z[:3]))),
@@ -337,10 +346,10 @@ def test_criterion_10_three_dimensional_cross_checks():
     for _ in range(20):
         gamma_vec = rand_unit(rng, 3)
         omega_vec = rng.normal(size=3)
-        y = gsr.pack(gamma=lie.iso3(gamma_vec), omega=lie.iso3(omega_vec))
+        y = gsr.pack(gamma=iso3(gamma_vec), omega=iso3(omega_vec))
         ydot = gsr.rhs(y)
-        wdot = lie.iso3_inv(lie.vec_to_skew(ydot[gsr.slice_of("omega")], 3))
-        gdot = lie.iso3_inv(lie.vec_to_skew(ydot[gsr.slice_of("gamma")], 3))
+        wdot = iso3_inv(lie.vec_to_skew(ydot[gsr.slice_of("omega")], 3))
+        gdot = iso3_inv(lie.vec_to_skew(ydot[gsr.slice_of("gamma")], 3))
         wdot_o, gdot_o = oracles.chaplygin_sphere_rhs(
             omega_vec, gamma_vec, np.array([0.9, 1.4, 2.2]), 1.1 * 0.8**2
         )
@@ -370,12 +379,12 @@ def test_criterion_12_integrator_order():
     from test_integrators import free_top_system
 
     system = free_top_system()
-    y0 = system.pack(g=np.eye(3), omega=lie.iso3(np.array([0.4, 1.1, -0.3])))
+    y0 = system.pack(g=np.eye(3), omega=iso3(np.array([0.4, 1.1, -0.3])))
     t_end = 1.0
-    ref = integrate(system, y0, IntegratorConfig(h=t_end / 6400, steps=6400)).final()
+    ref = integrate(system, y0, IntegratorConfig(h=t_end / 6400, steps=6400)).states[-1]
     errs = []
     for steps in (50, 100):
-        out = integrate(system, y0, IntegratorConfig(h=t_end / steps, steps=steps)).final()
+        out = integrate(system, y0, IntegratorConfig(h=t_end / steps, steps=steps)).states[-1]
         errs.append(float(np.max(np.abs(out - ref))))
     ratio = errs[0] / errs[1]
     report(12, 14.0 <= ratio <= 18.0, f"self-convergence ratio {ratio:.2f} in [14, 18]")

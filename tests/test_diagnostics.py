@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from helpers import (
+    iso3,
     make_cotangent,
     make_coupled,
     make_lr,
@@ -38,7 +39,7 @@ class TestConservationReport:
         from test_integrators import free_top_system
 
         system = free_top_system()
-        y0 = system.pack(g=np.eye(3), omega=lie.iso3(np.array([0.3, 1.0, -0.2])))
+        y0 = system.pack(g=np.eye(3), omega=iso3(np.array([0.3, 1.0, -0.2])))
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10000))
         report = {q.name: q for q in diag.conservation_report(traj)}
         assert report["momentum_norm"].max_rel_drift < 1e-9

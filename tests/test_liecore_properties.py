@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import rand_spd_operator
+from helpers import iso3, rand_spd_operator
 from lrsim import liecore as lie
 from lrsim.operators import wedge_projector_matrix
 from lrsim.systems.chaplygin import tangent_inertia
@@ -74,7 +74,7 @@ def test_jacobi_identity_in_coordinates(data, n):
 def test_inner_is_ad_invariant(data, n):
     g = data.draw(rotations(n))
     x, y = data.draw(skews(n)), data.draw(skews(n))
-    assert abs(lie.inner(lie.Ad(g, x), lie.Ad(g, y)) - lie.inner(x, y)) < 1e-13
+    assert abs(oracles.inner(lie.Ad(g, x), lie.Ad(g, y)) - oracles.inner(x, y)) < 1e-13
 
 
 @PROPERTY
@@ -82,7 +82,7 @@ def test_inner_is_ad_invariant(data, n):
 def test_iso3_is_a_bracket_homomorphism(ab):
     a, b = ab[:3], ab[3:]
     np.testing.assert_allclose(
-        lie.iso3(np.cross(a, b)), lie.ad(lie.iso3(a), lie.iso3(b)), atol=1e-15
+        iso3(np.cross(a, b)), lie.ad(iso3(a), iso3(b)), atol=1e-15
     )
 
 
@@ -105,7 +105,7 @@ def test_wedge_map_identities(data, n):
     gamma = data.draw(units(n))
     e = lie.wedge_map(gamma)
     proj = np.column_stack(
-        [lie.skew_to_vec(lie.proj_wedge_subspace(gamma, b)) for b in lie.bivector_basis(n)]
+        [lie.skew_to_vec(oracles.proj_wedge_subspace(gamma, b)) for b in lie.bivector_basis(n)]
     )
     np.testing.assert_allclose(e.T @ e, proj, rtol=0, atol=1e-15)
     np.testing.assert_allclose(e @ e.T, np.eye(n) - np.outer(gamma, gamma), rtol=0, atol=1e-15)

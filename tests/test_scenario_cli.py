@@ -409,6 +409,20 @@ class TestCliVerify:
         assert captured.err.count("step ") == 1  # only in "(step i)"
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("nan_from", [0, 2], ids=["every state", "later states"])
+    def test_nan_divergence_estimate_fails_its_check(self, nan_from):
+        # max(0.0, nan) is 0.0: a worst value kept with Python's max drops NaN
+        from lrsim.cli import _divergence_checks
+
+        def field(z):
+            # NaN at the stencils of states nan_from, nan_from + 1, ...
+            return np.where(z[:, :1] > nan_from - 0.5, np.nan, 0.0) * z
+
+        states = [np.full(3, float(i)) for i in range(4)]
+        check = _divergence_checks("measure[x]", field, lambda z: 1.0, states)
+        assert np.isnan(check.value)
+        assert not check.passed
+
     @pytest.mark.parametrize(
         "scenario", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda path: path.stem
     )

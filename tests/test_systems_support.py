@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import make_rubber_support, make_support, rand_rotation, rand_skew, rand_spd_operator, rand_unit
+from helpers import (
+    iso3,
+    iso3_inv,
+    make_rubber_support,
+    make_support,
+    rand_rotation,
+    rand_skew,
+    rand_spd_operator,
+    rand_unit,
+    special_from_vector_inertia,
+)
 from lrsim import liecore as lie
 from lrsim.integrators import IntegratorConfig, integrate
 from lrsim.operators import InertiaOperator
@@ -109,16 +119,14 @@ class TestSupportField:
         # one contact with D/rho^2 replaced by m rho^2 reproduces the
         # classical no-slip rolling ball reduced field
         inertia3 = np.array([1.1, 1.6, 2.3])
-        from lrsim.operators import special_from_vector_inertia
-
         coeff = 0.8
         op = special_from_vector_inertia(inertia3, 0.4)
         system = SupportSystem(op, [coeff], [1.0])
         gamma = rand_unit(rng, 3)
         omega_vec = rng.normal(size=3)
-        y0 = system.pack(g=np.eye(3), omega=lie.iso3(omega_vec), gamma1=gamma)
+        y0 = system.pack(g=np.eye(3), omega=iso3(omega_vec), gamma1=gamma)
         ydot = system.rhs(y0)
-        wdot = lie.iso3_inv(lie.vec_to_skew(ydot[system.slice_of("omega")], 3))
+        wdot = iso3_inv(lie.vec_to_skew(ydot[system.slice_of("omega")], 3))
         wdot_o, gdot_o = oracles.chaplygin_sphere_rhs(omega_vec, gamma, inertia3, coeff)
         np.testing.assert_allclose(wdot, wdot_o, atol=1e-11)
         np.testing.assert_allclose(ydot[system.slice_of("gamma1")], gdot_o, atol=1e-12)
@@ -292,3 +300,17 @@ def test_body_frame_pi_is_the_conjugated_partner_sum(n, make):
     q = lie.adjoint_matrix(g)
     pi0 = sum(partner.pi0 for partner in system.partners(y))
     np.testing.assert_allclose(system.pi(y)[0], q.T @ pi0 @ q, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_rubber_no_twist_rows_are_the_closed_form_complement(n):
+    # after the n - 1 no-slip rows V^T, A holds U^T and B holds -U^T, with the
+    # columns of U the Householder basis of (R^n ^ Gamma_i)^perp
+    local = np.random.default_rng(70 + n)
+    system, y = make_rubber_support(local, n)
+    g = y[system.slice_of("g")].reshape(n, n)
+    for i, partner in enumerate(system.partners(y)):
+        gamma_space = g @ y[system.slice_of(f"gamma{i + 1}")]
+        u = lie.wedge_complement_basis(gamma_space / np.linalg.norm(gamma_space)).vectors
+        np.testing.assert_array_equal(partner.a[n - 1:], u.T)
+        np.testing.assert_array_equal(partner.b[n - 1:], -u.T)
