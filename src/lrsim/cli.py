@@ -27,7 +27,7 @@ import numpy as np
 
 from . import diagnostics as diag
 from . import liecore as lie
-from .integrators import IntegrationError, IntegratorConfig, integrate
+from .integrators import METHODS, IntegrationError, IntegratorConfig, integrate
 from .scenario import ScenarioParseError, ScenarioValidationError, load_scenario
 from .systems import (
     CotangentSystem,
@@ -295,8 +295,7 @@ def verification_checks(scenario, traj):
             else:
                 p0 = scenario.initial[n:]
             sup_geo, sup_dual, traj_geo = diag.hamiltonization_check(
-                cot.inertia, cot.mass, cot.radius, gamma0, p0, tau_end=1.0,
-                h=scenario.integrator.h,
+                cot.inertia, cot.mass, cot.radius, gamma0, p0, scenario.integrator.h
             )
             checks.append(Check("hamiltonization", sup_geo, HAMILTONIZATION_TOL))
             checks.append(Check("reparametrization_dual_path", sup_dual, DUAL_PATH_TOL))
@@ -406,7 +405,7 @@ def main(argv=None):
         p.add_argument("--h", type=float, default=None, help="override step size")
         p.add_argument("--steps", type=int, default=None, help="override step count")
         p.add_argument(
-            "--method", choices=("rk4-projected", "lie-rk4"), default=None,
+            "--method", choices=METHODS, default=None,
             help="override integrator method",
         )
 

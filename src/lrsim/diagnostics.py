@@ -19,6 +19,7 @@ along its physical-time path in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -44,6 +45,9 @@ from .systems.chaplygin import tangent_inertia
 from .systems.lr import constrained_acceleration
 
 FD_STEP = 1e-5
+HAMILTONIZATION_TAU = 1.0
+INDEPENDENCE_FD_STEP = 1e-6
+INDEPENDENCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,12 @@ class QuantityDrift:
 def conservation_report(traj, quantities=None):
     """Drift of named conserved quantities along a trajectory.
 
-    ``quantities`` may list names from the system's conserved set, names of
-    the form ``constraint:<residual>``, or (name, callable) pairs; by
-    default the full conserved set is reported.  Each selected callable runs
-    once per state, however many of its entries are selected.  Relative
-    drift is measured against |initial value| when that is meaningful, else
-    against the trajectory's own scale.
+    ``quantities`` may list names from the system's conserved set and names
+    of the form ``constraint:<residual>``; by default the full conserved set
+    is reported.  Each selected callable runs once per state, however many
+    of its entries are selected.  Relative drift is measured against
+    |initial value| when that is meaningful, else against the trajectory's
+    own scale.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -73,10 +77,7 @@ def conservation_report(traj, quantities=None):
     else:
         selected = []
         for q in quantities:
-            if not isinstance(q, str):
-                name, fn = q
-                selected.append((name, (fn, None)))
-            elif q.startswith("constraint:"):
+            if q.startswith("constraint:"):
                 resid = q.split(":", 1)[1]
                 if resid not in system.constraints(traj.states[0]):
                     raise KeyError(
@@ -187,16 +188,12 @@ def lr_measure_chart(inertia, k):
     return field, density
 
 
-_SYM_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _sym_indices(N):
-    if N not in _SYM_CACHE:
-        indices = np.triu_indices(N)
-        for arr in indices:
-            arr.setflags(write=False)
-        _SYM_CACHE[N] = indices
-    return _SYM_CACHE[N]
+    """Rows and columns of the upper triangle of an N x N matrix."""
+    indices = np.array(np.triu_indices(N))
+    indices.setflags(write=False)
+    return tuple(indices)
 
 
 def sym_to_coords(mat):
@@ -380,13 +377,14 @@ def reduction_equivalence(full_system, reduced_system, y0_full, cfg):
     return dev, traj_full, traj_red
 
 
-def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3):
+def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
     """Compare the rescaled reduced flow with the quadric geodesic flow.
 
     Requires the special inertia.  Integrates the (gamma, p) flow directly
-    in the rescaled time, and runs the Lagrangian geodesic flow from matched
-    initial data.  As an independent path it integrates in physical time,
-    maps the grid to tau by the O(h^4) Hermite quadrature of
+    in the rescaled time up to tau = ``HAMILTONIZATION_TAU`` with step
+    ``h``, and runs the Lagrangian geodesic flow from matched initial data.
+    As an independent path it integrates in physical time, maps the grid
+    to tau by the O(h^4) Hermite quadrature of
     :func:`reparametrize_trajectory` and interpolates gamma with the
     piecewise cubic Hermite interpolant whose node slopes are the exact
     field dgamma/dtau = (dgamma/dt) sqrt((A gamma, gamma)); its error is
@@ -401,7 +399,7 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
         raise ValueError("the Hamiltonization check requires the special inertia")
     cot = CotangentSystem(inertia, mass, radius)
     y0 = cot.pack(gamma=gamma0, p=p0)
-    steps = int(round(tau_end / h))
+    steps = int(round(HAMILTONIZATION_TAU / h))
     cfg_tau = IntegratorConfig(h=h, steps=steps)
     traj_tau = integrate_reparametrized(cot, y0, axes, cfg_tau)
 
@@ -414,7 +412,7 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
 
     # independent path: physical-time trajectory reparametrized by quadrature
     rate_min = 1.0 / np.sqrt(float(np.max(axes)))
-    t_end = 1.25 * tau_end / rate_min
+    t_end = 1.25 * HAMILTONIZATION_TAU / rate_min
     cfg_t = IntegratorConfig(h=h, steps=int(round(t_end / h)))
     traj_t = integrate(cot, y0, cfg_t)
     fields = cot.rhs(traj_t.states)
@@ -427,20 +425,21 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
     return sup_geo, sup_dual, traj_geo
 
 
-def functional_independence_rank(functions, states, fd_step=1e-6, tol=1e-8):
+def functional_independence_rank(functions, states):
     """Rank of the Jacobian of state functions at sample states.
 
     Each function returns a float or a vector of them; every entry is one
-    row.  Gradients are taken by central differences in the flat chart; the
-    rank is the count of singular values above ``tol`` relative to the
-    largest, minimized over the sample states.
+    row.  Gradients are taken by central differences of step
+    ``INDEPENDENCE_FD_STEP`` in the flat chart; the rank is the count of
+    singular values above ``INDEPENDENCE_TOL`` relative to the largest,
+    minimized over the sample states.
     """
     ranks = []
     for y in states:
         cols = [
             np.concatenate([np.atleast_1d(fn(y + e)) - np.atleast_1d(fn(y - e)) for fn in functions])
-            for e in fd_step * np.eye(y.size)
+            for e in INDEPENDENCE_FD_STEP * np.eye(y.size)
         ]
-        sv = np.linalg.svd(np.array(cols).T / (2.0 * fd_step), compute_uv=False)
-        ranks.append(int(np.sum(sv > tol * sv[0])))
+        sv = np.linalg.svd(np.array(cols).T / (2.0 * INDEPENDENCE_FD_STEP), compute_uv=False)
+        ranks.append(int(np.sum(sv > INDEPENDENCE_TOL * sv[0])))
     return min(ranks)

@@ -23,7 +23,8 @@ states, keeping the partial trajectory and the failing step index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,45 +183,31 @@ def integrate(system, y0, cfg, hook=None):
 
 # --- time reparametrization -------------------------------------------------
 
-def _rescale_factor(system, axes, y):
-    gamma = y[system.slice_of("gamma")]
-    return float(np.sqrt((axes * gamma) @ gamma))
-
-
 def integrate_reparametrized(system, y0, axes, cfg):
     """Integrate a gamma-carrying flow in the rescaled time tau.
 
     dtau = dt / sqrt((A gamma, gamma)), so the tau-field is the original
-    field scaled by sqrt((A gamma, gamma)).
+    field scaled by sqrt((A gamma, gamma)).  It runs as the ``rhs`` of a
+    shallow copy of ``system``; the trajectory carries ``system`` itself.
     """
     axes = np.asarray(axes, dtype=float)
     if np.any(axes <= 0):
         raise ValueError("the rescaling axes must be positive")
 
-    class _Rescaled:
-        def __init__(self, base):
-            self._base = base
-            self.dim = base.dim
-            self.components = base.components
-            self.n = base.n
+    def rhs(y):
+        gamma = y[system.slice_of("gamma")]
+        factor = float(np.sqrt((axes * gamma) @ gamma))
+        if factor <= 0.0 or not np.isfinite(factor):
+            raise ValueError("(A gamma, gamma) must stay positive")
+        return factor * system.rhs(y)
 
-        def rhs(self, y):
-            factor = _rescale_factor(self._base, axes, y)
-            if factor <= 0.0 or not np.isfinite(factor):
-                raise ValueError("(A gamma, gamma) must stay positive")
-            return factor * self._base.rhs(y)
-
-        def project(self, y):
-            return self._base.project(y)
-
-        def slice_of(self, name):
-            return self._base.slice_of(name)
-
-    traj = integrate(_Rescaled(system), y0, cfg)
+    rescaled = copy.copy(system)
+    rescaled.rhs = rhs
+    traj = integrate(rescaled, y0, cfg)
     return Trajectory(system, traj.times, traj.states)
 
 
-def reparametrize_trajectory(traj, axes, fields=None):
+def reparametrize_trajectory(traj, axes, fields):
     """Rescaled times tau(t) along a t-trajectory by cumulative quadrature.
 
     tau(t) is the integral of the rate r = (A gamma, gamma)^{-1/2}.  Each
@@ -231,12 +218,9 @@ def reparametrize_trajectory(traj, axes, fields=None):
         dtau = h/2 (r_k + r_{k+1}) + h^2/12 (r'_k - r'_{k+1}),
 
     the trapezoid rule plus its end correction, with O(h^4) error.
-    ``fields`` holds the field at every state, one row each; it is
-    evaluated here when omitted.
+    ``fields`` holds the field at every state, one row each.
     """
     axes = np.asarray(axes, dtype=float)
-    if fields is None:
-        fields = np.array([traj.system.rhs(y) for y in traj.states])
     sl = traj.system.slice_of("gamma")
     gammas = traj.states[:, sl]
     agg = np.einsum("ki,i,ki->k", gammas, axes, gammas)

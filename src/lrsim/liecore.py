@@ -21,25 +21,26 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 ORTHO_TOL = 1e-10
 RANK_TOL = 1e-10
-UNIT_TOL = 1e-12
+UNIT_TOL = 1e-10
 
 
 class DimensionError(ValueError):
     """Operands live in incompatible spaces."""
 
 
-def check_unit(v, tol=UNIT_TOL):
-    """Validate that ``v`` is a unit vector within ``tol``."""
+def check_unit(v):
+    """Validate that ``v`` is a unit vector within ``UNIT_TOL``."""
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise DimensionError(f"expected a vector, got shape {v.shape}")
     err = abs(np.dot(v, v) - 1.0)
-    if err > 2.0 * tol:
+    if err > 2.0 * UNIT_TOL:
         raise ValueError(f"vector is not unit (||v||^2 - 1 = {err:.3e})")
     return v
 
@@ -88,32 +89,24 @@ def bivector_pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-_PAIR_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _pair_indices(n):
-    if n not in _PAIR_CACHE:
-        pairs = bivector_pairs(n)
-        rows = np.array([p[0] for p in pairs], dtype=int)
-        cols = np.array([p[1] for p in pairs], dtype=int)
-        _PAIR_CACHE[n] = (rows, cols)
-    return _PAIR_CACHE[n]
+    """Rows i and columns j of the pairs (i, j), i < j, in lexicographic order."""
+    indices = np.array(bivector_pairs(n), dtype=int).reshape(-1, 2).T.copy()
+    indices.setflags(write=False)
+    return tuple(indices)
 
 
-_FLAT_CACHE: dict[int, tuple[np.ndarray, ...]] = {}
-
-
+@cache
 def _flat_indices(n):
     """Flat positions of the entries (i, j) and (j, i), i < j, of an n x n
     matrix, and of the entries (i, (i, j)) and (j, (i, j)) of an n x N one."""
-    if n not in _FLAT_CACHE:
-        rows, cols = _pair_indices(n)
-        pairs = np.arange(rows.size)
-        indices = (rows * n + cols, cols * n + rows, rows * rows.size + pairs, cols * rows.size + pairs)
-        for arr in indices:
-            arr.setflags(write=False)
-        _FLAT_CACHE[n] = indices
-    return _FLAT_CACHE[n]
+    rows, cols = _pair_indices(n)
+    pairs = np.arange(rows.size)
+    indices = np.stack([rows * n + cols, cols * n + rows, rows * rows.size + pairs,
+                        cols * rows.size + pairs])
+    indices.setflags(write=False)
+    return tuple(indices)
 
 
 def skew_to_vec(x):
@@ -142,36 +135,28 @@ def vec_to_skew(v, n):
     return x.reshape(lead + (n, n))
 
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def bivector_basis(n):
     """Stacked orthonormal basis matrices E_ij, shape (N, n, n)."""
-    if n not in _BASIS_CACHE:
-        pairs = bivector_pairs(n)
-        basis = np.zeros((len(pairs), n, n))
-        for a, (i, j) in enumerate(pairs):
-            basis[a, i, j] = 1.0
-            basis[a, j, i] = -1.0
-        basis.setflags(write=False)
-        _BASIS_CACHE[n] = basis
-    return _BASIS_CACHE[n]
+    pairs = bivector_pairs(n)
+    basis = np.zeros((len(pairs), n, n))
+    for a, (i, j) in enumerate(pairs):
+        basis[a, i, j] = 1.0
+        basis[a, j, i] = -1.0
+    basis.setflags(write=False)
+    return basis
 
 
-_COMPOUND_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def _compound_indices(n):
     """Flat positions of g_ik, g_jl, g_il and g_jk in an n x n matrix, shape
     (4, N, N), for the rows (i, j) and columns (k, l) of its second compound."""
-    if n not in _COMPOUND_CACHE:
-        rows, cols = _pair_indices(n)
-        i, j = rows[:, None] * n, cols[:, None] * n
-        k, l = rows[None, :], cols[None, :]
-        indices = np.stack([i + k, j + l, i + l, j + k])
-        indices.setflags(write=False)
-        _COMPOUND_CACHE[n] = indices
-    return _COMPOUND_CACHE[n]
+    rows, cols = _pair_indices(n)
+    i, j = rows[:, None] * n, cols[:, None] * n
+    k, l = rows[None, :], cols[None, :]
+    indices = np.stack([i + k, j + l, i + l, j + k])
+    indices.setflags(write=False)
+    return indices
 
 
 def adjoint_matrix(g):
@@ -195,20 +180,16 @@ def ad_matrix(x):
     return np.swapaxes(skew_to_vec(x @ basis - basis @ x), -1, -2)
 
 
-_STRUCTURE_CACHE: dict[int, np.ndarray] = {}
-
-
+@cache
 def structure_constants(n):
     """The (N, N^2) structure-constant matrix S of so(n), S[a] = ad_{E_a} flattened.
 
     S[a, b N + c] is the E_b coordinate of [E_a, E_c], 0 or +-1.  It is built
     once per n, on first use, and is read-only.
     """
-    if n not in _STRUCTURE_CACHE:
-        s = ad_matrix(bivector_basis(n)).reshape(so_dim(n), -1)
-        s.setflags(write=False)
-        _STRUCTURE_CACHE[n] = s
-    return _STRUCTURE_CACHE[n]
+    s = ad_matrix(bivector_basis(n)).reshape(so_dim(n), -1)
+    s.setflags(write=False)
+    return s
 
 
 def ad_vec(x):
@@ -257,37 +238,33 @@ class SubspaceBasis:
         return self.vectors.shape[1]
 
 
-def gram_schmidt(vectors, dim, tol=RANK_TOL):
+def gram_schmidt(vectors, dim):
     """Orthonormal columns, shape (dim, k), spanning the given vectors in order.
 
     A vector whose residual against the earlier ones has norm at most
-    ``tol`` is dropped.
+    ``RANK_TOL`` is dropped.
     """
     out = []
     for v in vectors:
         for c in out:
             v = v - np.dot(c, v) * c
         length = np.linalg.norm(v)
-        if length > tol:
+        if length > RANK_TOL:
             out.append(v / length)
     return np.column_stack(out) if out else np.zeros((dim, 0))
 
 
-def orthonormal_basis_of(generators, n=None, tol=RANK_TOL):
-    """Gram-Schmidt orthonormalization of skew-matrix generators.
+def orthonormal_basis_of(generators, n):
+    """Gram-Schmidt orthonormalization of skew-matrix generators in so(n).
 
     Generators that are linearly dependent on earlier ones (residual norm
-    below ``tol``) are dropped with a warning.
+    at most ``RANK_TOL``) are dropped with a warning.
     """
     gens = [np.asarray(g, dtype=float) for g in generators]
-    if n is None:
-        if not gens:
-            raise ValueError("cannot infer dimension from an empty generator list")
-        n = gens[0].shape[0]
     for g in gens:
         if g.shape != (n, n):
             raise DimensionError(f"generator of shape {g.shape} in so({n})")
-    vectors = gram_schmidt([skew_to_vec(g) for g in gens], so_dim(n), tol)
+    vectors = gram_schmidt([skew_to_vec(g) for g in gens], so_dim(n))
     dropped = len(gens) - vectors.shape[1]
     if dropped:
         warnings.warn(f"dropped {dropped} linearly dependent generator(s)", stacklevel=2)
@@ -350,7 +327,7 @@ def wedge_map(gamma):
 
 def wedge_subspace_basis(gamma):
     """Orthonormal basis h_j ^ gamma = E^T h_j of R^n ^ gamma, h_j the Householder frame."""
-    gamma = check_unit(gamma, tol=1e-10)
+    gamma = check_unit(gamma)
     return SubspaceBasis(gamma.size, wedge_map(gamma).T @ householder_frame(gamma)[:, :-1])
 
 
@@ -362,7 +339,7 @@ def wedge_complement_basis(gamma):
     complement.  They are the columns of Ad_H for the pairs (i, j) with
     j < n - 1, in the same lexicographic order.
     """
-    gamma = check_unit(gamma, tol=1e-10)
+    gamma = check_unit(gamma)
     n = gamma.size
     _, cols = _pair_indices(n)
     return SubspaceBasis(n, adjoint_matrix(householder_frame(gamma))[:, cols < n - 1])

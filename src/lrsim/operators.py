@@ -64,17 +64,6 @@ class InertiaOperator:
         return cls(n, c * np.eye(lie.so_dim(n)))
 
     @classmethod
-    def from_bivector_diag(cls, n, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (lie.so_dim(n),):
-            raise OperatorError(f"need {lie.so_dim(n)} diagonal values for so({n})")
-        return cls(n, np.diag(values))
-
-    @classmethod
-    def from_bivector_matrix(cls, n, matrix):
-        return cls(n, matrix)
-
-    @classmethod
     def special(cls, A, c):
         """Operator I(x ^ y) = A x ^ A y - c x ^ y, A = diag(A_1..A_n) > 0.
 

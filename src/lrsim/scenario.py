@@ -54,8 +54,6 @@ SYSTEM_KINDS = (
     "gsr",
 )
 
-VALIDATION_TOL = 1e-8
-
 
 class ScenarioParseError(ValueError):
     def __init__(self, message, line=None, column=None):
@@ -134,7 +132,7 @@ def build_scenario(data, name="<memory>", overrides=None):
         raise ScenarioValidationError(str(exc)) from exc
 
     try:
-        system.validate(y0, tol=VALIDATION_TOL)
+        system.validate(y0)
     except ValueError as exc:
         raise ScenarioValidationError(str(exc)) from exc
 
@@ -282,26 +280,35 @@ def _subspace(spec, n, what):
     return lie.orthonormal_basis_of(mats, n=n)
 
 
+_BIVECTOR_KINDS = ("bivector-diag", "bivector-dense")
+
+
+def _bivector_matrix(spec, kind, n, what):
+    """The N x N matrix of the operator spec ``what``: ``np.diag(values)`` for
+    ``bivector-diag``, ``matrix`` for ``bivector-dense``."""
+    N = lie.so_dim(n)
+    if kind == "bivector-diag":
+        values = _number(_require(spec, "values"), f"{what}.values", np.ndarray)
+        if values.shape != (N,):
+            raise ScenarioParseError(f"{what}.values must have {N} entries for so({n})")
+        return np.diag(values)
+    mat = _number(_require(spec, "matrix"), f"{what}.matrix", np.ndarray)
+    if mat.shape != (N, N):
+        raise ScenarioParseError(f"{what}.matrix must be {N}x{N} for so({n})")
+    return mat
+
+
 def _inertia(data, n):
     spec = data.get("inertia", {"kind": "identity"})
     if not isinstance(spec, dict):
         raise ScenarioParseError("inertia must be a mapping")
     kind = spec.get("kind", "identity")
-    N = lie.so_dim(n)
     if kind == "identity":
         return InertiaOperator.identity(n)
     if kind == "scalar":
         return InertiaOperator.scalar(n, _number(_require(spec, "value"), "inertia.value"))
-    if kind == "bivector-diag":
-        values = _number(_require(spec, "values"), "inertia.values", np.ndarray)
-        if values.shape != (N,):
-            raise ScenarioParseError(f"inertia.values must have {N} entries for so({n})")
-        return InertiaOperator.from_bivector_diag(n, values)
-    if kind == "bivector-dense":
-        mat = _number(_require(spec, "matrix"), "inertia.matrix", np.ndarray)
-        if mat.shape != (N, N):
-            raise ScenarioParseError(f"inertia.matrix must be {N}x{N} for so({n})")
-        return InertiaOperator.from_bivector_matrix(n, mat)
+    if kind in _BIVECTOR_KINDS:
+        return InertiaOperator(n, _bivector_matrix(spec, kind, n, "inertia"))
     if kind == "special":
         axes = _vector(_require(spec, "A"), n, "inertia.A")
         return InertiaOperator.special(axes, _number(spec.get("c", 0.0), "inertia.c"))
@@ -311,17 +318,8 @@ def _inertia(data, n):
 def _pi0(data, n):
     spec = _require(data, "pi0", dict)
     kind = spec.get("kind", "bivector-dense")
-    N = lie.so_dim(n)
-    if kind == "bivector-diag":
-        values = _number(_require(spec, "values"), "pi0.values", np.ndarray)
-        if values.shape != (N,):
-            raise ScenarioParseError(f"pi0.values must have {N} entries for so({n})")
-        return np.diag(values), None
-    if kind == "bivector-dense":
-        mat = _number(_require(spec, "matrix"), "pi0.matrix", np.ndarray)
-        if mat.shape != (N, N):
-            raise ScenarioParseError(f"pi0.matrix must be {N}x{N} for so({n})")
-        return mat, None
+    if kind in _BIVECTOR_KINDS:
+        return _bivector_matrix(spec, kind, n, "pi0"), None
     if kind == "penalty":
         basis = _subspace(spec, n, "pi0")
         eps = _number(_require(spec, "epsilon"), "pi0.epsilon")

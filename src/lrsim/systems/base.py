@@ -25,6 +25,8 @@ SKEW = "skew"
 UNIT = "unit"
 VECTOR = "vector"
 
+VALIDATION_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Component:
@@ -157,12 +159,12 @@ class System:
                 out[f"{comp.name}_norm"] = abs(float(v @ v) - 1.0)
         return out
 
-    def validate(self, y, tol=1e-8):
-        """Raise ValueError naming the first violated constraint."""
+    def validate(self, y):
+        """Raise ValueError naming the first constraint residual above ``VALIDATION_TOL``."""
         if y.shape != (self.dim,):
             raise ValueError(f"state must have {self.dim} entries, got {y.shape}")
         for name, resid in self.constraints(y).items():
-            if resid > tol:
+            if resid > VALIDATION_TOL:
                 raise ValueError(
                     f"initial state violates invariant {name!r} (residual {resid:.3e})"
                 )

@@ -65,6 +65,16 @@ def tangent_inertia(inertia, mr2, e):
     return lmat
 
 
+def _set_ball(system, inertia, mass, radius):
+    """Give a rolling-ball system its inertia, mass, radius and mr2 = m rho^2."""
+    if mass <= 0 or radius <= 0:
+        raise ValueError("mass and radius must be positive")
+    system.inertia = inertia
+    system.mass = float(mass)
+    system.radius = float(radius)
+    system.mr2 = system.mass * system.radius**2
+
+
 def _dot(a, b):
     """Dot products over the last axis, kept as a trailing axis of length 1."""
     return (a[..., None, :] @ b[..., :, None])[..., 0]
@@ -84,12 +94,7 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
     kind = "rubber-chaplygin"
 
     def __init__(self, inertia, mass, radius):
-        if mass <= 0 or radius <= 0:
-            raise ValueError("mass and radius must be positive")
-        self.inertia = inertia
-        self.mass = float(mass)
-        self.radius = float(radius)
-        self.mr2 = self.mass * self.radius**2
+        _set_ball(self, inertia, mass, radius)
         n = inertia.n
         super().__init__(n, [rotation_component(n), skew_component("omega", n)])
 
@@ -149,12 +154,7 @@ class CotangentSystem(System):
     kind = "cotangent"
 
     def __init__(self, inertia, mass, radius):
-        if mass <= 0 or radius <= 0:
-            raise ValueError("mass and radius must be positive")
-        self.inertia = inertia
-        self.mass = float(mass)
-        self.radius = float(radius)
-        self.mr2 = self.mass * self.radius**2
+        _set_ball(self, inertia, mass, radius)
         n = inertia.n
         super().__init__(n, [Component("gamma", UNIT, n), Component("p", VECTOR, n)])
 
@@ -269,12 +269,7 @@ class GsrSystem(System):
     kind = "gsr"
 
     def __init__(self, inertia, mass, radius):
-        if mass <= 0 or radius <= 0:
-            raise ValueError("mass and radius must be positive")
-        self.inertia = inertia
-        self.mass = float(mass)
-        self.radius = float(radius)
-        self.mr2 = self.mass * self.radius**2
+        _set_ball(self, inertia, mass, radius)
         n = inertia.n
         super().__init__(n, [skew_component("gamma", n), skew_component("omega", n)])
 

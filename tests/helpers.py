@@ -36,7 +36,7 @@ def rand_unit(rng, n):
 def rand_spd_operator(rng, n, lo=0.6, hi=2.4):
     N = lie.so_dim(n)
     q, _ = np.linalg.qr(rng.normal(size=(N, N)))
-    return InertiaOperator.from_bivector_matrix(n, q @ np.diag(rng.uniform(lo, hi, N)) @ q.T)
+    return InertiaOperator(n, q @ np.diag(rng.uniform(lo, hi, N)) @ q.T)
 
 
 def rand_pi0(rng, inertia, lo=-0.3, hi=1.5):

@@ -28,7 +28,7 @@ def norm(x):
 def proj_wedge_subspace(gamma, x):
     """Orthogonal projection X gamma gamma^T + gamma gamma^T X of a skew
     matrix onto R^n ^ gamma, for a unit vector gamma."""
-    gamma = lie.check_unit(gamma, tol=1e-10)
+    gamma = lie.check_unit(gamma)
     outer = np.outer(gamma, gamma)
     return x @ outer + outer @ x
 

@@ -295,7 +295,7 @@ def test_criterion_09_hamiltonization():
         p0 = rng.normal(size=n)
         p0 -= gamma0 * (gamma0 @ p0)
         sup_geo, _, traj_geo = diag.hamiltonization_check(
-            inertia, c, 1.0, gamma0, p0, tau_end=1.0, h=H
+            inertia, c, 1.0, gamma0, p0, h=H
         )
         sups.append(sup_geo)
         drifts.append(diag.conservation_report(traj_geo)[0].max_rel_drift)

@@ -50,12 +50,6 @@ class TestConservationReport:
         with pytest.raises(KeyError, match="undefined"):
             diag.conservation_report(traj, ["vorticity"])
 
-    def test_callable_quantities_accepted(self):
-        system, y0 = make_lr(rng, 3)
-        traj = integrate(system, y0, IntegratorConfig(steps=5))
-        report = diag.conservation_report(traj, [("norm", lambda y: float(y @ y))])
-        assert report[0].name == "norm"
-
     def test_constraint_residual_quantities(self):
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=50))

@@ -29,8 +29,6 @@ from lrsim.operators import InertiaOperator
 from lrsim.systems import LRSystem, polar_project
 from lrsim.systems.base import Component, VECTOR, System
 
-rng = np.random.default_rng(9)
-
 
 def free_top_system(inertia3=(1.0, 2.0, 3.0), c=0.4):
     op = special_from_vector_inertia(np.array(inertia3), c)
@@ -39,7 +37,7 @@ def free_top_system(inertia3=(1.0, 2.0, 3.0), c=0.4):
 
 
 class TestStep:
-    def test_frozen_body_velocity_is_exact_for_lie_step(self):
+    def test_frozen_body_velocity_is_exact_for_lie_step(self, rng):
         # isotropic inertia: omega stays constant, so one Lie step must
         # land exactly on g exp(h omega)
         basis = lie.SubspaceBasis(3, np.zeros((3, 0)))
@@ -54,7 +52,7 @@ class TestStep:
             y1[system.slice_of("g")].reshape(3, 3), expected, atol=1e-12
         )
 
-    def test_zero_step_is_identity(self):
+    def test_zero_step_is_identity(self, rng):
         system, y0 = make_lplusr(rng, 3)
         for method in ("rk4-projected", "lie-rk4"):
             y1 = step(system, y0, 0.0, method=method)
@@ -71,7 +69,7 @@ class TestStep:
         )
         assert dev < 10 * h**4
 
-    def test_unknown_method_rejected(self):
+    def test_unknown_method_rejected(self, rng):
         system, y0 = make_lplusr(rng, 3)
         with pytest.raises(ValueError):
             step(system, y0, 1e-3, method="euler")
@@ -97,17 +95,17 @@ class TestOrder:
 
 
 class TestProjection:
-    def test_polar_projection_idempotent(self):
+    def test_polar_projection_idempotent(self, rng):
         g = rand_rotation(rng, 4)
         np.testing.assert_allclose(polar_project(g), g, atol=1e-14)
 
-    def test_projection_restores_orthogonality(self):
+    def test_projection_restores_orthogonality(self, rng):
         g = rand_rotation(rng, 4) + 1e-6 * rng.normal(size=(4, 4))
         p = polar_project(g)
         np.testing.assert_allclose(p.T @ p, np.eye(4), atol=1e-12)
         assert np.linalg.det(p) == pytest.approx(1.0, abs=1e-12)
 
-    def test_long_run_orthogonality_drift(self):
+    def test_long_run_orthogonality_drift(self, rng):
         system, y0 = make_lplusr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10000))
         worst = max(system.constraints(y)["g_orthogonality"] for y in traj.states)
@@ -115,7 +113,7 @@ class TestProjection:
 
 
 class TestIntegrate:
-    def test_zero_steps_single_state(self):
+    def test_zero_steps_single_state(self, rng):
         system, y0 = make_lplusr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=0))
         assert len(traj) == 1
@@ -129,19 +127,19 @@ class TestIntegrate:
         vals = np.array([fn(y) for y in traj.states])
         assert np.max(np.abs(vals - vals[0])) / abs(vals[0]) < 1e-9
 
-    def test_times_strictly_increasing(self):
+    def test_times_strictly_increasing(self, rng):
         system, y0 = make_lplusr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=50))
         assert np.all(np.diff(traj.times) > 0)
 
-    def test_determinism_bitwise(self):
+    def test_determinism_bitwise(self, rng):
         system, y0 = make_lplusr(rng, 4)
         cfg = IntegratorConfig(h=1e-3, steps=200)
         a = integrate(system, y0, cfg)
         b = integrate(system, y0, cfg)
         np.testing.assert_array_equal(a.states, b.states)
 
-    def test_hook_sees_every_step(self):
+    def test_hook_sees_every_step(self, rng):
         system, y0 = make_lplusr(rng, 3)
         seen = []
         integrate(system, y0, IntegratorConfig(h=1e-3, steps=17), hook=lambda i, t, y: seen.append(i))
@@ -168,16 +166,17 @@ class TestIntegrate:
 
 
 class TestReparametrization:
-    def test_identity_axes_give_physical_time(self):
+    def test_identity_axes_give_physical_time(self, rng):
         system, y0 = make_cotangent(rng, 3)
         cfg = IntegratorConfig(h=1e-3, steps=500)
         traj_t = integrate(system, y0, cfg)
         traj_tau = integrate_reparametrized(system, y0, np.ones(3), cfg)
         np.testing.assert_allclose(traj_tau.states, traj_t.states, atol=1e-13)
-        tau = reparametrize_trajectory(traj_t, np.ones(3))
+        fields = np.array([system.rhs(y) for y in traj_t.states])
+        tau = reparametrize_trajectory(traj_t, np.ones(3), fields)
         np.testing.assert_allclose(tau, traj_t.times, atol=1e-12)
 
-    def test_dual_paths_agree(self):
+    def test_dual_paths_agree(self, rng):
         from scipy.interpolate import CubicSpline
 
         inertia, axes, c = special_inertia(rng, 3)
@@ -185,7 +184,8 @@ class TestReparametrization:
         h = 1e-3
         traj_tau = integrate_reparametrized(system, y0, axes, IntegratorConfig(h=h, steps=800))
         traj_t = integrate(system, y0, IntegratorConfig(h=h, steps=3000))
-        tau = reparametrize_trajectory(traj_t, axes)
+        fields = np.array([system.rhs(y) for y in traj_t.states])
+        tau = reparametrize_trajectory(traj_t, axes, fields)
         assert tau[-1] > traj_tau.times[-1]
         spline = CubicSpline(tau, traj_t.states, axis=0)
         dev = np.max(np.abs(spline(traj_tau.times) - traj_tau.states))
@@ -217,10 +217,11 @@ class TestReparametrization:
         h = 1e-3
         traj_tau = integrate_reparametrized(system, y0, axes, IntegratorConfig(h=h, steps=800))
         traj_t = integrate(system, y0, IntegratorConfig(h=h, steps=3000))
-        tau = reparametrize_trajectory(traj_t, axes)
+        fields = np.array([system.rhs(y) for y in traj_t.states])
+        tau = reparametrize_trajectory(traj_t, axes, fields)
         gammas = traj_t.component("gamma")
         rescale = np.sqrt(np.einsum("ki,i,ki->k", gammas, axes, gammas))
-        slopes = rescale[:, None] * np.array([system.rhs(y) for y in traj_t.states])
+        slopes = rescale[:, None] * fields
         hermite = hermite_interpolate(tau, traj_t.states, slopes, traj_tau.times)
         spline = CubicSpline(tau, traj_t.states, axis=0)(traj_tau.times)
         assert np.max(np.abs(hermite - spline)) < 1e-9
@@ -241,7 +242,7 @@ class TestReparametrization:
         path = hermite_interpolate(tau, traj_t.states, rescale[:, None] * fields, traj_tau.times)
         assert np.max(np.abs(path - traj_tau.states)) < 1e-9
 
-    def test_rejects_nonpositive_axes(self):
+    def test_rejects_nonpositive_axes(self, rng):
         system, y0 = make_cotangent(rng, 3)
         with pytest.raises(ValueError):
             integrate_reparametrized(system, y0, np.array([1.0, -1.0, 2.0]), IntegratorConfig())

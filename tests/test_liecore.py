@@ -5,9 +5,20 @@ import pytest
 
 import oracles
 from helpers import iso3, iso3_inv, rand_rotation, rand_skew, rand_unit
+from lrsim import diagnostics
 from lrsim import liecore as lie
 
 rng = np.random.default_rng(42)
+
+# the per-size tables built once and shared by every caller
+MEMO_TABLES = [
+    lie._pair_indices,
+    lie._flat_indices,
+    lie.bivector_basis,
+    lie._compound_indices,
+    lie.structure_constants,
+    diagnostics._sym_indices,
+]
 
 
 def basis_vec(n, i):
@@ -156,14 +167,14 @@ class TestWedgeProjector:
 class TestBases:
     def test_normalization(self):
         e12 = lie.wedge(basis_vec(3, 0), basis_vec(3, 1))
-        basis = lie.orthonormal_basis_of([2.0 * e12])
+        basis = lie.orthonormal_basis_of([2.0 * e12], n=3)
         assert basis.dim == 1
         np.testing.assert_allclose(lie.vec_to_skew(basis.vectors[:, 0], 3), e12, atol=1e-14)
 
     def test_gram_schmidt_by_hand(self):
         e12 = lie.wedge(basis_vec(3, 0), basis_vec(3, 1))
         e13 = lie.wedge(basis_vec(3, 0), basis_vec(3, 2))
-        basis = lie.orthonormal_basis_of([e12, e12 + e13])
+        basis = lie.orthonormal_basis_of([e12, e12 + e13], n=3)
         assert basis.dim == 2
         np.testing.assert_allclose(lie.vec_to_skew(basis.vectors[:, 0], 3), e12, atol=1e-14)
         np.testing.assert_allclose(lie.vec_to_skew(basis.vectors[:, 1], 3), e13, atol=1e-14)
@@ -171,7 +182,7 @@ class TestBases:
     def test_dependent_generators_dropped_with_warning(self):
         e12 = lie.wedge(basis_vec(3, 0), basis_vec(3, 1))
         with pytest.warns(UserWarning):
-            basis = lie.orthonormal_basis_of([e12, 3.0 * e12])
+            basis = lie.orthonormal_basis_of([e12, 3.0 * e12], n=3)
         assert basis.dim == 1
 
     def test_dimension_count_with_complement(self):
@@ -240,6 +251,14 @@ class TestStructureConstants:
             s[0, 0] = 1.0
         assert lie.structure_constants(4) is s
         assert set(np.unique(s)) <= {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize("table", MEMO_TABLES, ids=lambda table: table.__name__)
+    def test_memo_tables_are_shared_and_read_only(self, table):
+        for n in range(2, 7):
+            first = table(n)
+            assert table(n) is first
+            for arr in first if isinstance(first, tuple) else (first,):
+                assert not arr.flags.writeable
 
     def test_ad_vec_rejects_a_length_that_is_no_so_n(self):
         with pytest.raises(lie.DimensionError):

@@ -13,8 +13,6 @@ from lrsim.operators import (
     wedge_projector_matrix,
 )
 
-rng = np.random.default_rng(7)
-
 
 def solve(op, y):
     """I X = Y solved for the skew matrix X, through bivector coordinates."""
@@ -31,15 +29,15 @@ class TestConstruction:
         mat = np.eye(3)
         mat[0, 1] = 0.5
         with pytest.raises(OperatorError):
-            InertiaOperator.from_bivector_matrix(3, mat)
+            InertiaOperator(3, mat)
 
     def test_rejects_indefinite(self):
         with pytest.raises(OperatorError, match="positive definite"):
-            InertiaOperator.from_bivector_diag(3, [1.0, -0.2, 2.0])
+            InertiaOperator(3, np.diag([1.0, -0.2, 2.0]))
 
     def test_indefinite_reports_min_eigenvalue(self):
         with pytest.raises(OperatorError, match=r"min eigenvalue -0\.5"):
-            InertiaOperator.from_bivector_diag(3, [1.0, -0.5, 2.0])
+            InertiaOperator(3, np.diag([1.0, -0.5, 2.0]))
 
     def test_special_spd_condition(self):
         # A_1 A_2 = 0.9 * 1.1 = 0.99 <= c = 1.0
@@ -53,7 +51,7 @@ class TestConstruction:
 
 
 class TestApply:
-    def test_special_with_identity_axes_is_identity(self):
+    def test_special_with_identity_axes_is_identity(self, rng):
         op = InertiaOperator.special(np.ones(4), 0.0)
         x = rand_skew(rng, 4)
         np.testing.assert_allclose(oracles.apply(op, x), x, atol=1e-14)
@@ -66,7 +64,7 @@ class TestApply:
             expected = (axes[i] * axes[j] - c) * bivector(4, i, j)
             np.testing.assert_allclose(oracles.apply(op, bivector(4, i, j)), expected, atol=1e-13)
 
-    def test_self_adjoint_and_positive(self):
+    def test_self_adjoint_and_positive(self, rng):
         op = rand_spd_operator(rng, 4)
         for _ in range(10):
             x, y = rand_skew(rng, 4), rand_skew(rng, 4)
@@ -75,7 +73,7 @@ class TestApply:
             )
             assert oracles.inner(oracles.apply(op, x), x) > 0
 
-    def test_matrix_agrees_with_structured_apply(self):
+    def test_matrix_agrees_with_structured_apply(self, rng):
         op = InertiaOperator.special(np.array([1.1, 0.8, 1.9]), 0.2)
         x = rand_skew(rng, 3)
         via_matrix = lie.vec_to_skew(op.apply_vec(lie.skew_to_vec(x)), 3)
@@ -83,7 +81,7 @@ class TestApply:
 
 
 class TestSolve:
-    def test_scalar(self):
+    def test_scalar(self, rng):
         op = InertiaOperator.scalar(3, 2.0)
         y = rand_skew(rng, 3)
         np.testing.assert_allclose(solve(op, y), y / 2.0, atol=1e-14)
@@ -96,7 +94,7 @@ class TestSolve:
             expected = bivector(3, i, j) / (axes[i] * axes[j] - c)
             np.testing.assert_allclose(solve(op, bivector(3, i, j)), expected, atol=1e-13)
 
-    def test_residual_on_random_spd(self):
+    def test_residual_on_random_spd(self, rng):
         op = rand_spd_operator(rng, 5)
         y = rand_skew(rng, 5)
         x = solve(op, y)
@@ -104,12 +102,12 @@ class TestSolve:
 
 
 class TestRestrictedInverseDet:
-    def test_identity_operator(self):
+    def test_identity_operator(self, rng):
         basis = lie.orthonormal_basis_of([rand_skew(rng, 4) for _ in range(2)], n=4)
         det = restricted_inverse_det(InertiaOperator.identity(4), basis.vectors)
         assert det == pytest.approx(1.0)
 
-    def test_scalar_operator(self):
+    def test_scalar_operator(self, rng):
         basis = lie.orthonormal_basis_of([rand_skew(rng, 4) for _ in range(3)], n=4)
         op = InertiaOperator.scalar(4, 2.5)
         assert restricted_inverse_det(op, basis.vectors) == pytest.approx(2.5 ** (-3), rel=1e-12)
@@ -118,7 +116,7 @@ class TestRestrictedInverseDet:
         basis = lie.SubspaceBasis(3, np.zeros((3, 0)))
         assert restricted_inverse_det(InertiaOperator.identity(3), basis.vectors) == 1.0
 
-    def test_matches_entrywise_gram(self):
+    def test_matches_entrywise_gram(self, rng):
         op = rand_spd_operator(rng, 3)
         basis = lie.orthonormal_basis_of([rand_skew(rng, 3) for _ in range(2)], n=3)
         gram = np.empty((2, 2))
@@ -130,7 +128,7 @@ class TestRestrictedInverseDet:
             np.linalg.det(gram), rel=1e-12
         )
 
-    def test_basis_independence(self):
+    def test_basis_independence(self, rng):
         op = rand_spd_operator(rng, 4)
         gens = [rand_skew(rng, 4) for _ in range(2)]
         basis_a = lie.orthonormal_basis_of(gens, n=4)
@@ -153,7 +151,7 @@ class TestVectorInertiaBridge:
             out = iso3_inv(oracles.apply(op, iso3(e)))
             np.testing.assert_allclose(out, inertia3[k] * e, atol=1e-10)
 
-    def test_random_vectors(self):
+    def test_random_vectors(self, rng):
         inertia3 = np.array([0.9, 1.3, 2.1])
         c = 0.5
         op = special_from_vector_inertia(inertia3, c)
@@ -164,7 +162,7 @@ class TestVectorInertiaBridge:
             )
 
 
-def test_wedge_projector_matrix_matches_direct_projection():
+def test_wedge_projector_matrix_matches_direct_projection(rng):
     gamma = rand_unit(rng, 4)
     mat = wedge_projector_matrix(gamma)
     x = rand_skew(rng, 4)

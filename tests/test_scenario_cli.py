@@ -145,6 +145,72 @@ class TestParseErrors:
             load_scenario(path)
 
 
+# operator specs: (scenario, key, bivector-diag values, bivector-dense matrix),
+# both forms valid in their scenario
+OPERATOR_SPECS = [
+    ("free_top", "inertia", [1.0, 2.0, 3.0],
+     [[2.0, 0.3, 0.1], [0.3, 1.5, -0.2], [0.1, -0.2, 1.8]]),
+    ("geodesic_lpr", "pi0", [0.4, -0.2, 0.3],
+     [[0.4, 0.1, 0.0], [0.1, -0.2, 0.05], [0.0, 0.05, 0.3]]),
+]
+
+
+def _operator_scenario(source, key, kind, entries):
+    data = dict(MINIMAL_FREE_TOP) if source == "free_top" else shipped(f"{source}.yaml")
+    data[key] = {"kind": kind, "values" if kind == "bivector-diag" else "matrix": entries}
+    return data
+
+
+class TestOperatorSpecs:
+    @pytest.mark.parametrize("kind", ["bivector-diag", "bivector-dense"])
+    @pytest.mark.parametrize("source, key, values, matrix", OPERATOR_SPECS,
+                             ids=[spec[1] for spec in OPERATOR_SPECS])
+    def test_valid_spec_builds_its_matrix_exactly(
+        self, tmp_path, source, key, values, matrix, kind
+    ):
+        entries = values if kind == "bivector-diag" else matrix
+        scen = write_yaml(tmp_path / "op.yaml", _operator_scenario(source, key, kind, entries))
+        assert main(["run", scen, "--out", str(tmp_path / "o"), "--steps", "2"]) == 0
+        system = load_scenario(scen).system
+        built = system.inertia.matrix if key == "inertia" else system.pi0
+        expected = np.diag(values) if kind == "bivector-diag" else np.array(matrix)
+        np.testing.assert_array_equal(built, expected)
+
+    @pytest.mark.parametrize("kind, field, entries", [
+        ("bivector-diag", "values", [1.0, 2.0]),
+        ("bivector-dense", "matrix", [[1.0, 0.0], [0.0, 1.0]]),
+    ])
+    @pytest.mark.parametrize("source, key", [spec[:2] for spec in OPERATOR_SPECS],
+                             ids=[spec[1] for spec in OPERATOR_SPECS])
+    def test_wrong_shape_exit_2_names_its_key(
+        self, tmp_path, capsys, source, key, kind, field, entries
+    ):
+        scen = write_yaml(tmp_path / "op.yaml", _operator_scenario(source, key, kind, entries))
+        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 2
+        assert f"{key}.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, entries", [
+        ("bivector-diag", [1.0, -0.2, 2.0]),
+        ("bivector-dense", [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ])
+    def test_non_definite_inertia_exit_3(self, tmp_path, capsys, kind, entries):
+        scen = write_yaml(tmp_path / "op.yaml",
+                          _operator_scenario("free_top", "inertia", kind, entries))
+        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 3
+        assert "positive definite" in capsys.readouterr().err
+
+
+class TestBallParameters:
+    @pytest.mark.parametrize("key, value", [("mass", 0), ("radius", -1)])
+    @pytest.mark.parametrize("name", ["rubber_chaplygin3", "cotangent", "gsr"])
+    def test_nonpositive_mass_or_radius_exit_3(self, tmp_path, capsys, name, key, value):
+        data = shipped(f"{name}.yaml")
+        data[key] = value
+        scen = write_yaml(tmp_path / "ball.yaml", data)
+        assert main(["run", scen, "--out", str(tmp_path / "o")]) == 3
+        assert "mass and radius must be positive" in capsys.readouterr().err
+
+
 class TestCliRun:
     def test_row_count_and_exit_zero(self, tmp_path, capsys):
         scen = write_yaml(tmp_path / "top.yaml", MINIMAL_FREE_TOP)

@@ -307,7 +307,7 @@ class TestLstarGeodesic:
             p0 = rng.normal(size=n)
             p0 -= gamma0 * (gamma0 @ p0)
             sup_geo, sup_dual, traj_geo = hamiltonization_check(
-                inertia, mass, radius, gamma0, p0, tau_end=1.0, h=1e-3
+                inertia, mass, radius, gamma0, p0, h=1e-3
             )
             assert sup_geo < 1e-6
             assert sup_dual < 1e-7

@@ -110,7 +110,7 @@ class TestLplusRField:
         # eig(I + Pi0) = (0.5, 1, 2) > 0, but I is not conjugated with Pi0:
         # the cyclic rotations carry E_12 onto E_23 or back, where
         # B(g) = I + Ad_g^T Pi0 Ad_g has the diagonal entry 1 - 2.5
-        inertia = InertiaOperator.from_bivector_diag(3, [1.0, 2.0, 3.0])
+        inertia = InertiaOperator(3, np.diag([1.0, 2.0, 3.0]))
         pi0 = np.diag([0.0, 0.0, -2.5])
         assert np.linalg.eigvalsh(inertia.matrix + pi0)[0] > 0
         cyclic = np.roll(np.eye(3), 1, axis=0)
