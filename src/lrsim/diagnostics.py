@@ -48,6 +48,10 @@ FD_STEP = 1e-5
 HAMILTONIZATION_TAU = 1.0
 INDEPENDENCE_FD_STEP = 1e-6
 INDEPENDENCE_TOL = 1e-8
+# states per constraints call in constraint_report: the temporaries of a
+# stacked call grow with its length (an N x N adjoint matrix per state for
+# the partner flows), so blocks bound the report's memory on long runs
+REPORT_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -109,14 +113,16 @@ def conservation_report(traj, quantities=None):
 def constraint_report(traj):
     """Worst residual of every named constraint along the trajectory.
 
-    A NaN residual at any state makes that constraint's worst value NaN, so
-    a check against a tolerance fails.
+    ``constraints`` evaluates the states in blocks of ``REPORT_BLOCK``, one
+    call per block.  A NaN residual at any state makes that constraint's
+    worst value NaN, as ``np.max`` propagates it, so a check against a
+    tolerance fails.
     """
-    worst = {}
-    for y in traj.states:
-        for name, resid in traj.system.constraints(y).items():
-            worst[name] = float(np.maximum(worst.get(name, 0.0), resid))
-    return worst
+    blocks = [
+        traj.system.constraints(traj.states[i:i + REPORT_BLOCK])
+        for i in range(0, len(traj), REPORT_BLOCK)
+    ]
+    return {name: float(np.max([np.max(block[name]) for block in blocks])) for name in blocks[0]}
 
 
 @dataclass(frozen=True)

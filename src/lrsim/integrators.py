@@ -5,14 +5,19 @@ Two fourth-order methods:
 * ``rk4-projected`` -- classical four-stage step on the flat state, followed
   by polar re-orthogonalization of rotation components and renormalization
   of unit vectors;
-* ``lie-rk4`` -- a Munthe-Kaas step: rotation components are updated
+* ``lie-rk4`` -- a Munthe-Kaas step: the rotation g is updated
   multiplicatively, g <- g exp(u), with the algebra increment u built from
   staged body velocities corrected by the truncated inverse differential of
-  exp; the remaining components take the classical update.  The first stage
-  is the field at the state itself (u = 0), so it takes no exponential and
-  a step costs four: one per later stage and one for the update.  As
-  g exp(u) stays orthogonal to roundoff, only unit vectors are renormalized
-  after it; rotations get no polar factor.
+  exp; the remaining components take the classical update.  It works in
+  bivector coordinates and relies on the contract of
+  :class:`~lrsim.systems.lr.ConstrainedEulerSystem`, whose ``rhs`` sets
+  g' = g omega: the body velocity of a stage is the omega part of its
+  state.  A rotation outside that kernel is a ``ValueError``; a system with
+  no rotation takes the classical step.  The first stage is the field at
+  the state itself (u = 0), so it takes no exponential and a step costs
+  four: one per later stage and one for the update.  As g exp(u) stays
+  orthogonal to roundoff, only unit vectors are renormalized after it;
+  rotations get no polar factor.
 
 Only ``rk4-projected`` polar-projects rotations.
 
@@ -30,6 +35,7 @@ import numpy as np
 
 from . import liecore as lie
 from .systems.base import ROTATION, normalize_units
+from .systems.lr import ConstrainedEulerSystem
 
 METHODS = ("rk4-projected", "lie-rk4")
 
@@ -90,44 +96,45 @@ def _rk4_flat(rhs, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _dexpinv(u, v):
-    """Algebra slope u' with d/dt (g0 exp(u)) = g0 exp(u) v, truncated for order 4.
-
-    For the left convention g' = g v the slope is dexpinv_{-u}(v)
-    = v + 1/2 [u, v] + 1/12 [u, [u, v]] + O(u^3).
-    """
-    uv = u @ v - v @ u
-    return v + 0.5 * uv + (1.0 / 12.0) * (u @ uv - uv @ u)
-
-
 def _lie_rk4(system, y, h):
-    n = system.n
-    rot = [system.slice_of(comp.name) for comp in system.components if comp.kind == ROTATION]
-    g0 = [y[sl].reshape(n, n) for sl in rot]
+    """Munthe-Kaas RK4 step in bivector coordinates.
 
-    def eval_stage(us, y_lin):
-        """Field at (g0 exp(u), linear part); returns (algebra slopes, flat slope)."""
-        y_stage = y_lin.copy()
-        gs = []
-        for g, u, sl in zip(g0, us, rot):
-            gs.append(g @ expm(u))
-            y_stage[sl] = gs[-1].ravel()
-        ydot = system.rhs(y_stage)
-        return [
-            _dexpinv(u, lie.skew_part(g.T @ ydot[sl].reshape(n, n)))
-            for g, u, sl in zip(gs, us, rot)
-        ], ydot
+    A constrained-Euler field sets g' = g omega, so the algebra slope of a
+    stage is the omega coordinates of its state.  It is corrected by the
+    truncated dexpinv_{-u}(v) = v + 1/2 [u, v] + 1/12 [u, [u, v]], with
+    [u, .] = ``lie.ad_vec(u)``; each exponent becomes a skew matrix once,
+    for ``expm``.  A system with no rotation takes the classical step.
+    """
+    if not any(comp.kind == ROTATION for comp in system.components):
+        return _rk4_flat(system.rhs, y, h)
+    if not isinstance(system, ConstrainedEulerSystem):
+        raise ValueError(
+            f"lie-rk4 needs g' = g omega from a constrained-Euler flow; {system.kind!r} is not one"
+        )
+    n = system.n
+    g_sl = system.slice_of("g")
+    w_sl = system.slice_of("omega")
+    g0 = y[g_sl].reshape(n, n)
+
+    def eval_stage(u, y_stage):
+        """Field at (g0 exp(u), the rest of the fresh state ``y_stage``) and
+        the algebra slope there."""
+        y_stage[g_sl] = (g0 @ expm(lie.vec_to_skew(u, n))).ravel()
+        w = y_stage[w_sl]
+        adu = lie.ad_vec(u)
+        uw = adu @ w
+        return w + 0.5 * uw + (1.0 / 12.0) * (adu @ uw), system.rhs(y_stage)
 
     # the first stage sits at y itself: exp(0) = I and dexpinv(0, v) = v
     k1 = system.rhs(y)
-    k1a = [lie.skew_part(g.T @ k1[sl].reshape(n, n)) for g, sl in zip(g0, rot)]
-    k2a, k2 = eval_stage([0.5 * h * k for k in k1a], y + 0.5 * h * k1)
-    k3a, k3 = eval_stage([0.5 * h * k for k in k2a], y + 0.5 * h * k2)
-    k4a, k4 = eval_stage([h * k for k in k3a], y + h * k3)
+    k1a = y[w_sl]
+    k2a, k2 = eval_stage(0.5 * h * k1a, y + 0.5 * h * k1)
+    k3a, k3 = eval_stage(0.5 * h * k2a, y + 0.5 * h * k2)
+    k4a, k4 = eval_stage(h * k3a, y + h * k3)
 
     y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    for g, sl, a1, a2, a3, a4 in zip(g0, rot, k1a, k2a, k3a, k4a):
-        y_new[sl] = (g @ expm((h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4))).ravel()
+    u = (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    y_new[g_sl] = (g0 @ expm(lie.vec_to_skew(u, n))).ravel()
     return y_new
 
 

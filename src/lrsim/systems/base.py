@@ -46,6 +46,16 @@ def polar_project(g):
     return r
 
 
+def dot(a, b):
+    """Dot products over the last axis, kept as a trailing axis of length 1.
+
+    Each is a (1, n) @ (n, 1) matmul: the same BLAS dot that ``@`` and
+    ``np.linalg.norm`` call on one vector, so a stack reproduces its rows
+    bit for bit.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
 def normalize_units(system, y):
     """Divide every unit component of the flat state ``y`` by its norm, in place.
 
@@ -146,17 +156,23 @@ class System:
         }
 
     def constraints(self, y):
-        """Named constraint residuals (all should stay ~0)."""
+        """Named constraint residuals (all should stay ~0) at one state, or
+        arrays of them over the leading axes of a (..., dim) stack.
+
+        A stack takes one sequence of numpy calls and reproduces each
+        state's residuals bit for bit: every product is the matmul one state
+        takes, and every dot product a (1, n) @ (n, 1) one (:func:`dot`).
+        """
         out = {}
+        lead = y.shape[:-1]
         for comp, off in zip(self.components, self._offsets):
+            part = y[..., off:off + comp.size]
             if comp.kind == ROTATION:
-                g = y[off:off + comp.size].reshape(self.n, self.n)
-                out[f"{comp.name}_orthogonality"] = float(
-                    np.max(np.abs(g.T @ g - np.eye(self.n)))
-                )
+                g = part.reshape(lead + (self.n, self.n))
+                defect = np.swapaxes(g, -1, -2) @ g - np.eye(self.n)
+                out[f"{comp.name}_orthogonality"] = np.max(np.abs(defect), axis=(-2, -1))
             elif comp.kind == UNIT:
-                v = y[off:off + comp.size]
-                out[f"{comp.name}_norm"] = abs(float(v @ v) - 1.0)
+                out[f"{comp.name}_norm"] = np.abs(dot(part, part)[..., 0] - 1.0)
         return out
 
     def validate(self, y):

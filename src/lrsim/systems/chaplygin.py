@@ -43,7 +43,7 @@ from .. import liecore as lie
 # every systems module
 from ..linalg import cho_factor, cho_solve  # noqa: F401
 from ..operators import wedge_projector_matrix
-from .base import Component, System, UNIT, VECTOR, rotation_component, skew_component
+from .base import Component, System, UNIT, VECTOR, dot, rotation_component, skew_component
 from .lr import ConstrainedEulerSystem, MultiplierError, constrained_acceleration
 
 
@@ -75,11 +75,6 @@ def _set_ball(system, inertia, mass, radius):
     system.mr2 = system.mass * system.radius**2
 
 
-def _dot(a, b):
-    """Dot products over the last axis, kept as a trailing axis of length 1."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0]
-
-
 class RubberChaplyginSystem(ConstrainedEulerSystem):
     """Rubber Chaplygin sphere in group variables; components g, omega.
 
@@ -99,10 +94,11 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         super().__init__(n, [rotation_component(n), skew_component("omega", n)])
 
     def gamma_of(self, y):
-        """The unit vertical direction gamma = g^-1 e_n in the body frame."""
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        gamma = g.T @ vertical_vector(self.n)
-        return gamma / np.linalg.norm(gamma)
+        """The unit vertical direction gamma = g^-1 e_n in the body frame, at
+        one state or over the leading axes of a stack."""
+        g = y[..., self.slice_of("g")].reshape(y.shape[:-1] + (self.n, self.n))
+        gamma = np.swapaxes(g, -1, -2) @ vertical_vector(self.n)
+        return gamma / np.sqrt(dot(gamma, gamma))
 
     def pi(self, y):
         gamma = self.gamma_of(y)
@@ -119,8 +115,9 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         out = super().constraints(y)
         if self.n > 2:  # so(2) = R^2 ^ gamma leaves no twist
             e = lie.wedge_map(self.gamma_of(y))
-            wv = y[self.slice_of("omega")]
-            out["no_twist"] = float(np.linalg.norm(wv - e.T @ (e @ wv)))
+            wv = y[..., self.slice_of("omega"), None]
+            twist = wv - np.swapaxes(e, -1, -2) @ (e @ wv)
+            out["no_twist"] = np.sqrt(dot(twist[..., 0], twist[..., 0]))[..., 0]
         return out
 
     def to_cotangent(self, y):
@@ -165,12 +162,11 @@ class CotangentSystem(System):
     def _velocity(self, gamma, p):
         """(gh, (gh, p), gamma') with gh = gamma / |gamma|, over leading stack axes.
 
-        Each dot product, the norm included, is a (1, n) @ (n, 1) matmul: the
-        same BLAS dot that ``@`` and ``np.linalg.norm`` call on one vector, so
-        a stack reproduces its rows bit for bit.
+        Each dot product, the norm included, is a :func:`~lrsim.systems.base.dot`,
+        so a stack reproduces its rows bit for bit.
         """
-        gh = gamma / np.sqrt(_dot(gamma, gamma))
-        ghp = _dot(gh, p)
+        gh = gamma / np.sqrt(dot(gamma, gamma))
+        ghp = dot(gh, p)
         lmat = tangent_inertia(self.inertia, self.mr2, lie.wedge_map(gh))
         return gh, ghp, np.linalg.solve(lmat, (p - ghp * gh)[..., None])[..., 0]
 
@@ -180,8 +176,8 @@ class CotangentSystem(System):
         gh, ghp, gamma_dot = self._velocity(gamma, p)
         # -Phi x = gamma' (gamma, x) - gamma (gamma', x) for Phi = gamma ^ gamma'
         out = np.empty(y.shape)
-        out[..., self.slice_of("gamma")] = gamma_dot * _dot(gh, gamma) - gh * _dot(gamma_dot, gamma)
-        out[..., self.slice_of("p")] = gamma_dot * ghp - gh * _dot(gamma_dot, p)
+        out[..., self.slice_of("gamma")] = gamma_dot * dot(gh, gamma) - gh * dot(gamma_dot, gamma)
+        out[..., self.slice_of("p")] = gamma_dot * ghp - gh * dot(gamma_dot, p)
         return out
 
     def energy(self, y):
@@ -191,9 +187,8 @@ class CotangentSystem(System):
 
     def constraints(self, y):
         out = super().constraints(y)
-        gamma = y[self.slice_of("gamma")]
-        p = y[self.slice_of("p")]
-        out["gamma_p_orthogonality"] = abs(float(gamma @ p))
+        gamma = y[..., self.slice_of("gamma")]
+        out["gamma_p_orthogonality"] = np.abs(dot(gamma, y[..., self.slice_of("p")])[..., 0])
         return out
 
 
@@ -251,9 +246,8 @@ class LstarGeodesicSystem(System):
 
     def constraints(self, y):
         out = super().constraints(y)
-        gamma = y[self.slice_of("gamma")]
-        v = y[self.slice_of("v")]
-        out["gamma_v_orthogonality"] = abs(float(gamma @ v))
+        gamma = y[..., self.slice_of("gamma")]
+        out["gamma_v_orthogonality"] = np.abs(dot(gamma, y[..., self.slice_of("v")])[..., 0])
         return out
 
 

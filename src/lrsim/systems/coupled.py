@@ -69,8 +69,8 @@ class Partner:
         return -(self.b.T @ (self.cinv_a @ omega_space))
 
     def residual(self, omega_space, w):
-        """A Ad_g(omega) + B W."""
-        return self.a @ omega_space + self.b @ w
+        """A Ad_g(omega) + B W at one state or over the leading axes of a stack."""
+        return (self.a @ omega_space[..., None] + self.b @ w[..., None])[..., 0]
 
 
 class _PartnerVelocities:
@@ -137,12 +137,15 @@ class _CoupledBase(ConstrainedEulerSystem):
         out = super().constraints(y)
         omega_space = self.spatial_velocity(y)
         if self.h0 is not None and self.h0.dim:
-            out["h0_constraint"] = float(np.max(np.abs(self.h0.vectors.T @ omega_space)))
+            h0_part = (self.h0.vectors.T @ omega_space[..., None])[..., 0]
+            out["h0_constraint"] = np.max(np.abs(h0_part), axis=-1)
         # only the full flow carries W; the partner's rows come subspace by subspace
         for partner, name in self.partner_components:
-            resid = partner.residual(omega_space, y[self.slice_of(name)])
-            for i, part in enumerate(np.split(resid, self._row_ends)[:len(self.subspaces)]):
-                out[f"h{i + 1}_constraint"] = float(np.max(np.abs(part))) if part.size else 0.0
+            resid = partner.residual(omega_space, y[..., self.slice_of(name)])
+            parts = np.split(resid, self._row_ends, axis=-1)[:len(self.subspaces)]
+            for i, part in enumerate(parts):
+                # a subspace with no rows reports 0.0
+                out[f"h{i + 1}_constraint"] = np.max(np.abs(part), axis=-1, initial=0.0)
         return out
 
 
@@ -213,8 +216,8 @@ class NCoupledSystem(_PartnerVelocities, ConstrainedEulerSystem):
         out = super().constraints(y)
         omega_space = self.spatial_velocity(y)
         for idx, (body, name) in enumerate(self.partner_components):
-            resid = body.residual(omega_space, y[self.slice_of(name)])
-            out[f"body{idx + 1}_constraint"] = float(np.max(np.abs(resid)))
+            resid = body.residual(omega_space, y[..., self.slice_of(name)])
+            out[f"body{idx + 1}_constraint"] = np.max(np.abs(resid), axis=-1)
         return out
 
 

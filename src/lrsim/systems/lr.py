@@ -67,7 +67,7 @@ from .. import liecore as lie
 # cho_factor is unused here, but bound so that perfbench/tracer.py finds
 # both names in every systems module
 from ..linalg import cho_factor, cho_solve  # noqa: F401
-from .base import System, rotation_component, skew_component
+from .base import System, dot, rotation_component, skew_component
 
 
 class MultiplierError(RuntimeError):
@@ -123,7 +123,10 @@ class ConstrainedEulerSystem(System):
 
     ``rhs`` builds omega twice, once as a skew matrix for g' = g omega and
     once as ad_omega = ``lie.ad_vec(wv)`` for every bracket with it; the hooks
-    receive both.
+    receive both.  That g' = g omega, with omega the state's own ``omega``
+    component, is a contract: the ``lie-rk4`` step of
+    :mod:`lrsim.integrators` reads its algebra slopes from ``omega`` and
+    never from g', so no subclass may change how g moves.
 
     The default ``pi`` is Ad_g^T Pi0 Ad_g for systems that set ``pi0``.
     The kernel also reports the integrals every flow shares: the energy
@@ -229,9 +232,9 @@ class LRSystem(ConstrainedEulerSystem):
         return self.pack(**parts)
 
     def _alpha_block(self, y):
-        """The alpha components, stored one after another after omega, as (k, N) rows."""
+        """The alpha components, stored one after another after omega, as (..., k, N) rows."""
         start = self.slice_of("omega").stop
-        return y[start:start + self.k * self.N].reshape(self.k, self.N)
+        return y[..., start:start + self.k * self.N].reshape(y.shape[:-1] + (self.k, self.N))
 
     def constraint_basis(self, y, frame):
         return self._alpha_block(y).T
@@ -252,16 +255,16 @@ class LRSystem(ConstrainedEulerSystem):
 
     def constraints(self, y):
         out = super().constraints(y)
-        wv = y[self.slice_of("omega")]
         alphas = self._alpha_block(y)
-        for i, a in enumerate(alphas):
-            out[f"right_invariant_{i + 1}"] = abs(float(a @ wv))
+        # <alpha_i, omega> and the Gram entries <alpha_i, alpha_j>, each one dot
+        right = dot(alphas, y[..., None, self.slice_of("omega")])[..., 0]
         for i in range(self.k):
-            for j in range(i, self.k):
-                dev = abs(float(alphas[i] @ alphas[j]) - (1.0 if i == j else 0.0))
-                out["alpha_orthonormality"] = float(
-                    np.maximum(out.get("alpha_orthonormality", 0.0), dev)
-                )
+            out[f"right_invariant_{i + 1}"] = np.abs(right[..., i])
+        if self.k:
+            gram = dot(alphas[..., :, None, :], alphas[..., None, :, :])[..., 0]
+            rows, cols = np.triu_indices(self.k)
+            dev = np.abs(gram - np.eye(self.k))[..., rows, cols]
+            out["alpha_orthonormality"] = np.max(dev, axis=-1)
         return out
 
 

@@ -19,6 +19,7 @@ from lrsim.systems import (
     SupportSystem,
     commutator_constraint_matrices,
 )
+from lrsim.systems.base import System, rotation_component, skew_component
 
 
 rand_rotation = lie.random_rotation
@@ -89,6 +90,21 @@ def special_from_vector_inertia(inertia3, c):
     shifted = np.asarray(inertia3, dtype=float) + c
     delta = np.sqrt(np.prod(shifted))
     return InertiaOperator.special(delta / shifted, c)
+
+
+class RotatingFrame(System):
+    """g' = g omega with omega constant, a rotation outside the constrained-Euler kernel."""
+
+    kind = "rotating-frame"
+
+    def __init__(self):
+        super().__init__(3, [rotation_component(3), skew_component("omega", 3)])
+
+    def rhs(self, y):
+        out = np.zeros(self.dim)
+        g = y[self.slice_of("g")].reshape(3, 3)
+        out[self.slice_of("g")] = (g @ lie.vec_to_skew(y[self.slice_of("omega")], 3)).ravel()
+        return out
 
 
 def special_inertia(rng, n):

@@ -311,3 +311,13 @@ def adjoint_matrix_einsum(g):
     conj = np.einsum("ip,apq,jq->aij", g, lie.bivector_basis(n), g)
     rows, cols = zip(*lie.bivector_pairs(n))
     return conj[:, list(rows), list(cols)].T.copy()
+
+
+def constraint_report_loop(traj):
+    """Worst residual of every named constraint, one ``constraints`` call per
+    state, folded with ``np.maximum`` from 0.0 so that a NaN sticks."""
+    worst = {}
+    for y in traj.states:
+        for name, resid in traj.system.constraints(y).items():
+            worst[name] = float(np.maximum(worst.get(name, 0.0), resid))
+    return worst

@@ -24,11 +24,9 @@ from lrsim.integrators import IntegratorConfig, Trajectory, integrate
 from lrsim.operators import InertiaOperator
 from lrsim.systems import CotangentSystem
 
-rng = np.random.default_rng(17)
-
 
 class TestConservationReport:
-    def test_single_state_trajectory_has_zero_drift(self):
+    def test_single_state_trajectory_has_zero_drift(self, rng):
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(steps=0))
         for q in diag.conservation_report(traj):
@@ -44,13 +42,13 @@ class TestConservationReport:
         report = {q.name: q for q in diag.conservation_report(traj)}
         assert report["momentum_norm"].max_rel_drift < 1e-9
 
-    def test_unknown_quantity_rejected(self):
+    def test_unknown_quantity_rejected(self, rng):
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(steps=1))
         with pytest.raises(KeyError, match="undefined"):
             diag.conservation_report(traj, ["vorticity"])
 
-    def test_constraint_residual_quantities(self):
+    def test_constraint_residual_quantities(self, rng):
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=50))
         report = diag.conservation_report(traj, ["constraint:right_invariant_1"])
@@ -58,14 +56,14 @@ class TestConservationReport:
         with pytest.raises(KeyError):
             diag.conservation_report(traj, ["constraint:bogus"])
 
-    def test_drift_monotone_under_truncation(self):
+    def test_drift_monotone_under_truncation(self, rng):
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-2, steps=200))
         full = diag.conservation_report(traj)[0].max_abs_drift
         half = Trajectory(system, traj.times[:100], traj.states[:100])
         assert diag.conservation_report(half)[0].max_abs_drift <= full
 
-    def test_rerun_is_identical(self):
+    def test_rerun_is_identical(self, rng):
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=100))
         a = diag.conservation_report(traj)
@@ -86,7 +84,7 @@ class TestConstraintReport:
 
 
 class TestMeasureDivergence:
-    def test_unit_density_on_divergence_free_field(self):
+    def test_unit_density_on_divergence_free_field(self, rng):
         # the free top momentum equation is divergence-free as it stands
         inertia = rand_spd_operator(rng, 3)
         field, _ = diag.lr_measure_chart(inertia, 0)
@@ -94,7 +92,7 @@ class TestMeasureDivergence:
         assert abs(est.value) < 1e-6
         assert not est.warning
 
-    def test_lr_density_certifies_invariance(self):
+    def test_lr_density_certifies_invariance(self, rng):
         inertia = rand_spd_operator(rng, 3)
         field, density = diag.lr_measure_chart(inertia, 1)
         for _ in range(10):
@@ -106,7 +104,7 @@ class TestMeasureDivergence:
             est = diag.measure_divergence(field, density, state)
             assert abs(est.value) < 1e-5
 
-    def test_lplusr_density_certifies_invariance(self):
+    def test_lplusr_density_certifies_invariance(self, rng):
         inertia = rand_spd_operator(rng, 3)
         field, density = diag.lplusr_measure_chart(inertia)
         pi0 = rand_pi0(rng, inertia)
@@ -129,7 +127,7 @@ class TestMeasureDivergence:
         scaled = diag.measure_divergence(field, lambda z: 4.0 * density(z), state).value
         assert scaled == 4.0 * base
 
-    def test_reduced_rolling_density(self):
+    def test_reduced_rolling_density(self, rng):
         inertia = rand_spd_operator(rng, 4)
         mass, radius = 1.1, 0.9
         cot = CotangentSystem(inertia, mass, radius)
@@ -147,7 +145,7 @@ class TestMeasureDivergence:
         raw = diag.measure_divergence(cot.rhs, lambda z: 1.0, np.concatenate([gamma, p]))
         assert abs(raw.value) > 1e-4
 
-    def test_cancellation_warning_for_tiny_step(self):
+    def test_cancellation_warning_for_tiny_step(self, rng):
         # at fd_step 1e-13 the estimates are roundoff noise; the halved-step
         # disagreement flags it (statistically, so sample a few states)
         inertia = rand_spd_operator(rng, 3)
@@ -222,7 +220,7 @@ class TestStackedCertificate:
 
 
 class TestChaplyginMeasure:
-    def test_isotropic_axes_constant_densities(self):
+    def test_isotropic_axes_constant_densities(self, rng):
         inertia = InertiaOperator.special(np.ones(3), 0.3)
         vals = []
         for _ in range(10):
@@ -233,7 +231,7 @@ class TestChaplyginMeasure:
         assert np.ptp(general) < 1e-12
         assert np.ptp(closed) < 1e-12
 
-    def test_ratio_constant_for_special_inertia(self):
+    def test_ratio_constant_for_special_inertia(self, rng):
         inertia, axes, c = special_inertia(rng, 3)
         ratios = []
         for _ in range(100):
@@ -243,7 +241,7 @@ class TestChaplyginMeasure:
         ratios = np.array(ratios)
         assert (ratios.max() - ratios.min()) / ratios.mean() < 1e-8
 
-    def test_exponent_recovered_by_regression(self):
+    def test_exponent_recovered_by_regression(self, rng):
         for n in (3, 4):
             inertia, axes, c = special_inertia(rng, n)
             density = diag.reduced_chaplygin_density(inertia, c, 1.0)
@@ -271,14 +269,14 @@ class TestChaplyginMeasure:
             formula = [((axes * u) @ u) ** (-(n - 2) / 2.0) for u in units]
             np.testing.assert_allclose(closed, formula, rtol=1e-14, atol=0.0)
 
-    def test_requires_special_kind(self):
+    def test_requires_special_kind(self, rng):
         inertia = rand_spd_operator(rng, 3)
         with pytest.raises(ValueError, match="special"):
             diag.chaplygin_measure_check(np.ones(6), inertia, 1.0, 1.0)
 
 
 class TestEpsilonLimit:
-    def test_errors_decrease_and_slope_near_minus_one(self):
+    def test_errors_decrease_and_slope_near_minus_one(self, rng):
         inertia = rand_spd_operator(rng, 3)
         basis = lie.orthonormal_basis_of([rand_skew(rng, 3)], n=3)
         wv = rng.normal(size=3)
@@ -298,14 +296,14 @@ class TestEpsilonLimit:
 
 
 class TestReconstruction:
-    def test_contact_path_constant_at_rest(self):
+    def test_contact_path_constant_at_rest(self, rng):
         system, y0 = make_rubber_chaplygin(rng, 3)
         y0[system.slice_of("omega")] = 0.0
         traj = integrate(system, y0, IntegratorConfig(h=1e-2, steps=50))
         path = diag.reconstruct_contact(traj)
         np.testing.assert_allclose(path, 0.0, atol=1e-14)
 
-    def test_last_coordinate_is_holonomic(self):
+    def test_last_coordinate_is_holonomic(self, rng):
         system, y0 = make_rubber_chaplygin(rng, 4)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10000))
         path = diag.reconstruct_contact(traj)
@@ -322,7 +320,7 @@ class TestReconstruction:
         ref = cumulative_trapezoid(vels, traj.times, axis=0, initial=0.0)
         np.testing.assert_array_equal(diag.reconstruct_contact(traj), ref)
 
-    def test_quadrature_self_convergence(self):
+    def test_quadrature_self_convergence(self, rng):
         system, y0 = make_rubber_chaplygin(rng, 3)
         fine = integrate(system, y0, IntegratorConfig(h=2.5e-4, steps=4000))
         mid = integrate(system, y0, IntegratorConfig(h=1e-3, steps=1000))
@@ -335,14 +333,14 @@ class TestReconstruction:
 
 
 class TestReconstructWDispatch:
-    def test_support_trajectories_need_no_initial_W(self):
+    def test_support_trajectories_need_no_initial_W(self, rng):
         system, y0 = make_rubber_support(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=100))
         series = diag.reconstruct_W(traj)
         assert len(series) == system.n_bodies
         assert series[0].shape == (len(traj), system.N)
 
-    def test_coupled_trajectories_require_initial_W(self):
+    def test_coupled_trajectories_require_initial_W(self, rng):
         system, y0 = make_coupled(rng, 3, full=False)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10))
         with pytest.raises(ValueError, match="initial W"):
@@ -350,7 +348,7 @@ class TestReconstructWDispatch:
 
 
 class TestIndependence:
-    def test_rubber_support_has_four_independent_integrals(self):
+    def test_rubber_support_has_four_independent_integrals(self, rng):
         system, y0 = make_rubber_support(rng, 3)
         functions = [system.energy]
         for k in range(2, 4):

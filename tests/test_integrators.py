@@ -134,10 +134,11 @@ class TestIntegrate:
 
     def test_determinism_bitwise(self, rng):
         system, y0 = make_lplusr(rng, 4)
-        cfg = IntegratorConfig(h=1e-3, steps=200)
-        a = integrate(system, y0, cfg)
-        b = integrate(system, y0, cfg)
-        np.testing.assert_array_equal(a.states, b.states)
+        for method in ("rk4-projected", "lie-rk4"):
+            cfg = IntegratorConfig(method, h=1e-3, steps=200)
+            a = integrate(system, y0, cfg)
+            b = integrate(system, y0, cfg)
+            np.testing.assert_array_equal(a.states, b.states)
 
     def test_hook_sees_every_step(self, rng):
         system, y0 = make_lplusr(rng, 3)

@@ -1,17 +1,19 @@
 """The lie-rk4 step and the constrained-Euler field against their reference forms.
 
-The references in :mod:`oracles` are the step with an exponential at every
-stage and the field through Cholesky factors of B and of the Gram matrix.
-The step must reproduce its reference bit for bit; the field agrees to
-roundoff, since it solves B once against [torque | C] instead.  The shared
-solve on a stack of states equals its one-state calls bit for bit.
+The references in :mod:`oracles` are the step in n x n matrices with an
+exponential at every stage, and the field through Cholesky factors of B and
+of the Gram matrix.  The step works in bivector coordinates and reads its
+slopes from the omega part of each stage state, so it agrees with its
+reference to roundoff, as the field does, which solves B once against
+[torque | C] instead.  The shared solve on a stack of states equals its
+one-state calls bit for bit.
 """
 
 import numpy as np
 import pytest
 
 import oracles
-from helpers import KERNEL_MAKERS, rand_pi0, rand_skew, rand_spd_operator
+from helpers import KERNEL_MAKERS, MAKERS, RotatingFrame, rand_pi0, rand_skew, rand_spd_operator
 from lrsim import integrators
 from lrsim import liecore as lie
 from lrsim.systems import LRSystem, MultiplierError, base
@@ -29,14 +31,41 @@ def kernel_case(kind, n, seed):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
-def test_lie_step_matches_reference_bitwise(kind, n):
+def test_lie_step_matches_reference(kind, n):
+    # the slopes skew(g^T g') of the reference equal omega up to the
+    # rounding of g^T g, so the step agrees with it to roundoff
     system, y = kernel_case(kind, n, 11)
     for h in (1e-3, 0.05):
         z = y
         for _ in range(3):
             new = integrators.step(system, z, h, method="lie-rk4", project=False)
-            np.testing.assert_array_equal(new, oracles.lie_rk4_step(system, z, h))
+            np.testing.assert_allclose(new, oracles.lie_rk4_step(system, z, h), rtol=0, atol=1e-14)
             z = system.project(new)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["cotangent", "gsr", "lstar-geodesic"])
+def test_lie_step_without_a_rotation_is_the_classical_step(kind, n):
+    system, y = MAKERS[kind](np.random.default_rng([19, n, len(kind)]), n)
+    for project in (False, True):
+        for h in (1e-3, 0.05):
+            np.testing.assert_array_equal(
+                integrators.step(system, y, h, method="lie-rk4", project=project),
+                integrators.step(system, y, h, method="rk4-projected", project=project),
+            )
+
+
+def test_lie_step_rejects_a_rotation_outside_the_kernel():
+    # the step reads its slopes from omega, which only the kernel's rhs ties to g'
+    system = RotatingFrame()
+    y = system.pack(g=np.eye(3), omega=np.array([0.1, 0.2, 0.3]))
+    with pytest.raises(ValueError, match="lie-rk4 needs g' = g omega"):
+        integrators.step(system, y, 1e-3, method="lie-rk4")
+    cfg = integrators.IntegratorConfig("lie-rk4", 1e-3, 5)
+    with pytest.raises(integrators.IntegrationError, match="lie-rk4 needs") as info:
+        integrators.integrate(system, y, cfg)
+    assert info.value.step_index == 0
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)

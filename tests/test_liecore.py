@@ -8,7 +8,6 @@ from helpers import iso3, iso3_inv, rand_rotation, rand_skew, rand_unit
 from lrsim import diagnostics
 from lrsim import liecore as lie
 
-rng = np.random.default_rng(42)
 
 # the per-size tables built once and shared by every caller
 MEMO_TABLES = [
@@ -35,11 +34,11 @@ class TestWedge:
         expected[1, 0] = -1.0
         np.testing.assert_array_equal(w, expected)
 
-    def test_self_wedge_vanishes(self):
+    def test_self_wedge_vanishes(self, rng):
         x = rng.normal(size=4)
         np.testing.assert_array_equal(lie.wedge(x, x), np.zeros((4, 4)))
 
-    def test_elementwise_formula(self):
+    def test_elementwise_formula(self, rng):
         x = rng.normal(size=4)
         y = rng.normal(size=4)
         expected = np.array([[x[i] * y[j] - y[i] * x[j] for j in range(4)] for i in range(4)])
@@ -62,26 +61,26 @@ class TestInner:
         e13 = lie.wedge(basis_vec(3, 0), basis_vec(3, 2))
         assert oracles.inner(e12, e13) == pytest.approx(0.0)
 
-    def test_matches_trace_definition(self):
+    def test_matches_trace_definition(self, rng):
         x, y = rand_skew(rng, 5), rand_skew(rng, 5)
         assert oracles.inner(x, y) == pytest.approx(-0.5 * np.trace(x @ y), rel=1e-14)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 8])
-    def test_ad_invariance(self, n):
+    def test_ad_invariance(self, n, rng):
         g = rand_rotation(rng, n)
         x, y = rand_skew(rng, n), rand_skew(rng, n)
         assert oracles.inner(lie.Ad(g, x), lie.Ad(g, y)) == pytest.approx(
             oracles.inner(x, y), abs=1e-10
         )
 
-    def test_positive_definite(self):
+    def test_positive_definite(self, rng):
         for _ in range(20):
             x = rand_skew(rng, 5)
             assert oracles.inner(x, x) > 0
 
 
 class TestBracket:
-    def test_self_bracket(self):
+    def test_self_bracket(self, rng):
         x = rand_skew(rng, 4)
         np.testing.assert_allclose(lie.ad(x, x), np.zeros((4, 4)), atol=1e-15)
 
@@ -92,13 +91,13 @@ class TestBracket:
         # direct matrix product: E12 E13 - E13 E12 = -E23
         np.testing.assert_allclose(lie.ad(e12, e13), -e23, atol=1e-15)
 
-    def test_jacobi_identity(self):
+    def test_jacobi_identity(self, rng):
         for _ in range(5):
             x, y, z = (rand_skew(rng, 4) for _ in range(3))
             resid = lie.ad(x, lie.ad(y, z)) + lie.ad(y, lie.ad(z, x)) + lie.ad(z, lie.ad(x, y))
             assert np.max(np.abs(resid)) < 1e-12
 
-    def test_skew_adjoint_wrt_inner(self):
+    def test_skew_adjoint_wrt_inner(self, rng):
         for _ in range(5):
             x, y, z = (rand_skew(rng, 4) for _ in range(3))
             assert oracles.inner(lie.ad(x, y), z) + oracles.inner(y, lie.ad(x, z)) == pytest.approx(
@@ -107,23 +106,23 @@ class TestBracket:
 
 
 class TestAd:
-    def test_identity(self):
+    def test_identity(self, rng):
         x = rand_skew(rng, 4)
         np.testing.assert_allclose(lie.Ad(np.eye(4), x), x, atol=1e-15)
 
-    def test_wedge_equivariance(self):
+    def test_wedge_equivariance(self, rng):
         g = rand_rotation(rng, 4)
         for i, j in [(0, 1), (1, 3), (2, 3)]:
             lhs = lie.Ad(g, lie.wedge(basis_vec(4, i), basis_vec(4, j)))
             rhs = lie.wedge(g[:, i], g[:, j])
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_composition(self):
+    def test_composition(self, rng):
         g, h = rand_rotation(rng, 4), rand_rotation(rng, 4)
         x = rand_skew(rng, 4)
         np.testing.assert_allclose(lie.Ad(g @ h, x), lie.Ad(g, lie.Ad(h, x)), atol=1e-12)
 
-    def test_returns_exactly_skew(self):
+    def test_returns_exactly_skew(self, rng):
         g = rand_rotation(rng, 5)
         x = rand_skew(rng, 5)
         out = lie.Ad(g, x)
@@ -143,14 +142,14 @@ class TestWedgeProjector:
             oracles.proj_wedge_subspace(gamma, e12), np.zeros((3, 3)), atol=1e-14
         )
 
-    def test_matches_gram_projector(self):
+    def test_matches_gram_projector(self, rng):
         gamma = rand_unit(rng, 5)
         x = rand_skew(rng, 5)
         basis = lie.wedge_subspace_basis(gamma)
         expected = lie.vec_to_skew(basis.vectors @ (basis.vectors.T @ lie.skew_to_vec(x)), 5)
         np.testing.assert_allclose(oracles.proj_wedge_subspace(gamma, x), expected, atol=1e-10)
 
-    def test_idempotent_and_self_adjoint(self):
+    def test_idempotent_and_self_adjoint(self, rng):
         gamma = rand_unit(rng, 4)
         x, y = rand_skew(rng, 4), rand_skew(rng, 4)
         px = oracles.proj_wedge_subspace(gamma, x)
@@ -159,7 +158,7 @@ class TestWedgeProjector:
             oracles.inner(x, oracles.proj_wedge_subspace(gamma, y)), abs=1e-10
         )
 
-    def test_rejects_non_unit(self):
+    def test_rejects_non_unit(self, rng):
         with pytest.raises(ValueError):
             oracles.proj_wedge_subspace(np.array([0.0, 0.0, 2.0]), rand_skew(rng, 3))
 
@@ -185,7 +184,7 @@ class TestBases:
             basis = lie.orthonormal_basis_of([e12, 3.0 * e12], n=3)
         assert basis.dim == 1
 
-    def test_dimension_count_with_complement(self):
+    def test_dimension_count_with_complement(self, rng):
         for n in (3, 4, 5):
             gens = [rand_skew(rng, n) for _ in range(2)]
             basis = lie.orthonormal_basis_of(gens, n=n)
@@ -195,7 +194,7 @@ class TestBases:
                 cross = basis.vectors.T @ comp.vectors
                 assert np.max(np.abs(cross)) < 1e-10
 
-    def test_spans_same_space(self):
+    def test_spans_same_space(self, rng):
         gens = [rand_skew(rng, 4) for _ in range(3)]
         basis = lie.orthonormal_basis_of(gens, n=4)
         for g in gens:
@@ -205,17 +204,17 @@ class TestBases:
 
 
 class TestBivectorCoordinates:
-    def test_round_trip(self):
+    def test_round_trip(self, rng):
         x = rand_skew(rng, 5)
         np.testing.assert_array_equal(lie.vec_to_skew(lie.skew_to_vec(x), 5), x)
 
-    def test_inner_is_euclidean_in_coordinates(self):
+    def test_inner_is_euclidean_in_coordinates(self, rng):
         x, y = rand_skew(rng, 4), rand_skew(rng, 4)
         assert oracles.inner(x, y) == pytest.approx(
             lie.skew_to_vec(x) @ lie.skew_to_vec(y), rel=1e-13
         )
 
-    def test_adjoint_matrix_is_orthogonal(self):
+    def test_adjoint_matrix_is_orthogonal(self, rng):
         g = rand_rotation(rng, 4)
         q = lie.adjoint_matrix(g)
         np.testing.assert_allclose(q.T @ q, np.eye(q.shape[0]), atol=1e-12)
@@ -224,7 +223,7 @@ class TestBivectorCoordinates:
             q @ lie.skew_to_vec(x), lie.skew_to_vec(lie.Ad(g, x)), atol=1e-12
         )
 
-    def test_ad_matrix_action(self):
+    def test_ad_matrix_action(self, rng):
         x, y = rand_skew(rng, 4), rand_skew(rng, 4)
         np.testing.assert_allclose(
             lie.ad_matrix(x) @ lie.skew_to_vec(y), lie.skew_to_vec(lie.ad(x, y)), atol=1e-12
@@ -266,7 +265,7 @@ class TestStructureConstants:
 
 
 class TestHouseholderFrame:
-    def test_maps_last_axis_to_gamma(self):
+    def test_maps_last_axis_to_gamma(self, rng):
         for _ in range(10):
             gamma = rand_unit(rng, 4)
             h = lie.householder_frame(gamma)
@@ -296,7 +295,7 @@ class TestIso3:
         e12 = lie.wedge(basis_vec(3, 0), basis_vec(3, 1))
         np.testing.assert_allclose(out, -e12, atol=1e-15)
 
-    def test_hat_action_is_cross_product(self):
+    def test_hat_action_is_cross_product(self, rng):
         a, x = rng.normal(size=3), rng.normal(size=3)
         np.testing.assert_allclose(iso3(a) @ x, np.cross(a, x), atol=1e-14)
 
@@ -310,11 +309,11 @@ class TestIso3:
                     atol=1e-15,
                 )
 
-    def test_round_trip(self):
+    def test_round_trip(self, rng):
         a = rng.normal(size=3)
         np.testing.assert_array_equal(iso3_inv(iso3(a)), a)
 
-    def test_isometry(self):
+    def test_isometry(self, rng):
         a, b = rng.normal(size=3), rng.normal(size=3)
         assert oracles.inner(iso3(a), iso3(b)) == pytest.approx(a @ b, rel=1e-13)
 
@@ -323,7 +322,7 @@ class TestIso3:
             iso3(np.ones(4))
 
 
-def test_every_skew_result_is_exactly_skew():
+def test_every_skew_result_is_exactly_skew(rng):
     for _ in range(10):
         x, y = rand_skew(rng, 5), rand_skew(rng, 5)
         g = rand_rotation(rng, 5)

@@ -10,18 +10,16 @@ import scipy.linalg
 
 from lrsim.linalg import cho_factor, cho_solve
 
-rng = np.random.default_rng(23)
 
-
-def rand_spd(n):
+def rand_spd(n, rng):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)))
     return q @ np.diag(rng.uniform(0.5, 3.0, n)) @ q.T
 
 
 @pytest.mark.parametrize("n", [3, 6, 10])
 @pytest.mark.parametrize("rhs_shape", [(), (4,)])
-def test_solve_matches_scipy(n, rhs_shape):
-    a = rand_spd(n)
+def test_solve_matches_scipy(n, rhs_shape, rng):
+    a = rand_spd(n, rng)
     b = rng.normal(size=(n,) + rhs_shape)
     ours = cho_solve(cho_factor(a), b)
     ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)

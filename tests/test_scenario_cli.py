@@ -1,5 +1,6 @@
 """Scenario parsing, validation, CLI exit codes and output formats."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+from helpers import RotatingFrame
 from lrsim.cli import main
 from lrsim.scenario import (
     ScenarioParseError,
@@ -489,16 +491,47 @@ class TestCliVerify:
         assert np.isnan(check.value)
         assert not check.passed
 
+    @staticmethod
+    def assert_every_check_passed(out):
+        lines = out.splitlines()
+        checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
+        assert checks and all(line.startswith("PASS  ") for line in checks)
+        assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
+
     @pytest.mark.parametrize(
         "scenario", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda path: path.stem
     )
     def test_every_shipped_scenario_passes(self, capsys, scenario):
         steps = shipped(scenario.name).get("integrator", {}).get("steps", 1000) // 8
         assert main(["verify", str(scenario), "--steps", str(steps)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        checks = [line for line in lines if line.startswith(("PASS", "FAIL"))]
-        assert checks and all(line.startswith("PASS  ") for line in checks)
-        assert lines[-1] == f"{len(checks)}/{len(checks)} checks passed"
+        self.assert_every_check_passed(capsys.readouterr().out)
+
+    @pytest.mark.parametrize(
+        "scenario", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda path: path.stem
+    )
+    def test_every_shipped_scenario_passes_under_lie_rk4(self, capsys, scenario):
+        assert main(["verify", str(scenario), "--method", "lie-rk4", "--steps", "200"]) == 0
+        self.assert_every_check_passed(capsys.readouterr().out)
+
+    def test_lie_step_outside_the_kernel_exit_4(self, tmp_path, monkeypatch, capsys):
+        # a rotation whose g' the kernel does not set: lie-rk4 refuses the
+        # step rather than take it with a wrong slope
+        from lrsim import cli
+
+        system = RotatingFrame()
+
+        def load(path, overrides):
+            scenario = load_scenario(path, overrides=overrides)
+            return dataclasses.replace(
+                scenario, system=system, initial=system.pack(g=np.eye(3), omega=np.ones(3))
+            )
+
+        monkeypatch.setattr(cli, "load_scenario", load)
+        scen = write_yaml(tmp_path / "top.yaml", MINIMAL_FREE_TOP)
+        assert main(["verify", scen, "--method", "lie-rk4"]) == 4
+        captured = capsys.readouterr()
+        assert "lie-rk4 needs g' = g omega" in captured.err
+        assert "PASS" not in captured.out
 
     def test_hamiltonization_verify_loads_no_scipy(self):
         code = (

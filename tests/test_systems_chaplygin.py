@@ -32,8 +32,6 @@ from lrsim.systems import (
 )
 from lrsim.systems.chaplygin import tangent_inertia
 
-rng = np.random.default_rng(33)
-
 
 def rubber_chaplygin_kkt_omega_dot(system, y):
     """Independent multiplier formulation: rolling + no-twist constraints.
@@ -68,7 +66,7 @@ def rubber_chaplygin_kkt_omega_dot(system, y):
 
 
 class TestRubberChaplygin:
-    def test_equilibrium_at_rest(self):
+    def test_equilibrium_at_rest(self, rng):
         system, y0 = make_rubber_chaplygin(rng, 3)
         y0[system.slice_of("omega")] = 0.0
         np.testing.assert_allclose(system.rhs(y0), 0.0, atol=1e-14)
@@ -76,7 +74,7 @@ class TestRubberChaplygin:
     @pytest.mark.parametrize(
         "n, tilt", [(3, None), (4, None), (5, None), (5, 1e-9)], ids=["3", "4", "5", "5-near-pole"]
     )
-    def test_matches_kkt_oracle(self, n, tilt):
+    def test_matches_kkt_oracle(self, n, tilt, rng):
         # tilt: gamma placed that far from e_n, where gamma_n - 1 cancels
         g = None if tilt is None else tilted_rotation(rng, n, tilt)
         system, y0 = make_rubber_chaplygin(rng, n, g=g)
@@ -86,7 +84,7 @@ class TestRubberChaplygin:
             atol=1e-11,
         )
 
-    def test_no_twist_preserved_over_long_run_n4(self):
+    def test_no_twist_preserved_over_long_run_n4(self, rng):
         system, y0 = make_rubber_chaplygin(rng, 4)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10000))
         worst = max(system.constraints(y)["no_twist"] for y in traj.states)
@@ -94,14 +92,14 @@ class TestRubberChaplygin:
         ortho = max(system.constraints(y)["g_orthogonality"] for y in traj.states)
         assert ortho < 1e-9
 
-    def test_momentum_equals_shifted_inertia_on_constraint(self):
+    def test_momentum_equals_shifted_inertia_on_constraint(self, rng):
         # with the no-twist condition in force, k = (I + m rho^2) omega
         system, y0 = make_rubber_chaplygin(rng, 3)
         wv = y0[system.slice_of("omega")]
         expected = system.inertia.apply_vec(wv) + system.mr2 * wv
         np.testing.assert_allclose(system.momentum_vec(y0), expected, atol=1e-12)
 
-    def test_trajectory_matches_classical_vector_equations(self):
+    def test_trajectory_matches_classical_vector_equations(self, rng):
         # n = 3 cross-check through the hat map against the vector form
         inertia3 = np.array([1.2, 1.7, 2.5])
         mass, radius = 0.9, 1.1
@@ -136,12 +134,12 @@ class TestRubberChaplygin:
 
 
 class TestCotangent:
-    def test_zero_momentum_is_fixed_point(self):
+    def test_zero_momentum_is_fixed_point(self, rng):
         system, y0 = make_cotangent(rng, 4)
         y0[system.slice_of("p")] = 0.0
         np.testing.assert_allclose(system.rhs(y0), 0.0, atol=1e-13)
 
-    def test_isotropic_inertia_great_circle(self):
+    def test_isotropic_inertia_great_circle(self, rng):
         # I = c Id on bivectors: p = (m rho^2 + c) gamma', great circles
         c = 1.3
         mass, radius = 0.7, 1.0
@@ -166,7 +164,7 @@ class TestCotangent:
                 atol=1e-8,
             )
 
-    def test_group_trajectory_projects_onto_reduced_flow(self):
+    def test_group_trajectory_projects_onto_reduced_flow(self, rng):
         inertia = rand_spd_operator(rng, 3)
         mass, radius = 1.2, 0.9
         group = RubberChaplyginSystem(inertia, mass, radius)
@@ -199,7 +197,7 @@ class TestCotangent:
         for y in [y0, off, *integrate(system, y0, IntegratorConfig(h=1e-2, steps=4)).states]:
             np.testing.assert_array_equal(system.rhs(y), oracles.cotangent_rhs_one_state(system, y))
 
-    def test_constraints_preserved(self):
+    def test_constraints_preserved(self, rng):
         system, y0 = make_cotangent(rng, 4)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
         worst = max(
@@ -253,7 +251,7 @@ class TestTangentInertia:
 
 
 class TestLstarGeodesic:
-    def test_round_sphere_great_circles(self):
+    def test_round_sphere_great_circles(self, rng):
         system = LstarGeodesicSystem(np.ones(3))
         gamma0 = rand_unit(rng, 3)
         v0 = rng.normal(size=3)
@@ -267,7 +265,7 @@ class TestLstarGeodesic:
             expected = np.cos(speed * t) * gamma0 + np.sin(speed * t) * axis
             np.testing.assert_allclose(y[system.slice_of("gamma")], expected, atol=1e-9)
 
-    def test_energy_flat_over_ten_thousand_steps(self):
+    def test_energy_flat_over_ten_thousand_steps(self, rng):
         system, y0 = make_lstar(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10000))
         vals = np.array([system.lagrangian(y) for y in traj.states])
@@ -296,7 +294,7 @@ class TestLstarGeodesic:
         with pytest.raises(MultiplierError, match="degenerate"):
             system.rhs(np.concatenate([np.zeros(3), np.ones(3)]))
 
-    def test_reparametrized_reduced_flow_is_this_geodesic_flow(self):
+    def test_reparametrized_reduced_flow_is_this_geodesic_flow(self, rng):
         from lrsim.diagnostics import hamiltonization_check
 
         for n in (3, 4):
@@ -328,7 +326,7 @@ class TestGsr:
         np.testing.assert_allclose(ydot[system.slice_of("omega")], 0.0, atol=1e-13)
         np.testing.assert_allclose(ydot[system.slice_of("gamma")], 0.0, atol=1e-13)
 
-    def test_orbit_norm_derivative_vanishes(self):
+    def test_orbit_norm_derivative_vanishes(self, rng):
         system, y0 = make_gsr(rng, 4)
         h = 1e-5
         fn = system.conserved()["orbit_norm"]
@@ -336,7 +334,7 @@ class TestGsr:
         y_m = oracles.rk4_step(system.rhs, y0, -h)
         assert abs(fn(y_p) - fn(y_m)) / (2 * h) < 1e-10
 
-    def test_matches_classical_chaplygin_sphere_field_pointwise(self):
+    def test_matches_classical_chaplygin_sphere_field_pointwise(self, rng):
         # at n = 3 with gamma the hat of a unit vector, the flow is the
         # classical no-slip Chaplygin sphere with coefficient m rho^2
         inertia3 = np.array([0.9, 1.4, 2.2])
@@ -356,7 +354,7 @@ class TestGsr:
             np.testing.assert_allclose(wdot, wdot_o, atol=1e-10)
             np.testing.assert_allclose(gdot, gdot_o, atol=1e-12)
 
-    def test_invariants_conserved(self):
+    def test_invariants_conserved(self, rng):
         system, y0 = make_gsr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
         for name, fn in system.conserved().items():

@@ -24,8 +24,6 @@ from lrsim.systems import (
     commutator_constraint_matrices,
 )
 
-rng = np.random.default_rng(12)
-
 
 def coupled_kkt_omega_W_dot(system, y):
     """Independent multiplier solve for the full coupled field."""
@@ -50,7 +48,7 @@ def coupled_kkt_omega_W_dot(system, y):
 
 
 class TestCoupledFull:
-    def test_no_constraints_is_free_flow(self):
+    def test_no_constraints_is_free_flow(self, rng):
         inertia = rand_spd_operator(rng, 3)
         system = CoupledFullSystem(inertia, None, [], 1.0, [])
         y0 = system.pack(g=rand_rotation(rng, 3), omega=rand_skew(rng, 3), W=rand_skew(rng, 3))
@@ -62,7 +60,7 @@ class TestCoupledFull:
         expected = inertia.solve_vec(lie.skew_to_vec(lie.ad(iw, omega)))
         np.testing.assert_allclose(ydot[system.slice_of("omega")], expected, atol=1e-13)
 
-    def test_isotropic_inertia_is_stationary(self):
+    def test_isotropic_inertia_is_stationary(self, rng):
         h1, = rand_subspaces(rng, 3, [1])
         system = CoupledFullSystem(InertiaOperator.identity(3), None, [h1], 1.2, [0.7])
         g = rand_rotation(rng, 3)
@@ -77,21 +75,21 @@ class TestCoupledFull:
         np.testing.assert_allclose(ydot[system.slice_of("W")], 0.0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_field_matches_kkt_oracle(self, n):
+    def test_field_matches_kkt_oracle(self, n, rng):
         system, y0 = make_coupled(rng, n, full=True)
         wdot_o, Wdot_o = coupled_kkt_omega_W_dot(system, y0)
         ydot = system.rhs(y0)
         np.testing.assert_allclose(ydot[system.slice_of("omega")], wdot_o, atol=1e-11)
         np.testing.assert_allclose(ydot[system.slice_of("W")], Wdot_o, atol=1e-11)
 
-    def test_constraints_preserved_along_micro_step(self):
+    def test_constraints_preserved_along_micro_step(self, rng):
         system, y0 = make_coupled(rng, 3, full=True)
         y1 = oracles.rk4_step(system.rhs, y0, 1e-4)
         for name, resid in system.constraints(y1).items():
             if name.endswith("_constraint"):
                 assert resid < 1e-10, name
 
-    def test_energy_and_noether_conserved(self):
+    def test_energy_and_noether_conserved(self, rng):
         system, y0 = make_coupled(rng, 3, full=True)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
         for name, fn in system.conserved().items():
@@ -101,7 +99,7 @@ class TestCoupledFull:
 
 
 class TestReduction:
-    def test_full_and_reduced_trajectories_agree(self):
+    def test_full_and_reduced_trajectories_agree(self, rng):
         system, y0 = make_coupled(rng, 3, full=True)
         reduced = CoupledReducedSystem(
             system.inertia, system.h0, system.subspaces, system.coupling, system.rhos
@@ -111,7 +109,7 @@ class TestReduction:
         )
         assert dev < 1e-6
 
-    def test_without_lock_reduced_flow_is_lplusr(self):
+    def test_without_lock_reduced_flow_is_lplusr(self, rng):
         # no h_0 constraint: the reduced flow is an L+R system whose
         # right-invariant operator is the projector sum
         inertia = rand_spd_operator(rng, 3)
@@ -126,13 +124,13 @@ class TestReduction:
         y_lpr = lpr.pack(g=g, omega=omega)
         np.testing.assert_allclose(reduced.rhs(y_red), lpr.rhs(y_lpr), atol=1e-12)
 
-    def test_reduced_energy_conserved(self):
+    def test_reduced_energy_conserved(self, rng):
         system, y0 = make_coupled(rng, 4, full=False)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
         e = [system.energy(y) for y in traj.states]
         assert max(abs(v - e[0]) for v in e) / abs(e[0]) < 1e-10
 
-    def test_spatial_momentum_component_conserved(self):
+    def test_spatial_momentum_component_conserved(self, rng):
         system, y0 = make_coupled(rng, 3, full=False)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=1000))
         for name, (fn, idx) in system.conserved_entries().items():
@@ -143,7 +141,7 @@ class TestReduction:
 
 
 class TestWReconstruction:
-    def test_zero_free_component_stays_zero(self):
+    def test_zero_free_component_stays_zero(self, rng):
         system, y0 = make_coupled(rng, 3, full=True)
         w0 = y0[system.slice_of("W")]
         w0_locked = w0 - system.k_space.vectors @ (system.k_space.vectors.T @ w0)
@@ -160,7 +158,7 @@ class TestWReconstruction:
         proj = system.k_space.vectors.T @ w_rec.T
         assert np.max(np.abs(proj)) < 1e-12
 
-    def test_matches_integrated_W(self):
+    def test_matches_integrated_W(self, rng):
         system, y0 = make_coupled(rng, 3, full=True)
         reduced = CoupledReducedSystem(
             system.inertia, system.h0, system.subspaces, system.coupling, system.rhos
@@ -175,7 +173,7 @@ class TestWReconstruction:
         w_rec = reconstruct_W(traj_red, lie.vec_to_skew(y0[system.slice_of("W")], 3))
         assert np.max(np.abs(w_rec - traj_full.component("W"))) < 1e-7
 
-    def test_reconstructed_W_satisfies_constraints_exactly(self):
+    def test_reconstructed_W_satisfies_constraints_exactly(self, rng):
         system, y0 = make_coupled(rng, 3, full=True)
         reduced = CoupledReducedSystem(
             system.inertia, system.h0, system.subspaces, system.coupling, system.rhos
@@ -195,7 +193,7 @@ class TestWReconstruction:
 
 
 class TestNCoupled:
-    def test_zero_constraint_matrices_give_free_flow(self):
+    def test_zero_constraint_matrices_give_free_flow(self, rng):
         inertia = rand_spd_operator(rng, 3)
         a = np.zeros((2, 3))
         b = np.eye(2)
@@ -213,7 +211,7 @@ class TestNCoupled:
         np.testing.assert_allclose(ydot[system.slice_of("W1")], 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_commutator_family_matches_projector_closed_form(self, n):
+    def test_commutator_family_matches_projector_closed_form(self, n, rng):
         # constraints [Omega, Gamma_i] + rho_i W_i = 0 must reproduce the
         # closed-form operator I + sum D_i/rho_i^2 [[gamma_i, .], gamma_i]
         inertia = rand_spd_operator(rng, n)
@@ -266,7 +264,7 @@ class TestNCoupled:
                 ydot[system.slice_of(name)], expected[lpr.slice_of(name)], rtol=0, atol=1e-12
             )
 
-    def test_constraint_preserved_along_micro_step(self):
+    def test_constraint_preserved_along_micro_step(self, rng):
         inertia = rand_spd_operator(rng, 3)
         gamma = rand_skew(rng, 3)
         a_mats, b_mats = commutator_constraint_matrices([gamma], [0.6])
@@ -280,7 +278,7 @@ class TestNCoupled:
         y1 = oracles.rk4_step(system.rhs, y0, 1e-4)
         assert system.constraints(y1)["body1_constraint"] < 1e-10
 
-    def test_rejects_singular_coupler(self):
+    def test_rejects_singular_coupler(self, rng):
         inertia = rand_spd_operator(rng, 3)
         a = rng.normal(size=(2, 3))
         b_singular = np.zeros((2, 2))

@@ -20,11 +20,9 @@ from lrsim.integrators import IntegratorConfig, integrate
 from lrsim.operators import InertiaOperator
 from lrsim.systems import GeodesicLplusRSystem, LplusRSystem, LRSystem, penalty_pi0
 
-rng = np.random.default_rng(5)
-
 
 class TestLRField:
-    def test_isotropic_inertia_is_stationary(self):
+    def test_isotropic_inertia_is_stationary(self, rng):
         basis = lie.orthonormal_basis_of([rand_skew(rng, 3)], n=3)
         system = LRSystem(InertiaOperator.identity(3), basis)
         g = rand_rotation(rng, 3)
@@ -35,7 +33,7 @@ class TestLRField:
         ydot = system.rhs(y0)
         np.testing.assert_allclose(ydot[system.slice_of("omega")], 0.0, atol=1e-14)
 
-    def test_unconstrained_reduces_to_euler_top(self):
+    def test_unconstrained_reduces_to_euler_top(self, rng):
         inertia3 = np.array([1.0, 2.0, 3.0])
         # vector inertia realized exactly on so(3) through the hat map
         op = special_from_vector_inertia(inertia3, 0.4)
@@ -47,7 +45,7 @@ class TestLRField:
         wdot = iso3_inv(lie.vec_to_skew(ydot[system.slice_of("omega")], 3))
         np.testing.assert_allclose(wdot, oracles.euler_top_rhs(omega_vec, inertia3), atol=1e-12)
 
-    def test_unconstrained_conserves_momentum_norm(self):
+    def test_unconstrained_conserves_momentum_norm(self, rng):
         basis = lie.SubspaceBasis(3, np.zeros((3, 0)))
         system = LRSystem(rand_spd_operator(rng, 3), basis)
         y0 = system.pack(g=np.eye(3), omega=rand_skew(rng, 3))
@@ -56,7 +54,7 @@ class TestLRField:
         vals = [fn(y) for y in traj.states]
         assert abs(vals[-1] - vals[0]) / abs(vals[0]) < 1e-10
 
-    def test_constraint_derivative_vanishes_along_micro_step(self):
+    def test_constraint_derivative_vanishes_along_micro_step(self, rng):
         system, y0 = make_lr(rng, 3)
         h = 1e-4
         y1 = oracles.rk4_step(system.rhs, y0, h)
@@ -64,7 +62,7 @@ class TestLRField:
             if name.startswith("right_invariant"):
                 assert resid < 1e-10
 
-    def test_multipliers_match_kkt_oracle(self):
+    def test_multipliers_match_kkt_oracle(self, rng):
         for n in (3, 4):
             system, y0 = make_lr(rng, n)
             wv = y0[system.slice_of("omega")]
@@ -82,7 +80,7 @@ class TestLRField:
             wdot = system.rhs(y0)[system.slice_of("omega")]
             np.testing.assert_allclose(wdot, wdot_oracle, atol=1e-12)
 
-    def test_noether_integrals_constant(self):
+    def test_noether_integrals_constant(self, rng):
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
         for name, (fn, idx) in system.conserved_entries().items():
@@ -91,7 +89,7 @@ class TestLRField:
 
 
 class TestLplusRField:
-    def test_zero_pi_is_euler_poincare(self):
+    def test_zero_pi_is_euler_poincare(self, rng):
         inertia = rand_spd_operator(rng, 3)
         basis = lie.SubspaceBasis(3, np.zeros((3, 0)))
         lr = LRSystem(inertia, basis)
@@ -122,12 +120,12 @@ class TestLplusRField:
         with pytest.raises(ValueError, match="every rotation"):
             LplusRSystem(inertia, pi0)
 
-    def test_isotropic_inertia_is_stationary(self):
+    def test_isotropic_inertia_is_stationary(self, rng):
         lpr = LplusRSystem(InertiaOperator.identity(3), rand_pi0(rng, InertiaOperator.identity(3)))
         y0 = lpr.pack(g=rand_rotation(rng, 3), omega=rand_skew(rng, 3))
         np.testing.assert_allclose(lpr.rhs(y0)[lpr.slice_of("omega")], 0.0, atol=1e-13)
 
-    def test_momentum_norm_derivative_vanishes(self):
+    def test_momentum_norm_derivative_vanishes(self, rng):
         system, y0 = make_lplusr(rng, 3)
         h = 1e-5
         y_plus = oracles.rk4_step(system.rhs, y0, h)
@@ -135,7 +133,7 @@ class TestLplusRField:
         deriv = (system.momentum_norm(y_plus) - system.momentum_norm(y_minus)) / (2 * h)
         assert abs(deriv) < 1e-9
 
-    def test_conserves_energy_and_momentum(self):
+    def test_conserves_energy_and_momentum(self, rng):
         system, y0 = make_lplusr(rng, 4)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
         e = [system.energy(y) for y in traj.states]
@@ -145,25 +143,25 @@ class TestLplusRField:
 
 
 class TestGeodesicLplusR:
-    def test_zero_pi_is_free_flow(self):
+    def test_zero_pi_is_free_flow(self, rng):
         inertia = rand_spd_operator(rng, 3)
         geo = GeodesicLplusRSystem(inertia, np.zeros((3, 3)))
         lpr = LplusRSystem(inertia, np.zeros((3, 3)))
         y0 = geo.pack(g=rand_rotation(rng, 3), omega=rand_skew(rng, 3))
         np.testing.assert_allclose(geo.rhs(y0), lpr.rhs(y0), atol=1e-13)
 
-    def test_scalar_operators_are_stationary(self):
+    def test_scalar_operators_are_stationary(self, rng):
         geo = GeodesicLplusRSystem(InertiaOperator.scalar(3, 1.4), 0.8 * np.eye(3))
         y0 = geo.pack(g=rand_rotation(rng, 3), omega=rand_skew(rng, 3))
         np.testing.assert_allclose(geo.rhs(y0)[geo.slice_of("omega")], 0.0, atol=1e-13)
 
-    def test_energy_conserved_over_long_run(self):
+    def test_energy_conserved_over_long_run(self, rng):
         system, y0 = make_lplusr(rng, 3, geodesic=True)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10000))
         e = [system.energy(y) for y in traj.states]
         assert max(abs(v - e[0]) for v in e) / abs(e[0]) < 1e-8
 
-    def test_differs_from_modified_flow(self):
+    def test_differs_from_modified_flow(self, rng):
         # the geodesic flow keeps the configuration-dependent force; the
         # modified flow drops it, so the fields differ for generic data
         inertia = rand_spd_operator(rng, 3)
@@ -175,7 +173,7 @@ class TestGeodesicLplusR:
 
 
 class TestPenaltyLimit:
-    def test_constrained_isotropic_data_identical_for_every_epsilon(self):
+    def test_constrained_isotropic_data_identical_for_every_epsilon(self, rng):
         inertia = InertiaOperator.identity(3)
         basis = lie.orthonormal_basis_of([rand_skew(rng, 3)], n=3)
         wv = rng.normal(size=3)

@@ -20,8 +20,6 @@ from lrsim.integrators import IntegratorConfig, integrate
 from lrsim.operators import InertiaOperator
 from lrsim.systems import RubberSupportSystem, SupportSystem
 
-rng = np.random.default_rng(21)
-
 
 def support_kkt_omega_dot(system, y, rubber):
     """From-scratch multiplier formulation of the support constraints.
@@ -64,7 +62,7 @@ def support_kkt_omega_dot(system, y, rubber):
 
 
 class TestSupportField:
-    def test_no_bodies_is_free_flow(self):
+    def test_no_bodies_is_free_flow(self, rng):
         inertia = rand_spd_operator(rng, 3)
         system = SupportSystem(inertia, [], [])
         y0 = system.pack(g=rand_rotation(rng, 3), omega=rand_skew(rng, 3))
@@ -78,7 +76,7 @@ class TestSupportField:
         )
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_matches_kkt_oracle(self, n):
+    def test_matches_kkt_oracle(self, n, rng):
         system, y0 = make_support(rng, n)
         np.testing.assert_allclose(
             system.rhs(y0)[system.slice_of("omega")],
@@ -86,7 +84,7 @@ class TestSupportField:
             atol=1e-11,
         )
 
-    def test_contact_projector_transport_identity(self):
+    def test_contact_projector_transport_identity(self, rng):
         # X_i = gamma_i gamma_i^T obeys X' = [X, omega] along the flow
         system, y0 = make_support(rng, 3)
         h = 1e-5
@@ -101,21 +99,21 @@ class TestSupportField:
             (x_p - x_m) / (2 * h), x0 @ omega - omega @ x0, atol=1e-9
         )
 
-    def test_trace_polynomial_conserved_at_sample_parameters(self):
+    def test_trace_polynomial_conserved_at_sample_parameters(self, rng):
         system, y0 = make_support(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=1000))
         for mu in (0.0, 1.0, 2.0):
             vals = np.array([system.trace_polynomial(y, mu, 2) for y in traj.states])
             assert np.max(np.abs(vals - vals[0])) < 1e-8
 
-    def test_linear_trace_is_structural(self):
+    def test_linear_trace_is_structural(self, rng):
         # tr(B omega + sum mu^i X_i) = sum mu^i independently of the motion
         system, y0 = make_support(rng, 3)
         mu = 0.7
         expected = sum(mu ** (i + 1) for i in range(system.n_bodies))
         assert system.trace_polynomial(y0, mu, 1) == pytest.approx(expected, rel=1e-12)
 
-    def test_matches_classical_chaplygin_sphere_with_substituted_coefficient(self):
+    def test_matches_classical_chaplygin_sphere_with_substituted_coefficient(self, rng):
         # one contact with D/rho^2 replaced by m rho^2 reproduces the
         # classical no-slip rolling ball reduced field
         inertia3 = np.array([1.1, 1.6, 2.3])
@@ -134,7 +132,7 @@ class TestSupportField:
 
 class TestRubberSupportField:
     @pytest.mark.parametrize("n", [3, 4])
-    def test_matches_kkt_oracle(self, n):
+    def test_matches_kkt_oracle(self, n, rng):
         # the projector coefficient D (1 - rho^2)/rho^2 is cross-validated
         # against the raw no-slip + no-twist multiplier formulation
         system, y0 = make_rubber_support(rng, n)
@@ -144,7 +142,7 @@ class TestRubberSupportField:
             atol=1e-11,
         )
 
-    def test_unit_radius_contacts_shift_inertia(self):
+    def test_unit_radius_contacts_shift_inertia(self, rng):
         # rho_i = 1 removes the projector terms entirely
         inertia = rand_spd_operator(rng, 3)
         system = RubberSupportSystem(inertia, [0.6, 0.3], [1.0, 1.0])
@@ -159,12 +157,12 @@ class TestRubberSupportField:
         expected = np.linalg.solve(shifted, lie.skew_to_vec(lie.ad(iw, omega)))
         np.testing.assert_allclose(system.rhs(y0)[system.slice_of("omega")], expected, atol=1e-12)
 
-    def test_vanishing_moments_give_free_flow(self):
+    def test_vanishing_moments_give_free_flow(self, rng):
         inertia = rand_spd_operator(rng, 3)
         with pytest.raises(ValueError):
             RubberSupportSystem(inertia, [0.0], [0.5])
 
-    def test_large_radius_keeps_operator_positive(self):
+    def test_large_radius_keeps_operator_positive(self, rng):
         # the negative projector coefficient D (1 - rho^2)/rho^2 can never
         # outweigh the D Id shift: on the wedge subspace the two combine to
         # D / rho^2 > 0, so the flow stays well posed for any radius
@@ -177,7 +175,7 @@ class TestRubberSupportField:
         e = [system.energy(y) for y in traj.states]
         assert max(abs(v - e[0]) for v in e) / abs(e[0]) < 1e-10
 
-    def test_four_conserved_quantities_flat_over_long_run(self):
+    def test_four_conserved_quantities_flat_over_long_run(self, rng):
         system, y0 = make_rubber_support(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=10000))
         conserved = system.conserved_entries()
@@ -209,7 +207,7 @@ def test_trace_coefficients_match_trace_polynomial(n, make):
             assert abs(coeffs @ powers - system.trace_polynomial(y, mu, k)) <= 1e-13 * scale
 
 
-def test_five_dimensional_support_runs_and_conserves():
+def test_five_dimensional_support_runs_and_conserves(rng):
     system, y0 = make_support(rng, 5)
     traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=200))
     e = [system.energy(y) for y in traj.states]
@@ -219,7 +217,7 @@ def test_five_dimensional_support_runs_and_conserves():
     np.testing.assert_allclose(coeffs1, coeffs0, atol=1e-9 * max(1.0, np.max(np.abs(coeffs0))))
 
 
-def test_support_reconstructed_W_conserves_complement_component():
+def test_support_reconstructed_W_conserves_complement_component(rng):
     from lrsim.diagnostics import reconstruct_W
 
     system, y0 = make_support(rng, 3)
@@ -237,7 +235,7 @@ def test_support_reconstructed_W_conserves_complement_component():
         assert np.max(np.abs(proj)) < 1e-12
 
 
-def test_rubber_support_reconstructed_W_satisfies_both_constraint_families():
+def test_rubber_support_reconstructed_W_satisfies_both_constraint_families(rng):
     from lrsim.diagnostics import reconstruct_W
 
     system, y0 = make_rubber_support(rng, 3)
