@@ -283,6 +283,39 @@ def lie_rk4_step(system, y, h):
     return y_new
 
 
+def lie_rk4_step_omega(system, y, h):
+    """The Munthe-Kaas RK4 step of a constrained-Euler flow with its slopes
+    read from omega, every stage through exp, exp(0) included.
+
+    Each stage state is a fresh copy, the exponents are carried as skew
+    matrices, and [u, .] on bivector coordinates is ``lie.ad_matrix`` of the
+    skew matrix of u.
+    """
+    from scipy.linalg import expm
+
+    n = system.n
+    g_sl = system.slice_of("g")
+    w_sl = system.slice_of("omega")
+    g0 = y[g_sl].reshape(n, n)
+
+    def eval_stage(u, y_lin):
+        y_stage = y_lin.copy()
+        y_stage[g_sl] = (g0 @ expm(u)).ravel()
+        v = y_stage[w_sl]
+        adu = lie.ad_matrix(u)
+        uv = adu @ v
+        return lie.vec_to_skew(v + 0.5 * uv + (1.0 / 12.0) * (adu @ uv), n), system.rhs(y_stage)
+
+    k1a, k1 = eval_stage(np.zeros((n, n)), y)
+    k2a, k2 = eval_stage(0.5 * h * k1a, y + 0.5 * h * k1)
+    k3a, k3 = eval_stage(0.5 * h * k2a, y + 0.5 * h * k2)
+    k4a, k4 = eval_stage(h * k3a, y + h * k3)
+    y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    u = (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+    y_new[g_sl] = (g0 @ expm(u)).ravel()
+    return y_new
+
+
 def factored_acceleration(system, y):
     """omega' of a constrained-Euler flow through a Cholesky factor of B.
 

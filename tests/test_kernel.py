@@ -1,12 +1,12 @@
 """The lie-rk4 step and the constrained-Euler field against their reference forms.
 
-The references in :mod:`oracles` are the step in n x n matrices with an
-exponential at every stage, and the field through Cholesky factors of B and
-of the Gram matrix.  The step works in bivector coordinates and reads its
-slopes from the omega part of each stage state, so it agrees with its
-reference to roundoff, as the field does, which solves B once against
-[torque | C] instead.  The shared solve on a stack of states equals its
-one-state calls bit for bit.
+The references in :mod:`oracles` are the step with an exponential at every
+stage, with its slopes read from omega or, in n x n matrices, from
+skew(g^T g'), and the field through Cholesky factors of B and of the Gram
+matrix.  The step reproduces the omega-slope reference bit for bit and the
+matrix one to roundoff, as the field does its reference, which it solves
+with B once against [torque | C] instead.  The shared solve on a stack of
+states equals its one-state calls bit for bit.
 """
 
 import numpy as np
@@ -27,6 +27,20 @@ ENSEMBLE_KINDS = (
 
 def kernel_case(kind, n, seed):
     return KERNEL_MAKERS[kind](np.random.default_rng([seed, n, len(kind)]), n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+def test_lie_step_matches_reference_bitwise(kind, n):
+    # the same slopes from omega, with every stage through exp and a fresh
+    # copy of each stage state
+    system, y = kernel_case(kind, n, 11)
+    for h in (1e-3, 0.05):
+        z = y
+        for _ in range(3):
+            new = integrators.step(system, z, h, method="lie-rk4", project=False)
+            np.testing.assert_array_equal(new, oracles.lie_rk4_step_omega(system, z, h))
+            z = system.project(new)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
