@@ -5,21 +5,29 @@ Two fourth-order methods:
 * ``rk4-projected`` -- classical four-stage step on the flat state, followed
   by polar re-orthogonalization of rotation components and renormalization
   of unit vectors;
-* ``lie-rk4`` -- a Munthe-Kaas step: the rotation g is updated
-  multiplicatively, g <- g exp(u), with the algebra increment u built from
-  staged body velocities corrected by the truncated inverse differential of
-  exp; the remaining components take the classical update.  It works in
-  bivector coordinates and relies on the contract of
-  :class:`~lrsim.systems.lr.ConstrainedEulerSystem`, whose ``rhs`` sets
-  g' = g omega: the body velocity of a stage is the omega part of its
-  state.  A rotation outside that kernel is a ``ValueError``; a system with
-  no rotation takes the classical step.  The first stage is the field at
-  the state itself (u = 0), so it takes no exponential and a step costs
-  four: one per later stage and one for the update.  As g exp(u) stays
-  orthogonal to roundoff, only unit vectors are renormalized after it;
-  rotations get no polar factor.
+* ``lie-rk4`` -- a Munthe-Kaas step (Munthe-Kaas, Appl. Numer. Math. 29,
+  1999): the rotation g is updated multiplicatively, g <- g exp(u), with
+  the algebra increment u built from staged body velocities corrected by
+  the truncated inverse differential of exp; the remaining components
+  take the classical update.  It works in bivector coordinates and relies
+  on the contract of :class:`~lrsim.systems.lr.ConstrainedEulerSystem`,
+  whose ``rhs`` sets g' = g omega: the body velocity of a stage is the
+  omega part of its state.  A rotation outside that kernel is a
+  ``ValueError``; a system with no rotation takes the classical step.  The
+  first stage is the field at the state itself (u = 0), so it takes no
+  exponential and a step costs four: one per later stage and one for the
+  update.  As g exp(u) stays orthogonal to roundoff, only unit vectors are
+  renormalized after it; rotations get no polar factor.
 
 Only ``rk4-projected`` polar-projects rotations.
+
+The exponential is :func:`expm`, on numpy alone, by scaling and squaring
+(Higham, *Functions of Matrices*, SIAM 2008, ch. 10): the exponent is
+halved s times until its Frobenius norm is at most THETA = 0.05, the
+degree-8 Taylor polynomial is evaluated there in Paterson-Stockmeyer form,
+and the result is squared s times.  The Taylor remainder is at most
+THETA^9 / 9! ~ 5e-18.  An exponent already inside the threshold, such as
+h Omega with h = 1e-3 and ||Omega||_F <= 50, takes no squaring.
 
 Both are O(h^5) per step.  A trajectory records the uniform time grid and
 every state; integration aborts cleanly on field errors and on non-finite
@@ -29,7 +37,9 @@ states, keeping the partial trajectory and the failing step index.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -81,11 +91,58 @@ class IntegrationError(RuntimeError):
         self.step_index = step_index
 
 
-def expm(a):
-    """Matrix exponential; scipy is imported on the first ``lie-rk4`` step."""
-    from scipy.linalg import expm as scipy_expm
+# scaling threshold on the Frobenius norm, and the Taylor coefficients 1/k!
+# of the low sum (k = 0..4) and of the high sum over X^4 (k = 5..8)
+THETA = 0.05
+_TAYLOR = np.array([
+    [1.0, 1.0, 1.0 / 2, 1.0 / 6, 1.0 / 24],
+    [0.0, 1.0 / 120, 1.0 / 720, 1.0 / 5040, 1.0 / 40320],
+])
 
-    return scipy_expm(a)
+
+@cache
+def _identity(n):
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
+def expm(a):
+    """Matrix exponential of an n x n matrix by scaling and squaring.
+
+    X = a / 2^s with the least s >= 0 that gives ||X||_F <= THETA = 0.05;
+    exp(X) is the degree-8 Taylor polynomial in Paterson-Stockmeyer form,
+
+        T8(X) = sum_{k<=4} X^k / k! + X^4 sum_{k=5..8} X^(k-4) / k!,
+
+    with I, X, X^2, X^3 and X^4 in one (5, n, n) buffer and the two sums as
+    one coefficient product over it, and exp(a) = T8(X)^(2^s).  The
+    truncation error is at most THETA^9 / 9! ~ 5e-18 (Higham, *Functions
+    of Matrices*, SIAM 2008, ch. 10).  exp(0) is I exactly.  An exponent
+    whose norm is not finite, or overflows, is a ``FloatingPointError``.
+    """
+    n = a.shape[0]
+    norm = math.sqrt(np.vdot(a, a))
+    if not math.isfinite(norm):
+        raise FloatingPointError(
+            f"matrix exponential of a non-finite or overflowing exponent (Frobenius norm {norm})"
+        )
+    s = math.ceil(math.log2(norm / THETA)) if norm > THETA else 0
+    powers = np.empty((5, n, n))
+    powers[0] = _identity(n)
+    x = powers[1]
+    if s:
+        np.multiply(a, math.ldexp(1.0, -s), out=x)
+    else:
+        x[...] = a
+    np.matmul(x, x, out=powers[2])
+    np.matmul(powers[2], x, out=powers[3])
+    np.matmul(powers[2], powers[2], out=powers[4])
+    low, high = (_TAYLOR @ powers.reshape(5, n * n)).reshape(2, n, n)
+    e = low + powers[4] @ high
+    for _ in range(s):
+        e = e @ e
+    return e
 
 
 def _rk4_flat(rhs, y, h):

@@ -289,9 +289,11 @@ def lie_rk4_step_omega(system, y, h):
 
     Each stage state is a fresh copy, the exponents are carried as skew
     matrices, and [u, .] on bivector coordinates is ``lie.ad_matrix`` of the
-    skew matrix of u.
+    skew matrix of u.  The exponential is the library's own
+    ``integrators.expm``, so a bitwise comparison pins the step's arithmetic
+    around it; :func:`lie_rk4_step` checks the exponential against scipy's.
     """
-    from scipy.linalg import expm
+    from lrsim.integrators import expm
 
     n = system.n
     g_sl = system.slice_of("g")

@@ -16,9 +16,11 @@ from helpers import (
 )
 from lrsim import liecore as lie
 from lrsim.integrators import (
+    THETA,
     IntegrationError,
     IntegratorConfig,
     Trajectory,
+    expm,
     hermite_interpolate,
     integrate,
     integrate_reparametrized,
@@ -73,6 +75,45 @@ class TestStep:
         system, y0 = make_lplusr(rng, 3)
         with pytest.raises(ValueError):
             step(system, y0, 1e-3, method="euler")
+
+
+class TestExpm:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("max_norm, tol", [(0.1, 2e-15), (10.0, 1e-13)])
+    def test_matches_scipy_and_stays_orthogonal(self, n, max_norm, tol, rng):
+        # below 0.05 no squaring, up to 10 eight squarings; random skew
+        # exponents with Frobenius norms spread over [0, max_norm]
+        from scipy.linalg import expm as scipy_expm
+
+        for _ in range(40):
+            u = rand_skew(rng, n)
+            u *= max_norm * rng.uniform() / np.linalg.norm(u)
+            e = expm(u)
+            assert np.max(np.abs(e - scipy_expm(u))) <= tol
+            assert np.max(np.abs(e.T @ e - np.eye(n))) <= tol
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_diagonal_exponent_at_the_threshold_matches_np_exp(self, n, rng):
+        # a diagonal X has ||X||_2 = ||X||_F, which a skew one never has, so
+        # its Taylor remainder reaches THETA^9 / 9! < 1 ulp; one degree less
+        # would leave THETA^8 / 8! ~ 4 ulps
+        for _ in range(40):
+            t = rng.uniform(-1.0, 1.0, n)
+            t *= THETA * rng.uniform(0.9, 1.0) / np.linalg.norm(t)
+            err = np.max(np.abs(expm(np.diag(t)) - np.diag(np.exp(t))))
+            assert err <= 3 * np.spacing(1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_exp_of_zero_is_the_identity(self, n):
+        np.testing.assert_array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, 1e200])
+    def test_non_finite_or_overflowing_exponent_raises(self, entry):
+        # the Frobenius norm of 1e200 entries overflows to inf
+        u = np.zeros((3, 3))
+        u[0, 1], u[1, 0] = entry, -entry
+        with pytest.raises(FloatingPointError, match="non-finite or overflowing exponent"):
+            expm(u)
 
 
 class TestOrder:

@@ -3,8 +3,9 @@
 The references in :mod:`oracles` are the step with an exponential at every
 stage, with its slopes read from omega or, in n x n matrices, from
 skew(g^T g'), and the field through Cholesky factors of B and of the Gram
-matrix.  The step reproduces the omega-slope reference bit for bit and the
-matrix one to roundoff, as the field does its reference, which it solves
+matrix.  The step reproduces the omega-slope reference, which shares its
+``integrators.expm``, bit for bit, and the matrix one, which takes scipy's
+exponential, to roundoff, as the field does its reference, which it solves
 with B once against [torque | C] instead.  The shared solve on a stack of
 states equals its one-state calls bit for bit.
 """

@@ -366,6 +366,18 @@ class TestCliRun:
         assert "Traceback" not in proc.stderr
         assert not (out / "trajectory.csv").exists()
 
+    def test_overflowing_lie_exponent_exit_4(self, tmp_path):
+        # h = 1e300 makes the first stage's exponent h omega / 2 overflow
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrsim.cli", "run", str(SCENARIO_DIR / "support.yaml"),
+             "--method", "lie-rk4", "--h", "1e300", "--steps", "3", "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert "non-finite or overflowing exponent" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("command", ["run", "verify"])
     @pytest.mark.parametrize("name, path", OVERFLOW_CASES, ids=[case[0] for case in OVERFLOW_CASES])
     def test_overflowing_finite_value_exit_3(self, tmp_path, name, path, command):
