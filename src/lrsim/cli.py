@@ -357,9 +357,7 @@ def _gc_field_deviation(system, gc_form, y):
 
 def _support_independence_rank(system, traj, rng):
     idx = rng.integers(0, len(traj), size=3)
-    return diag.functional_independence_rank(
-        list(system.conserved().values()), [traj.states[i] for i in idx]
-    )
+    return diag.functional_independence_rank(system.conserved().values(), traj.states[idx])
 
 
 def cmd_verify(args):

@@ -11,9 +11,9 @@ of states to (m, dim) derivatives and (m,) densities in one sequence of
 numpy calls; the densities are plain functions of the state.  The LR and
 L+R chart fields solve for omega' with the flows' own stack-aware
 :func:`~lrsim.systems.lr.constrained_acceleration`.
-:func:`measure_divergence` sends its whole central-difference stencil
-through them at once, and :func:`hamiltonization_check` evaluates the field
-along its physical-time path in one call.
+:func:`measure_divergence` and :func:`functional_independence_rank` send
+whole central-difference stencils through them at once, and
+:func:`hamiltonization_check` evaluates the field along its path in one call.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ FD_STEP = 1e-5
 HAMILTONIZATION_TAU = 1.0
 INDEPENDENCE_FD_STEP = 1e-6
 INDEPENDENCE_TOL = 1e-8
-# states per constraints call in constraint_report: the temporaries of a
-# stacked call grow with its length (an N x N adjoint matrix per state for
-# the partner flows), so blocks bound the report's memory on long runs
+# states per call in both reports: the temporaries of a stacked call grow
+# with its length (an N x N adjoint matrix per state for the partner flows),
+# so blocks bound the reports' memory on long runs
 REPORT_BLOCK = 64
 
 
@@ -62,15 +62,20 @@ class QuantityDrift:
     max_rel_drift: float
 
 
+def _by_block(fn, states):
+    """``fn`` over a stack of states, one call per block of ``REPORT_BLOCK`` states."""
+    return [fn(states[i:i + REPORT_BLOCK]) for i in range(0, len(states), REPORT_BLOCK)]
+
+
 def conservation_report(traj, quantities=None):
     """Drift of named conserved quantities along a trajectory.
 
     ``quantities`` may list names from the system's conserved set and names
     of the form ``constraint:<residual>``; by default the full conserved set
-    is reported.  Each selected callable runs once per state, however many
-    of its entries are selected.  Relative drift is measured against
-    |initial value| when that is meaningful, else against the trajectory's
-    own scale.
+    is reported.  Each selected callable runs once per ``REPORT_BLOCK``
+    states, however many of its entries are selected.  Relative drift is
+    measured against |initial value| when that is meaningful, else against
+    the trajectory's own scale; a NaN value makes the drifts NaN.
     """
     if len(traj) == 0:
         raise ValueError("empty trajectory")
@@ -96,13 +101,10 @@ def conservation_report(traj, quantities=None):
             else:
                 selected.append((q, available[q]))
     fns = dict.fromkeys(fn for _, (fn, _) in selected)
-    table = []
-    for y in traj.states:
-        out = {fn: fn(y) for fn in fns}
-        table.append([out[fn] if idx is None else out[fn][idx] for _, (fn, idx) in selected])
-    table = np.array(table, dtype=float)
+    blocks = {fn: _by_block(fn, traj.states) for fn in fns}
     report = []
-    for (name, _), values in zip(selected, table.T):
+    for name, (fn, idx) in selected:
+        values = np.concatenate([block[idx] for block in blocks[fn]], dtype=float)
         initial = float(values[0])
         drift = float(np.max(np.abs(values - initial)))
         scale = abs(initial) if abs(initial) > 1e-12 else max(np.max(np.abs(values)), 1.0)
@@ -118,10 +120,7 @@ def constraint_report(traj):
     worst value NaN, as ``np.max`` propagates it, so a check against a
     tolerance fails.
     """
-    blocks = [
-        traj.system.constraints(traj.states[i:i + REPORT_BLOCK])
-        for i in range(0, len(traj), REPORT_BLOCK)
-    ]
+    blocks = _by_block(traj.system.constraints, traj.states)
     return {name: float(np.max([np.max(block[name]) for block in blocks])) for name in blocks[0]}
 
 
@@ -405,7 +404,8 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
         raise ValueError("the Hamiltonization check requires the special inertia")
     cot = CotangentSystem(inertia, mass, radius)
     y0 = cot.pack(gamma=gamma0, p=p0)
-    steps = int(round(HAMILTONIZATION_TAU / h))
+    # at least one step on each grid, or a check compares nothing at h >= 2
+    steps = max(1, int(round(HAMILTONIZATION_TAU / h)))
     cfg_tau = IntegratorConfig(h=h, steps=steps)
     traj_tau = integrate_reparametrized(cot, y0, axes, cfg_tau)
 
@@ -419,7 +419,7 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
     # independent path: physical-time trajectory reparametrized by quadrature
     rate_min = 1.0 / np.sqrt(float(np.max(axes)))
     t_end = 1.25 * HAMILTONIZATION_TAU / rate_min
-    cfg_t = IntegratorConfig(h=h, steps=int(round(t_end / h)))
+    cfg_t = IntegratorConfig(h=h, steps=max(1, int(round(t_end / h))))
     traj_t = integrate(cot, y0, cfg_t)
     fields = cot.rhs(traj_t.states)
     tau_of_t = reparametrize_trajectory(traj_t, axes, fields)
@@ -434,18 +434,19 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
 def functional_independence_rank(functions, states):
     """Rank of the Jacobian of state functions at sample states.
 
-    Each function returns a float or a vector of them; every entry is one
-    row.  Gradients are taken by central differences of step
-    ``INDEPENDENCE_FD_STEP`` in the flat chart; the rank is the count of
-    singular values above ``INDEPENDENCE_TOL`` relative to the largest,
-    minimized over the sample states.
+    Each function maps a (..., dim) stack of states to a float or a vector
+    of them per state; every entry is one row.  Gradients are taken by
+    central differences of step ``INDEPENDENCE_FD_STEP`` in the flat chart,
+    each function called once on the +-h stencils of all states; the rank is
+    the count of singular values above ``INDEPENDENCE_TOL`` relative to the
+    largest, minimized over the sample states.
     """
-    ranks = []
-    for y in states:
-        cols = [
-            np.concatenate([np.atleast_1d(fn(y + e)) - np.atleast_1d(fn(y - e)) for fn in functions])
-            for e in INDEPENDENCE_FD_STEP * np.eye(y.size)
-        ]
-        sv = np.linalg.svd(np.array(cols).T / (2.0 * INDEPENDENCE_FD_STEP), compute_uv=False)
-        ranks.append(int(np.sum(sv > INDEPENDENCE_TOL * sv[0])))
-    return min(ranks)
+    states = np.asarray(states, dtype=float)
+    m, dim = states.shape
+    e = INDEPENDENCE_FD_STEP * np.eye(dim)
+    points = np.stack([states[:, None] + e, states[:, None] - e], axis=1)
+    values = [fn(points) for fn in functions]
+    # (states, dim, rows): the differences along each coordinate, one row per entry
+    diffs = np.concatenate([(v[:, 0] - v[:, 1]).reshape(m, dim, -1) for v in values], axis=-1)
+    sv = np.linalg.svd(np.swapaxes(diffs, -1, -2) / (2.0 * INDEPENDENCE_FD_STEP), compute_uv=False)
+    return int(np.min(np.sum(sv > INDEPENDENCE_TOL * sv[:, :1], axis=-1)))

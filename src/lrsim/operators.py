@@ -97,9 +97,9 @@ class InertiaOperator:
 
 
 def wedge_projector_matrix(gamma):
-    """E^T E, E = E(gamma): the matrix of X -> X gamma gamma^T + gamma gamma^T X."""
+    """E^T E, E = E(gamma), over stacks: the matrix of X -> X gamma gamma^T + gamma gamma^T X."""
     e = lie.wedge_map(gamma)
-    return e.T @ e
+    return e.swapaxes(-1, -2) @ e
 
 
 def restricted_inverse_det(operator, vectors):

@@ -143,14 +143,14 @@ class System:
         raise NotImplementedError
 
     def conserved(self):
-        """Conserved quantities as state callables: a name keys one float, a
-        tuple of names a callable returning one value per name."""
+        """Conserved quantities as callables of one state or a (..., dim) stack: a
+        name keys a float per state, a tuple of names a value per name (last axis)."""
         return {"energy": self.energy}
 
     def conserved_entries(self):
-        """{name: (callable, index)} over ``conserved()``; index None for a float."""
+        """{name: (callable, index)} over ``conserved()``, the value ``callable(y)[index]``."""
         return {
-            name: (fn, j if isinstance(key, tuple) else None)
+            name: (fn, (..., j) if isinstance(key, tuple) else ...)
             for key, fn in self.conserved().items()
             for j, name in enumerate(key if isinstance(key, tuple) else (key,))
         }

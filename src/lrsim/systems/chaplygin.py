@@ -181,9 +181,8 @@ class CotangentSystem(System):
         return out
 
     def energy(self, y):
-        gamma = y[self.slice_of("gamma")]
-        p = y[self.slice_of("p")]
-        return 0.5 * float(p @ self.gamma_dot_of(gamma, p))
+        p = y[..., self.slice_of("p")]
+        return 0.5 * dot(p, self.gamma_dot_of(y[..., self.slice_of("gamma")], p))[..., 0]
 
     def constraints(self, y):
         out = super().constraints(y)
@@ -212,10 +211,10 @@ class LstarGeodesicSystem(System):
         super().__init__(n, [Component("gamma", UNIT, n), Component("v", VECTOR, n)])
 
     def lagrangian(self, y):
-        gamma = y[self.slice_of("gamma")]
-        v = y[self.slice_of("v")]
+        gamma = y[..., self.slice_of("gamma")]
+        v = y[..., self.slice_of("v")]
         a_g = self.axes * gamma
-        return 0.5 * (float((self.axes * v) @ v) - float(a_g @ v) ** 2 / float(a_g @ gamma))
+        return 0.5 * (dot(self.axes * v, v) - dot(a_g, v) ** 2 / dot(a_g, gamma))[..., 0]
 
     def rhs(self, y):
         gamma = y[self.slice_of("gamma")]
@@ -269,11 +268,11 @@ class GsrSystem(System):
 
     def _pi(self, adg):
         """Pi = m rho^2 ad_gamma^T ad_gamma, the orbit-dependent part of B."""
-        return self.mr2 * (adg.T @ adg)
+        return self.mr2 * (adg.swapaxes(-1, -2) @ adg)
 
     def momentum_vec(self, y):
-        adg = lie.ad_vec(y[self.slice_of("gamma")])
-        return (self.inertia.matrix + self._pi(adg)) @ y[self.slice_of("omega")]
+        b = self.inertia.matrix + self._pi(lie.ad_vec(y[..., self.slice_of("gamma")]))
+        return (b @ y[..., self.slice_of("omega"), None])[..., 0]
 
     def rhs(self, y):
         wv = y[self.slice_of("omega")]
@@ -293,13 +292,13 @@ class GsrSystem(System):
         return out
 
     def energy(self, y):
-        return 0.5 * float(self.momentum_vec(y) @ y[self.slice_of("omega")])
+        return 0.5 * dot(self.momentum_vec(y), y[..., self.slice_of("omega")])[..., 0]
 
     def conserved(self):
         return {
             "energy": self.energy,
-            "momentum_norm": lambda y: float(np.sum(self.momentum_vec(y) ** 2)),
-            "orbit_norm": lambda y: 2.0 * float(np.sum(y[self.slice_of("gamma")] ** 2)),
+            "momentum_norm": lambda y: np.sum(self.momentum_vec(y) ** 2, axis=-1),
+            "orbit_norm": lambda y: 2.0 * np.sum(y[..., self.slice_of("gamma")] ** 2, axis=-1),
         }
 
 

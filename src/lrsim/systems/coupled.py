@@ -28,7 +28,7 @@ import numpy as np
 
 from .. import liecore as lie
 from ..linalg import cho_factor, cho_solve
-from .base import Component, VECTOR, rotation_component, skew_component
+from .base import Component, VECTOR, dot, rotation_component, skew_component
 from .lr import ConstrainedEulerSystem
 
 
@@ -83,11 +83,11 @@ class _PartnerVelocities:
             out[self.slice_of(name)] = partner.slave(omega_dot_space)
 
     def energy(self, y):
-        wv = y[self.slice_of("omega")]
-        total = 0.5 * float(wv @ self.inertia.apply_vec(wv))
+        wv = y[..., self.slice_of("omega")]
+        total = 0.5 * dot(wv, self.inertia.apply_vec(wv[..., None])[..., 0])[..., 0]
         for partner, name in self.partner_components:
-            w = y[self.slice_of(name)]
-            total += 0.5 * partner.d * float(w @ w)
+            w = y[..., self.slice_of(name)]
+            total += 0.5 * partner.d * dot(w, w)[..., 0]
         return total
 
 
@@ -162,10 +162,11 @@ class CoupledFullSystem(_PartnerVelocities, _CoupledBase):
 
     def conserved(self):
         out = {"energy": self.energy}
-        for j in range(self.k_space.dim):
-            out[f"noether_k_{j + 1}"] = (
-                lambda y, j=j: float(self.k_space.vectors[:, j] @ y[self.slice_of("W")])
-            )
+        k = self.k_space.vectors
+        if k.shape[1]:
+            # <k_j, W> as one dot each, not one matrix-vector product, which rounds differently
+            names = tuple(f"noether_k_{j + 1}" for j in range(k.shape[1]))
+            out[names] = lambda y: dot(k.T, y[..., None, self.slice_of("W")])[..., 0]
         out.update(self.noether(self.k0_space.vectors, "noether_k0"))
         return out
 

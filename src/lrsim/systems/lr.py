@@ -114,9 +114,9 @@ class ConstrainedEulerSystem(System):
     L+R flow overrides ``torque``, the rubber Chaplygin sphere the solve
     step ``acceleration``.  A subclass gives what differs through three hooks:
 
-    * ``pi(y)`` -- Pi at a state, or None for Pi = 0, whose factor of I is
-      reused; it also returns per-state data (the Ad_g matrix, the contact
-      directions) that the other two hooks receive as ``frame``;
+    * ``pi(y)`` -- Pi at a state or a stack, or None for Pi = 0, whose factor
+      of I is reused; it also returns per-state data (the Ad_g matrix, the
+      contact directions) that the other two hooks receive as ``frame``;
     * ``constraint_basis(y, frame)`` -- the body-frame basis C, or None;
     * ``transport(y, frame, omega, adw, wdot, out)`` -- fills the derivatives
       of the components after g and omega.
@@ -129,9 +129,9 @@ class ConstrainedEulerSystem(System):
     never from g', so no subclass may change how g moves.
 
     The default ``pi`` is Ad_g^T Pi0 Ad_g for systems that set ``pi0``.
-    The kernel also reports the integrals every flow shares: the energy
-    1/2 <B omega, omega>, the momentum B omega and its norm, and the
-    Noether integrals <d, Ad_g I omega> over fixed directions d.
+    The kernel also reports the integrals every flow shares, over stacks
+    too: the energy 1/2 <B omega, omega>, the momentum B omega and its norm,
+    and the Noether integrals <d, Ad_g I omega> over fixed directions d.
     """
 
     pi0 = None  # right-invariant operator in the fixed frame, if any
@@ -139,8 +139,8 @@ class ConstrainedEulerSystem(System):
     def pi(self, y):
         if self.pi0 is None:
             return None, None
-        q = lie.adjoint_matrix(y[self.slice_of("g")].reshape(self.n, self.n))
-        return q.T @ self.pi0 @ q, q
+        q = lie.adjoint_matrix(y[..., self.slice_of("g")].reshape(y.shape[:-1] + (self.n, self.n)))
+        return q.swapaxes(-1, -2) @ self.pi0 @ q, q
 
     def constraint_basis(self, y, frame):
         return None
@@ -159,16 +159,16 @@ class ConstrainedEulerSystem(System):
 
     def momentum_vec(self, y):
         """B omega."""
-        return self.effective_inertia(y) @ y[self.slice_of("omega")]
+        return (self.effective_inertia(y) @ y[..., self.slice_of("omega"), None])[..., 0]
 
     def energy(self, y):
         """1/2 <B omega, omega>."""
-        return 0.5 * float(self.momentum_vec(y) @ y[self.slice_of("omega")])
+        return 0.5 * dot(self.momentum_vec(y), y[..., self.slice_of("omega")])[..., 0]
 
     def momentum_norm(self, y):
         """|B omega|^2, conserved by the isospectral L+R flow."""
         bw = self.momentum_vec(y)
-        return float(bw @ bw)
+        return dot(bw, bw)[..., 0]
 
     def spatial_velocity(self, y):
         """Ad_g omega at a state or, along leading axes, a stack of them."""
@@ -177,8 +177,9 @@ class ConstrainedEulerSystem(System):
 
     def spatial_momentum_vec(self, y):
         """Ad_g I omega."""
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        return lie.adjoint_matrix(g) @ self.inertia.apply_vec(y[self.slice_of("omega")])
+        g = y[..., self.slice_of("g")].reshape(y.shape[:-1] + (self.n, self.n))
+        iw = self.inertia.apply_vec(y[..., self.slice_of("omega"), None])
+        return (lie.adjoint_matrix(g) @ iw)[..., 0]
 
     def noether(self, basis, prefix):
         """Integrals prefix_j = <d_j, Ad_g I omega> over the columns d_j of a fixed
@@ -186,7 +187,7 @@ class ConstrainedEulerSystem(System):
         if not basis.shape[1]:
             return {}
         names = tuple(f"{prefix}_{j + 1}" for j in range(basis.shape[1]))
-        return {names: lambda y: basis.T @ self.spatial_momentum_vec(y)}
+        return {names: lambda y: (basis.T @ self.spatial_momentum_vec(y)[..., None])[..., 0]}
 
     def acceleration(self, y, wv, adw):
         """(omega', frame): :func:`constrained_acceleration` at one state."""

@@ -59,9 +59,9 @@ class _SupportBase(ConstrainedEulerSystem):
         self._weights = np.repeat(self._coefficients(), n)[:, None]
 
     def _gammas(self, y):
-        """The contact directions, stored one after another after omega, as (bodies, n) rows."""
+        """The contact directions, stored one after another after omega, as (..., bodies, n) rows."""
         start = self.slice_of("omega").stop
-        return y[start:start + self.n_bodies * self.n].reshape(self.n_bodies, self.n)
+        return y[..., start:start + self.n_bodies * self.n].reshape(y.shape[:-1] + (-1, self.n))
 
     def _coefficients(self):
         raise NotImplementedError
@@ -69,9 +69,9 @@ class _SupportBase(ConstrainedEulerSystem):
     def _contact_pi(self, gammas):
         """shift Id + sum_i c_i E_i^T E_i over the wedge maps E_i of the unit gammas."""
         units = gammas / np.linalg.norm(gammas, axis=-1, keepdims=True)
-        e = lie.wedge_map(units).reshape(-1, self.N)
-        pi = e.T @ (self._weights * e)
-        pi.flat[:: self.N + 1] += self.shift
+        e = lie.wedge_map(units).reshape(gammas.shape[:-2] + (-1, self.N))
+        pi = e.swapaxes(-1, -2) @ (self._weights * e)
+        pi.reshape(pi.shape[:-2] + (-1,))[..., :: self.N + 1] += self.shift  # a view of fresh pi
         return pi
 
     def pi(self, y):
@@ -110,16 +110,17 @@ class _SupportBase(ConstrainedEulerSystem):
         return float(np.trace(np.linalg.matrix_power(m, k)))
 
     def trace_coefficients(self, y, k):
-        """Coefficients in mu of tr(B omega + sum mu^i X_i)^k (degree k*N), exact:
-        the matrix polynomial (B omega, X_1, ..., X_N) is multiplied out and traced."""
-        poly = np.array([self.momentum_matrix(y), *(np.outer(g, g) for g in self._gammas(y))])
-        power = poly
+        """Coefficients in mu of tr(B omega + sum mu^i X_i)^k (degree k*N), exact: the
+        matrix polynomial (B omega, X_1, ..., X_N), along axis -3, is multiplied out and traced."""
+        gammas = self._gammas(y)[..., None]
+        outer = gammas * np.swapaxes(gammas, -1, -2)
+        power = poly = np.concatenate([self.momentum_matrix(y)[..., None, :, :], outer], axis=-3)
         for _ in range(k - 1):
-            prod = np.zeros((len(power) + self.n_bodies, self.n, self.n))
-            for i, coeff in enumerate(poly):
-                prod[i:i + len(power)] += power @ coeff
+            prod = np.zeros(power.shape[:-3] + (power.shape[-3] + self.n_bodies, self.n, self.n))
+            for i in range(self.n_bodies + 1):
+                prod[..., i:i + power.shape[-3], :, :] += power @ poly[..., i, None, :, :]
             power = prod
-        return np.trace(power, axis1=1, axis2=2)
+        return np.trace(power, axis1=-2, axis2=-1)
 
     def conserved(self):
         out = {"energy": self.energy}

@@ -9,6 +9,7 @@ import numpy as np
 
 from helpers import iso3
 from lrsim import liecore as lie
+from lrsim.diagnostics import QuantityDrift
 
 
 def inner(x, y):
@@ -356,3 +357,32 @@ def constraint_report_loop(traj):
         for name, resid in traj.system.constraints(y).items():
             worst[name] = float(np.maximum(worst.get(name, 0.0), resid))
     return worst
+
+
+def conservation_report_loop(traj, quantities=None):
+    """Drift of named conserved quantities, one call of each selected callable
+    per state: the per-state loop ``diagnostics.conservation_report`` ran
+    before it evaluated blocks of states."""
+    system = traj.system
+    available = system.conserved_entries()
+    if quantities is None:
+        selected = list(available.items())
+    else:
+        selected = [
+            (q, (system.constraints, q.split(":", 1)[1]) if q.startswith("constraint:")
+             else available[q])
+            for q in quantities
+        ]
+    fns = dict.fromkeys(fn for _, (fn, _) in selected)
+    table = []
+    for y in traj.states:
+        out = {fn: fn(y) for fn in fns}
+        table.append([out[fn][idx] for _, (fn, idx) in selected])
+    table = np.array(table, dtype=float)
+    report = []
+    for (name, _), values in zip(selected, table.T):
+        initial = float(values[0])
+        drift = float(np.max(np.abs(values - initial)))
+        scale = abs(initial) if abs(initial) > 1e-12 else max(np.max(np.abs(values)), 1.0)
+        report.append(QuantityDrift(name, initial, drift, drift / scale))
+    return report

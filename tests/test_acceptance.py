@@ -119,10 +119,8 @@ def test_criterion_04_trace_integrals(long_runs):
     for system, traj in long_runs["rubber-support"]:
         if system.n != 3:
             continue
-        functions = [system.energy]
-        for k in range(2, 4):
-            for j in range(k * system.n_bodies + 1):
-                functions.append(lambda y, k=k, j=j, s=system: float(s.trace_coefficients(y, k)[j]))
+        # the energy and the trace groups of k = 2, 3
+        functions = list(system.conserved().values())
         ranks.append(diag.functional_independence_rank(functions, [traj.states[0], traj.states[-1]]))
     ok = worst < 1e-8 and all(r >= 4 for r in ranks)
     report(4, ok, f"trace-integral drift {worst:.2e} < 1e-8; independence ranks {ranks} >= 4")
@@ -135,7 +133,7 @@ def test_criterion_05_noether_laws(coupled_full_runs):
         for name, (fn, idx) in system.conserved_entries().items():
             if not name.startswith("noether"):
                 continue
-            vals = np.array([fn(y) if idx is None else fn(y)[idx] for y in traj.states])
+            vals = np.array([fn(y)[idx] for y in traj.states])
             drift = float(np.max(np.abs(vals - vals[0])))
             if drift > worst:
                 worst, worst_name = drift, name

@@ -1,10 +1,13 @@
-"""Constraint residuals over a stack of states, and the worst-residual report.
+"""State functions over a stack of states, and the two reports built on them.
 
-``System.constraints`` takes one state or a (..., dim) stack.  A stack must
-reproduce every state's residuals bit for bit, and ``constraint_report``,
-which makes one call per block of states, the dict of the per-state loop in
-:mod:`oracles`.
+``System.constraints``, every conserved callable and the kernel's ``pi``
+take one state or a (..., dim) stack.  A stack must reproduce every state's
+values bit for bit, and ``constraint_report`` and ``conservation_report``,
+which make one call per block of states, the results of the per-state loops
+in :mod:`oracles`.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ import oracles
 from helpers import KERNEL_MAKERS, MAKERS, rand_rotation, rand_skew, rand_spd_operator
 from lrsim import diagnostics as diag
 from lrsim import liecore as lie
-from lrsim.cli import _constraint_checks
+from lrsim.cli import _constraint_checks, _drift_checks
 from lrsim.integrators import IntegratorConfig, integrate
 from lrsim.systems import LRSystem
 
@@ -28,14 +31,18 @@ def short_trajectory(kind, n, steps=5):
     return integrate(system, y0, IntegratorConfig(h=0.01, steps=steps))
 
 
+def off_trajectory_states(kind, n, rng):
+    """The states of a short trajectory, and one state off the constraint set
+    in every component."""
+    traj = short_trajectory(kind, n)
+    off = traj.states[-1] + 0.1 * rng.normal(size=traj.system.dim)
+    return traj.system, np.vstack([traj.states, off])
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("kind", STACK_KINDS)
 def test_stack_equals_state_by_state(kind, n, rng):
-    traj = short_trajectory(kind, n)
-    system = traj.system
-    # the trajectory, and one state off the constraint set in every component
-    off = traj.states[-1] + 0.1 * rng.normal(size=system.dim)
-    states = np.vstack([traj.states, off])
+    system, states = off_trajectory_states(kind, n, rng)
     singles = [system.constraints(y) for y in states]
     assert min(singles[-1].values(), default=1.0) > 1e-6
     for stack in (states, states[1:].reshape(2, 3, system.dim)):
@@ -60,6 +67,85 @@ def test_report_equals_the_state_by_state_loop(kind):
     assert list(got) == list(want)
     assert got == want
     assert all(type(v) is float for v in got.values())
+
+
+def assert_stacks_equal_singles(fn, states):
+    """``fn`` on (m, dim) and (2, 3, dim) stacks equals its one-state calls bit for bit."""
+    singles = [fn(y) for y in states]
+    for stack in (states, states[1:].reshape(2, 3, -1)):
+        got = fn(stack)
+        lead = stack.shape[:-1]
+        assert got.shape == lead + np.shape(singles[0])
+        want = singles[-math.prod(lead):]
+        np.testing.assert_array_equal(got.reshape((-1,) + np.shape(singles[0])), want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_conserved_stack_equals_state_by_state(kind, n, rng):
+    system, states = off_trajectory_states(kind, n, rng)
+    for fn in system.conserved().values():
+        assert_stacks_equal_singles(fn, states)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", sorted(KERNEL_MAKERS))
+def test_pi_stack_equals_state_by_state(kind, n, rng):
+    system, states = off_trajectory_states(kind, n, rng)
+    for part in range(2):  # Pi, and the frame the other hooks receive
+        if system.pi(states[0])[part] is None:
+            assert system.pi(states)[part] is None
+        else:
+            assert_stacks_equal_singles(lambda y: system.pi(y)[part], states)
+
+
+def selections(system, y):
+    """The default selection, and every conserved entry in reverse order
+    followed by every constraint residual."""
+    names = list(system.conserved_entries())[::-1]
+    return [None, names + [f"constraint:{name}" for name in system.constraints(y)]]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_conservation_report_equals_the_state_by_state_loop(kind, n):
+    traj = short_trajectory(kind, n, REPORT_STEPS)
+    for quantities in selections(traj.system, traj.states[0]):
+        got = diag.conservation_report(traj, quantities)
+        assert got == oracles.conservation_report_loop(traj, quantities)
+        assert all(type(v) is float for q in got for v in (q.initial, q.max_abs_drift, q.max_rel_drift))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_conservation_report_calls_each_callable_once_per_block(kind, n, monkeypatch):
+    traj = short_trajectory(kind, n, REPORT_STEPS)
+    system = traj.system
+    conserved = system.conserved()
+    calls = dict.fromkeys(conserved, 0)
+
+    def counting(key, fn):
+        def counted(y):
+            calls[key] += 1
+            return fn(y)
+        return counted
+
+    monkeypatch.setattr(
+        system, "conserved", lambda: {key: counting(key, fn) for key, fn in conserved.items()}
+    )
+    diag.conservation_report(traj)
+    assert calls == dict.fromkeys(conserved, math.ceil(len(traj) / diag.REPORT_BLOCK))
+
+
+@pytest.mark.parametrize("kind", STACK_KINDS)
+def test_nan_state_makes_every_drift_nan(kind):
+    traj = short_trajectory(kind, 3, REPORT_STEPS)
+    # in a later block than the first
+    traj.states[diag.REPORT_BLOCK + 2] = np.nan
+    drifts = diag.conservation_report(traj)
+    assert drifts and all(np.isnan([q.max_abs_drift, q.max_rel_drift]).all() for q in drifts)
+    checks = _drift_checks(traj)
+    assert checks and not any(check.passed for check in checks)
 
 
 @pytest.mark.parametrize("kind", RESIDUAL_KINDS)

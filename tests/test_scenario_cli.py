@@ -545,6 +545,22 @@ class TestCliVerify:
         assert "lie-rk4 needs g' = g omega" in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("name, h", [("rubber_chaplygin4.yaml", "2"), ("cotangent.yaml", "5")])
+    def test_hamiltonization_at_large_h_compares_something(self, name, h):
+        # round(tau / h) is 0 for h >= 2: with no step on a grid the checks
+        # compared nothing and passed at 0, or interpolated over an empty grid
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrsim.cli", "verify", str(SCENARIO_DIR / name),
+             "--h", h, "--steps", "3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "RuntimeWarning" not in proc.stderr
+        for check in ("hamiltonization", "reparametrization_dual_path", "drift[geodesic_energy]"):
+            assert f"FAIL  {check}: " in proc.stdout
+            assert f"PASS  {check}: " not in proc.stdout
+
     def test_hamiltonization_verify_loads_no_scipy(self):
         code = (
             "import sys\n"

@@ -92,8 +92,8 @@ class TestCoupledFull:
     def test_energy_and_noether_conserved(self, rng):
         system, y0 = make_coupled(rng, 3, full=True)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
-        for name, fn in system.conserved().items():
-            vals = np.array([fn(y) for y in traj.states])
+        for name, (fn, idx) in system.conserved_entries().items():
+            vals = np.array([fn(y)[idx] for y in traj.states])
             scale = max(abs(vals[0]), 1.0)
             assert np.max(np.abs(vals - vals[0])) / scale < 1e-10, name
 
@@ -136,7 +136,7 @@ class TestReduction:
         for name, (fn, idx) in system.conserved_entries().items():
             if not name.startswith("noether_k0"):
                 continue
-            vals = np.array([fn(y) if idx is None else fn(y)[idx] for y in traj.states])
+            vals = np.array([fn(y)[idx] for y in traj.states])
             assert np.max(np.abs(vals - vals[0])) < 1e-10, name
 
 

@@ -84,7 +84,7 @@ class TestLRField:
         system, y0 = make_lr(rng, 3)
         traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=2000))
         for name, (fn, idx) in system.conserved_entries().items():
-            vals = np.array([fn(y) if idx is None else fn(y)[idx] for y in traj.states])
+            vals = np.array([fn(y)[idx] for y in traj.states])
             assert np.max(np.abs(vals - vals[0])) < 1e-10, name
 
 

@@ -184,7 +184,7 @@ class TestRubberSupportField:
             if name not in conserved:
                 continue
             fn, idx = conserved[name]
-            vals = np.array([fn(y) if idx is None else fn(y)[idx] for y in traj.states])
+            vals = np.array([fn(y)[idx] for y in traj.states])
             scale = max(abs(vals[0]), 1.0)
             if np.max(np.abs(vals - vals[0])) / scale < 1e-8:
                 flat += 1
@@ -257,7 +257,7 @@ def test_rubber_support_reconstructed_W_satisfies_both_constraint_families(rng):
                 assert np.max(np.abs(no_twist)) < 1e-10
 
 
-def test_report_fits_trace_coefficients_once_per_state_and_power(monkeypatch):
+def test_report_fits_trace_coefficients_once_per_block_and_power(monkeypatch):
     from lrsim import diagnostics as diag
     from lrsim.systems.support import _SupportBase
 
@@ -275,7 +275,7 @@ def test_report_fits_trace_coefficients_once_per_state_and_power(monkeypatch):
 
     monkeypatch.setattr(_SupportBase, "trace_coefficients", counting)
     report = {q.name: q for q in diag.conservation_report(traj)}
-    assert len(calls) == 2 * len(traj)  # k = 2, 3 at every state
+    assert len(calls) == 2  # k = 2, 3 on the one block of 10 states
     for k in (2, 3):
         ref = np.array([fit(system, y, k) for y in traj.states])
         for j in range(2 * k + 1):
