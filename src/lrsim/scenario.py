@@ -72,8 +72,10 @@ class ScenarioValidationError(ValueError):
 class Scenario:
     """A built scenario: the system, its initial state, and the run config.
 
-    ``penalty_form`` is the (basis, epsilon) of a ``pi0: {kind: penalty}``
-    entry; ``gc_form`` holds, per ncoupled body, the (Gamma, rho) of a
+    ``forms`` holds the parse results that only the checks of the system's
+    kind read: for lplusr and geodesic-lpr, ``penalty_form`` is the
+    (basis, epsilon) of a ``pi0: {kind: penalty}`` entry or None; for
+    ncoupled, ``gc_form`` holds, per body, the (Gamma, rho) of a
     ``family: commutator-with`` entry or None.
     """
 
@@ -82,8 +84,7 @@ class Scenario:
     initial: np.ndarray
     integrator: IntegratorConfig
     diagnostics: list = field(default_factory=list)
-    penalty_form: tuple | None = None
-    gc_form: list | None = None
+    forms: dict = field(default_factory=dict)
 
 
 def load_scenario(path, overrides=None):
@@ -138,7 +139,7 @@ def build_scenario(data, name="<memory>", overrides=None):
 
     cfg = _build_integrator(data.get("integrator", {}), overrides or {})
     diagnostics = _diagnostics(data.get("diagnostics"), system, y0)
-    return Scenario(name, system, y0, cfg, diagnostics, **forms)
+    return Scenario(name, system, y0, cfg, diagnostics, forms)
 
 
 # --- pieces -----------------------------------------------------------------
@@ -330,7 +331,7 @@ def _pi0(data, n):
 
 
 def _build_system(kind, n, data):
-    """The system and the Scenario fields that record how it was specified."""
+    """The system and the ``Scenario.forms`` that record how it was specified."""
     if kind == "lr":
         basis = _subspace(_require(data, "constraints", dict), n, "constraints")
         return LRSystem(_inertia(data, n), basis), {}

@@ -352,9 +352,5 @@ class TestIndependence:
         system, y0 = make_rubber_support(rng, 3)
         # the energy and the trace groups of k = 2, 3
         functions = list(system.conserved().values())
-        states = [y0]
-        for _ in range(2):
-            states.append(make_rubber_support(rng, 3)[1])
-        # evaluate the rank with each system's own functions at its state
         rank = diag.functional_independence_rank(functions, [y0])
         assert rank >= 4

@@ -1,6 +1,7 @@
 """Scenario parsing, validation, CLI exit codes and output formats."""
 
 import dataclasses
+import itertools
 import json
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import pytest
 import yaml
 
 from helpers import RotatingFrame
-from lrsim.cli import main
+from lrsim.cli import CHECKS_BY_KIND, main, verification_checks
+from lrsim.integrators import integrate
 from lrsim.scenario import (
+    SYSTEM_KINDS,
     ScenarioParseError,
     ScenarioValidationError,
     build_scenario,
@@ -29,6 +32,38 @@ MINIMAL_FREE_TOP = {
     "initial": {"g": "identity", "omega": {"pairs": [[1, 2, 0.3], [1, 3, 1.0]]}},
     "integrator": {"h": 1e-3, "steps": 100},
 }
+
+
+_REDUCED_SPHERE_CHECKS = [
+    "measure[reduced]", "measure_ratio_spread", "hamiltonization",
+    "reparametrization_dual_path", "drift[geodesic_energy]",
+]
+
+# per shipped file, in order, the checks verify runs after the shared drift and
+# constraint checks: the rows of its kind in cli.CHECKS_BY_KIND. free_top is
+# the lr kind without constraints; geodesic_lpr's measure[lplusr] samples the
+# L+R chart field, not the geodesic flow it integrates
+KIND_CHECKS = {
+    "cotangent": _REDUCED_SPHERE_CHECKS,
+    "coupled": ["reduction_equivalence", "W_reconstruction"],
+    "free_top": [],
+    "geodesic_lpr": ["measure[lplusr]"],
+    "gsr": [],
+    "lplusr_penalty": ["measure[lplusr]", "epsilon_limit[decreasing]", "epsilon_limit[final]"],
+    "lstar_geodesic": [],
+    "ncoupled_commutator": ["closed_form_field"],
+    "rubber_chaplygin3": [*_REDUCED_SPHERE_CHECKS, "contact_last_coordinate"],
+    "rubber_chaplygin4": [*_REDUCED_SPHERE_CHECKS, "contact_last_coordinate"],
+    "rubber_support": ["independent_integrals"],
+    "support": [],
+    "veselova": ["measure[lr]", "epsilon_limit[decreasing]", "epsilon_limit[final]"],
+}
+
+
+def after_shared_checks(names):
+    """The check names that follow the leading drift and constraint checks."""
+    shared = ("drift[", "constraint[")
+    return list(itertools.dropwhile(lambda name: name.startswith(shared), names))
 
 
 def write_yaml(path, data):
@@ -467,11 +502,51 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
-    def test_coupled_scenario_includes_equivalence_check(self, capsys):
+    @staticmethod
+    def record_reduction_steps(monkeypatch):
+        from lrsim import diagnostics
+
+        steps = []
+        real = diagnostics.reduction_equivalence
+
+        def record(full, reduced, y0, cfg):
+            steps.append(cfg.steps)
+            return real(full, reduced, y0, cfg)
+
+        monkeypatch.setattr(diagnostics, "reduction_equivalence", record)
+        return steps
+
+    def test_coupled_scenario_includes_equivalence_check(self, monkeypatch, capsys):
+        steps = self.record_reduction_steps(monkeypatch)
         assert main(["verify", str(SCENARIO_DIR / "coupled.yaml")]) == 0
         out = capsys.readouterr().out
         assert "reduction_equivalence" in out
         assert "W_reconstruction" in out
+        # the shipped h = 1e-3 and steps = 1000: min(steps, 1000)
+        assert steps == [1000]
+
+    @pytest.mark.parametrize("h", ["2", "3", "50"])
+    def test_reduction_checks_at_large_h_compare_something(self, monkeypatch, capsys, h):
+        # round(1 / h) is 0 for h >= 2: with no step the full and reduced runs
+        # compared only their initial states and W_reconstruction passed at 0
+        steps = self.record_reduction_steps(monkeypatch)
+        code = main(["verify", str(SCENARIO_DIR / "coupled.yaml"), "--h", h, "--steps", "2"])
+        assert code != 0
+        assert steps and steps[0] >= 1
+        assert "PASS  W_reconstruction" not in capsys.readouterr().out
+
+    def test_integration_failure_inside_a_study_exit_4(self):
+        # the run at h = 5 succeeds; the penalty-limit study's run does not
+        proc = subprocess.run(
+            [sys.executable, "-m", "lrsim.cli", "verify", str(SCENARIO_DIR / "veselova.yaml"),
+             "--h", "5", "--steps", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert "integration failed: effective inertia is singular" in proc.stderr
+        assert "PASS" not in proc.stdout
 
     def test_penalty_scenario_prints_decreasing_table(self, capsys):
         assert main(["verify", str(SCENARIO_DIR / "lplusr_penalty.yaml")]) == 0
@@ -516,7 +591,27 @@ class TestCliVerify:
     def test_every_shipped_scenario_passes(self, capsys, scenario):
         steps = shipped(scenario.name).get("integrator", {}).get("steps", 1000) // 8
         assert main(["verify", str(scenario), "--steps", str(steps)]) == 0
-        self.assert_every_check_passed(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        self.assert_every_check_passed(out)
+        names = [line.split()[1].rstrip(":") for line in out.splitlines()[:-1]
+                 if line.startswith("PASS")]
+        assert after_shared_checks(names) == KIND_CHECKS[scenario.stem]
+
+    def test_coupled_reduced_gets_only_the_shared_checks(self):
+        data = shipped("coupled.yaml")
+        data["variant"] = "reduced"
+        data["integrator"]["steps"] = 125
+        scenario = build_scenario(data)
+        assert scenario.system.kind == "coupled-reduced"
+        checks = verification_checks(scenario, integrate(
+            scenario.system, scenario.initial, scenario.integrator
+        ))
+        assert checks and all(check.passed for check in checks)
+        assert after_shared_checks([check.name for check in checks]) == []
+
+    def test_check_table_has_one_row_per_buildable_kind(self):
+        # coupled-reduced is the `variant: reduced` of the coupled kind
+        assert sorted(CHECKS_BY_KIND) == sorted([*SYSTEM_KINDS, "coupled-reduced"])
 
     @pytest.mark.parametrize(
         "scenario", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda path: path.stem
