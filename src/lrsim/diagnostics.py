@@ -179,7 +179,7 @@ def lr_measure_chart(inertia, k):
         alphas = z[..., N:].reshape(lead + (k, N))
         # ad_omega, omega = I^-1 m; [m, omega] = -ad_omega m
         adw = lie.ad_vec(inertia.solve_vec(mv[..., None])[..., 0])
-        torque = -(adw @ mv[..., None])[..., 0]
+        torque = -(adw @ mv[..., None])
         wdot = constrained_acceleration(inertia, None, torque, np.swapaxes(alphas, -1, -2))
         # alpha_i' = [alpha_i, omega] = -ad_omega alpha_i, row i of alphas @ ad_omega
         adots = alphas @ adw
@@ -230,7 +230,7 @@ def lplusr_measure_chart(inertia):
         pi = coords_to_sym(z[..., N:], N)
         adw = lie.ad_vec(wv)
         # [I omega, omega] = -ad_omega I omega, with I symmetric
-        torque = -(adw @ (wv @ inertia.matrix)[..., None])[..., 0]
+        torque = -(adw @ (wv @ inertia.matrix)[..., None])
         wdot = constrained_acceleration(inertia, pi, torque)
         pidot = pi @ adw - adw @ pi
         return np.concatenate([wdot, sym_to_coords(pidot)], axis=-1)
@@ -293,6 +293,12 @@ def chaplygin_measure_check(states, inertia, mass, radius):
     return general, closed
 
 
+def _sup_deviation(traj, ref, names):
+    """Largest |difference| of the named components between two trajectories."""
+    devs = [np.max(np.abs(traj.component(name) - ref.component(name))) for name in names]
+    return float(np.max(devs))
+
+
 # --- penalty limit ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -311,14 +317,12 @@ def epsilon_limit_study(inertia, constraint_basis, g0, omega0, epsilons, cfg):
     lr = LRSystem(inertia, constraint_basis)
     y_lr = lr.initial_state(g0, omega0)
     traj_lr = integrate(lr, y_lr, cfg)
-    ref = np.column_stack([traj_lr.component("g"), traj_lr.component("omega")])
     errors = []
     for eps in epsilons:
         lpr = LplusRSystem(inertia, penalty_pi0(constraint_basis, eps))
         y0 = lpr.pack(g=g0, omega=omega0)
         traj = integrate(lpr, y0, cfg)
-        cur = np.column_stack([traj.component("g"), traj.component("omega")])
-        errors.append(float(np.max(np.abs(cur - ref))))
+        errors.append(_sup_deviation(traj, traj_lr, ("g", "omega")))
     slope = float(np.polyfit(np.log(np.asarray(epsilons, dtype=float)), np.log(errors), 1)[0])
     return EpsilonStudy(tuple(float(e) for e in epsilons), tuple(errors), slope)
 
@@ -361,8 +365,8 @@ def reconstruct_W(traj, w0=None):
         w0 = [np.zeros(p.b.shape[1]) for p in partners]
     if len(w0) != len(partners):
         raise ValueError(f"need one initial W per partner, {len(partners)} in all")
-    omega_space = system.spatial_velocity(traj.states).T
-    series = [p.free @ w + p.slave(omega_space).T for p, w in zip(partners, w0)]
+    omega_space = system.spatial_velocity(traj.states)
+    series = [p.free @ w + p.slave(omega_space) for p, w in zip(partners, w0)]
     return series[0] if single else series
 
 
@@ -372,14 +376,10 @@ def reduction_equivalence(full_system, reduced_system, y0_full, cfg):
     """Sup-norm deviation of (g, omega) between full and reduced trajectories."""
     traj_full = integrate(full_system, y0_full, cfg)
     y0_red = reduced_system.pack(
-        g=y0_full[full_system.slice_of("g")].reshape(full_system.n, full_system.n),
-        omega=y0_full[full_system.slice_of("omega")],
+        g=full_system.part(y0_full, "g"), omega=full_system.part(y0_full, "omega")
     )
     traj_red = integrate(reduced_system, y0_red, cfg)
-    dev = 0.0
-    for name in ("g", "omega"):
-        dev = max(dev, float(np.max(np.abs(traj_full.component(name) - traj_red.component(name)))))
-    return dev, traj_full, traj_red
+    return _sup_deviation(traj_full, traj_red, ("g", "omega")), traj_full, traj_red
 
 
 def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
@@ -425,7 +425,7 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
     tau_of_t = reparametrize_trajectory(traj_t, axes, fields)
     gammas = traj_t.component("gamma")
     rescale = np.sqrt(np.einsum("ki,i,ki->k", gammas, axes, gammas))
-    slopes = rescale[:, None] * fields[:, cot.slice_of("gamma")]
+    slopes = rescale[:, None] * cot.part(fields, "gamma")
     path = hermite_interpolate(tau_of_t, gammas, slopes, traj_tau.times)
     sup_dual = float(np.max(np.abs(path - traj_tau.component("gamma"))))
     return sup_geo, sup_dual, traj_geo

@@ -44,7 +44,7 @@ from functools import cache
 import numpy as np
 
 from . import liecore as lie
-from .systems.base import ROTATION, normalize_units
+from .systems.base import ROTATION, dot, normalize_units
 from .systems.lr import ConstrainedEulerSystem
 
 METHODS = ("rk4-projected", "lie-rk4")
@@ -76,9 +76,8 @@ class Trajectory:
         return self.times.size
 
     def component(self, name):
-        """Per-time array of one named state component (flat coordinates)."""
-        sl = self.system.slice_of(name)
-        return self.states[:, sl]
+        """Per-time array of one named state component, in its natural shape."""
+        return self.system.part(self.states, name)
 
 
 class IntegrationError(RuntimeError):
@@ -169,29 +168,27 @@ def _lie_rk4(system, y, h):
             f"lie-rk4 needs g' = g omega from a constrained-Euler flow; {system.kind!r} is not one"
         )
     n = system.n
-    g_sl = system.slice_of("g")
-    w_sl = system.slice_of("omega")
-    g0 = y[g_sl].reshape(n, n)
+    g0 = system.part(y, "g")
 
     def eval_stage(u, y_stage):
         """Field at (g0 exp(u), the rest of the fresh state ``y_stage``) and
         the algebra slope there."""
-        y_stage[g_sl] = (g0 @ expm(lie.vec_to_skew(u, n))).ravel()
-        w = y_stage[w_sl]
+        np.matmul(g0, expm(lie.vec_to_skew(u, n)), out=system.part(y_stage, "g"))
+        w = system.part(y_stage, "omega")
         adu = lie.ad_vec(u)
         uw = adu @ w
         return w + 0.5 * uw + (1.0 / 12.0) * (adu @ uw), system.rhs(y_stage)
 
     # the first stage sits at y itself: exp(0) = I and dexpinv(0, v) = v
     k1 = system.rhs(y)
-    k1a = y[w_sl]
+    k1a = system.part(y, "omega")
     k2a, k2 = eval_stage(0.5 * h * k1a, y + 0.5 * h * k1)
     k3a, k3 = eval_stage(0.5 * h * k2a, y + 0.5 * h * k2)
     k4a, k4 = eval_stage(h * k3a, y + h * k3)
 
     y_new = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     u = (h / 6.0) * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-    y_new[g_sl] = (g0 @ expm(lie.vec_to_skew(u, n))).ravel()
+    np.matmul(g0, expm(lie.vec_to_skew(u, n)), out=system.part(y_new, "g"))
     return y_new
 
 
@@ -259,9 +256,9 @@ def integrate_reparametrized(system, y0, axes, cfg):
         raise ValueError("the rescaling axes must be positive")
 
     def rhs(y):
-        gamma = y[system.slice_of("gamma")]
-        factor = float(np.sqrt((axes * gamma) @ gamma))
-        if factor <= 0.0 or not np.isfinite(factor):
+        gamma = system.part(y, "gamma")
+        factor = np.sqrt(dot(axes * gamma, gamma))
+        if not (np.isfinite(factor) & (factor > 0.0)).all():
             raise ValueError("(A gamma, gamma) must stay positive")
         return factor * system.rhs(y)
 
@@ -285,11 +282,11 @@ def reparametrize_trajectory(traj, axes, fields):
     ``fields`` holds the field at every state, one row each.
     """
     axes = np.asarray(axes, dtype=float)
-    sl = traj.system.slice_of("gamma")
-    gammas = traj.states[:, sl]
+    gammas = traj.component("gamma")
+    gamma_dots = traj.system.part(fields, "gamma")
     agg = np.einsum("ki,i,ki->k", gammas, axes, gammas)
     rates = 1.0 / np.sqrt(agg)
-    slopes = -np.einsum("ki,i,ki->k", gammas, axes, fields[:, sl]) * rates / agg
+    slopes = -np.einsum("ki,i,ki->k", gammas, axes, gamma_dots) * rates / agg
     dt = np.diff(traj.times)
     dtau = 0.5 * dt * (rates[:-1] + rates[1:]) + (dt * dt / 12.0) * (slopes[:-1] - slopes[1:])
     return np.concatenate([[0.0], np.cumsum(dtau)])

@@ -46,8 +46,8 @@ def check_unit(v):
 
 
 def skew_part(x):
-    """Skew-symmetric part (X - X^T)/2; cheap drift control after products."""
-    return 0.5 * (x - x.T)
+    """Skew-symmetric part (X - X^T)/2 over any leading axes; cheap drift control."""
+    return 0.5 * (x - np.swapaxes(x, -1, -2))
 
 
 def wedge(x, y):
@@ -69,12 +69,12 @@ def ad(x, y):
 
 
 def Ad(g, x):
-    """Adjoint action g X g^{-1} of a rotation on a skew matrix."""
+    """Adjoint action g X g^{-1} of a rotation on a skew matrix, over leading axes."""
     g = np.asarray(g, dtype=float)
     x = np.asarray(x, dtype=float)
-    if g.shape != x.shape:
+    if g.shape[-2:] != x.shape[-2:]:
         raise DimensionError(f"Ad of mismatched shapes {g.shape} and {x.shape}")
-    return skew_part(g @ x @ g.T)
+    return skew_part(g @ x @ np.swapaxes(g, -1, -2))
 
 
 # --- bivector coordinates -------------------------------------------------

@@ -10,6 +10,13 @@ named components of four kinds:
 
 Systems implement ``rhs`` (the vector field), an ``energy``, named conserved
 quantities for drift reports, and named constraint residuals.
+
+Every state function -- ``rhs`` with the hooks it calls, ``constraints``,
+every conserved callable -- takes one state or a (..., dim) stack in one
+sequence of numpy calls, each state's values bit for bit: products are the
+matmuls one state takes, dot products (1, n) @ (n, 1) ones (:func:`dot`),
+matrix-vector products (N, N) @ (N, 1) ones.  :meth:`System.part` reads
+and writes the named components; only it knows the layout.
 """
 
 from __future__ import annotations
@@ -59,12 +66,12 @@ def dot(a, b):
 def normalize_units(system, y):
     """Divide every unit component of the flat state ``y`` by its norm, in place.
 
-    It reads only ``system.components`` and ``system.slice_of``.
+    It reads only ``system.components`` and ``system.part``.
     """
     for comp in system.components:
         if comp.kind == UNIT:
-            sl = system.slice_of(comp.name)
-            y[sl] /= np.linalg.norm(y[sl])
+            unit = system.part(y, comp.name)
+            unit /= np.linalg.norm(unit)
     return y
 
 
@@ -77,38 +84,40 @@ class System:
         self.n = int(n)
         self.N = lie.so_dim(self.n)
         self.components = tuple(components)
-        offsets = []
+        self._slices = {}
         pos = 0
         for comp in self.components:
-            offsets.append(pos)
+            self._slices[comp.name] = slice(pos, pos + comp.size)
             pos += comp.size
-        self._offsets = tuple(offsets)
-        self._slices = {
-            comp.name: slice(off, off + comp.size) for comp, off in zip(self.components, offsets)
-        }
         self.dim = pos
+        # a rotation is stored row-major: its entries, reshaped, are the matrix
+        self._rotations = tuple(comp.name for comp in self.components if comp.kind == ROTATION)
 
     # -- layout --------------------------------------------------------------
 
     def slice_of(self, name):
         return self._slices[name]
 
+    def part(self, y, name):
+        """Component ``name`` of a state or a (..., dim) stack, in its natural
+        shape over the leading axes: (..., n, n) for a rotation, (..., size)
+        otherwise.  It is a view of ``y``, so writing to it writes ``y``."""
+        value = y[..., self._slices[name]]
+        if name in self._rotations:
+            return value.reshape(y.shape[:-1] + (self.n, self.n))
+        return value
+
     def pack(self, **parts):
         """Flat state from named components."""
         y = np.zeros(self.dim)
-        seen = set()
-        for comp, off in zip(self.components, self._offsets):
+        for comp in self.components:
             if comp.name not in parts:
                 raise KeyError(f"missing component {comp.name!r}")
             val = np.asarray(parts[comp.name], dtype=float)
-            if comp.kind == ROTATION:
-                y[off:off + comp.size] = val.ravel()
-            elif comp.kind == SKEW:
-                y[off:off + comp.size] = lie.skew_to_vec(val) if val.ndim == 2 else val
-            else:
-                y[off:off + comp.size] = val
-            seen.add(comp.name)
-        extra = set(parts) - seen
+            if comp.kind == SKEW and val.ndim == 2:
+                val = lie.skew_to_vec(val)
+            self.part(y, comp.name)[...] = val
+        extra = set(parts) - set(self._slices)
         if extra:
             raise KeyError(f"unknown component(s) {sorted(extra)}")
         return y
@@ -116,10 +125,9 @@ class System:
     def project(self, y):
         """Re-orthogonalize rotations, renormalize unit vectors."""
         y = normalize_units(self, y.copy())
-        for comp, off in zip(self.components, self._offsets):
-            if comp.kind == ROTATION:
-                g = y[off:off + comp.size].reshape(self.n, self.n)
-                y[off:off + comp.size] = polar_project(g).ravel()
+        for name in self._rotations:
+            g = self.part(y, name)
+            g[...] = polar_project(g)
         return y
 
     def column_names(self):
@@ -137,6 +145,7 @@ class System:
     # -- dynamics ------------------------------------------------------------
 
     def rhs(self, y):
+        """The vector field at one state or over the leading axes of a stack."""
         raise NotImplementedError
 
     def energy(self, y):
@@ -157,19 +166,12 @@ class System:
 
     def constraints(self, y):
         """Named constraint residuals (all should stay ~0) at one state, or
-        arrays of them over the leading axes of a (..., dim) stack.
-
-        A stack takes one sequence of numpy calls and reproduces each
-        state's residuals bit for bit: every product is the matmul one state
-        takes, and every dot product a (1, n) @ (n, 1) one (:func:`dot`).
-        """
+        arrays of them over the leading axes of a (..., dim) stack."""
         out = {}
-        lead = y.shape[:-1]
-        for comp, off in zip(self.components, self._offsets):
-            part = y[..., off:off + comp.size]
+        for comp in self.components:
+            part = self.part(y, comp.name)
             if comp.kind == ROTATION:
-                g = part.reshape(lead + (self.n, self.n))
-                defect = np.swapaxes(g, -1, -2) @ g - np.eye(self.n)
+                defect = part.swapaxes(-1, -2) @ part - np.eye(self.n)
                 out[f"{comp.name}_orthogonality"] = np.max(np.abs(defect), axis=(-2, -1))
             elif comp.kind == UNIT:
                 out[f"{comp.name}_norm"] = np.abs(dot(part, part)[..., 0] - 1.0)

@@ -94,10 +94,8 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         super().__init__(n, [rotation_component(n), skew_component("omega", n)])
 
     def gamma_of(self, y):
-        """The unit vertical direction gamma = g^-1 e_n in the body frame, at
-        one state or over the leading axes of a stack."""
-        g = y[..., self.slice_of("g")].reshape(y.shape[:-1] + (self.n, self.n))
-        gamma = np.swapaxes(g, -1, -2) @ vertical_vector(self.n)
+        """The unit vertical direction gamma = g^-1 e_n in the body frame."""
+        gamma = self.part(y, "g").swapaxes(-1, -2) @ vertical_vector(self.n)
         return gamma / np.sqrt(dot(gamma, gamma))
 
     def pi(self, y):
@@ -109,13 +107,14 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         gamma = self.gamma_of(y)
         e = lie.wedge_map(gamma)
         lmat = tangent_inertia(self.inertia, self.mr2, e)
-        return e.T @ np.linalg.solve(lmat, e @ self.torque(wv, adw, None)), gamma
+        x = np.linalg.solve(lmat, e @ self.torque(wv, adw, None))
+        return (e.swapaxes(-1, -2) @ x)[..., 0], gamma
 
     def constraints(self, y):
         out = super().constraints(y)
         if self.n > 2:  # so(2) = R^2 ^ gamma leaves no twist
             e = lie.wedge_map(self.gamma_of(y))
-            wv = y[..., self.slice_of("omega"), None]
+            wv = self.part(y, "omega")[..., None]
             twist = wv - np.swapaxes(e, -1, -2) @ (e @ wv)
             out["no_twist"] = np.sqrt(dot(twist[..., 0], twist[..., 0]))[..., 0]
         return out
@@ -124,7 +123,7 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         """Project a group state to the reduced (gamma, p) chart: p = L(gamma) gamma'."""
         gamma = self.gamma_of(y)
         e = lie.wedge_map(gamma)
-        gamma_dot = -e @ y[self.slice_of("omega")]
+        gamma_dot = -e @ self.part(y, "omega")
         return gamma, tangent_inertia(self.inertia, self.mr2, e) @ gamma_dot
 
 
@@ -143,9 +142,6 @@ class CotangentSystem(System):
     (gamma, p) = 0}: every formula uses the normalized gamma, making the
     extension invariant under rescaling of gamma, and the flow preserves
     both constraint functions exactly.
-
-    ``rhs`` takes one state or a (..., dim) stack of them and evaluates
-    either in one sequence of numpy calls.
     """
 
     kind = "cotangent"
@@ -160,34 +156,30 @@ class CotangentSystem(System):
         return self._velocity(gamma, p)[2]
 
     def _velocity(self, gamma, p):
-        """(gh, (gh, p), gamma') with gh = gamma / |gamma|, over leading stack axes.
-
-        Each dot product, the norm included, is a :func:`~lrsim.systems.base.dot`,
-        so a stack reproduces its rows bit for bit.
-        """
+        """(gh, (gh, p), gamma') with gh = gamma / |gamma|; the norm is a ``dot`` too."""
         gh = gamma / np.sqrt(dot(gamma, gamma))
         ghp = dot(gh, p)
         lmat = tangent_inertia(self.inertia, self.mr2, lie.wedge_map(gh))
         return gh, ghp, np.linalg.solve(lmat, (p - ghp * gh)[..., None])[..., 0]
 
     def rhs(self, y):
-        gamma = y[..., self.slice_of("gamma")]
-        p = y[..., self.slice_of("p")]
+        gamma = self.part(y, "gamma")
+        p = self.part(y, "p")
         gh, ghp, gamma_dot = self._velocity(gamma, p)
         # -Phi x = gamma' (gamma, x) - gamma (gamma', x) for Phi = gamma ^ gamma'
         out = np.empty(y.shape)
-        out[..., self.slice_of("gamma")] = gamma_dot * dot(gh, gamma) - gh * dot(gamma_dot, gamma)
-        out[..., self.slice_of("p")] = gamma_dot * ghp - gh * dot(gamma_dot, p)
+        self.part(out, "gamma")[...] = gamma_dot * dot(gh, gamma) - gh * dot(gamma_dot, gamma)
+        self.part(out, "p")[...] = gamma_dot * ghp - gh * dot(gamma_dot, p)
         return out
 
     def energy(self, y):
-        p = y[..., self.slice_of("p")]
-        return 0.5 * dot(p, self.gamma_dot_of(y[..., self.slice_of("gamma")], p))[..., 0]
+        p = self.part(y, "p")
+        return 0.5 * dot(p, self.gamma_dot_of(self.part(y, "gamma"), p))[..., 0]
 
     def constraints(self, y):
         out = super().constraints(y)
-        gamma = y[..., self.slice_of("gamma")]
-        out["gamma_p_orthogonality"] = np.abs(dot(gamma, y[..., self.slice_of("p")])[..., 0])
+        gamma = self.part(y, "gamma")
+        out["gamma_p_orthogonality"] = np.abs(dot(gamma, self.part(y, "p"))[..., 0])
         return out
 
 
@@ -211,14 +203,14 @@ class LstarGeodesicSystem(System):
         super().__init__(n, [Component("gamma", UNIT, n), Component("v", VECTOR, n)])
 
     def lagrangian(self, y):
-        gamma = y[..., self.slice_of("gamma")]
-        v = y[..., self.slice_of("v")]
+        gamma = self.part(y, "gamma")
+        v = self.part(y, "v")
         a_g = self.axes * gamma
         return 0.5 * (dot(self.axes * v, v) - dot(a_g, v) ** 2 / dot(a_g, gamma))[..., 0]
 
     def rhs(self, y):
-        gamma = y[self.slice_of("gamma")]
-        v = y[self.slice_of("v")]
+        gamma = self.part(y, "gamma")
+        v = self.part(y, "v")
         # Euler-Lagrange system with the unit-sphere multiplier lambda:
         #   M gamma'' = r a + lambda gamma,  (gamma, gamma'') = -|v|^2,
         #   a = A gamma, s = (a, gamma), r = (Av, v)/s - ((a, v)/s)^2,
@@ -226,18 +218,20 @@ class LstarGeodesicSystem(System):
         # M gamma = 0 and M A^-1 gamma = gamma - |gamma|^2 a / s (as A^-1 a =
         # gamma), so pairing with gamma gives lambda = -r s / |gamma|^2, and
         # gamma'' = mu gamma + lambda A^-1 gamma with mu from the second row.
-        gg = float(gamma @ gamma)
-        if gg == 0.0:
+        gg = dot(gamma, gamma)
+        if not gg.all():
             raise MultiplierError("degenerate geodesic configuration")
         a = self.axes * gamma
-        s = float(a @ gamma)
-        ratio = float(a @ v) / s
-        lam = -(float((self.axes * v) @ v) / s - ratio**2) * s / gg
+        s = dot(a, gamma)
+        ratio = dot(a, v) / s
+        # libm's pow, the square the shipped L* runs are computed with;
+        # ratio * ratio differs in the last bit for some ratios
+        lam = -(dot(self.axes * v, v) / s - np.float_power(ratio, 2)) * s / gg
         ainv_gamma = gamma / self.axes
-        mu = (-float(v @ v) - lam * float(gamma @ ainv_gamma)) / gg
-        out = np.empty(self.dim)
-        out[self.slice_of("gamma")] = v
-        out[self.slice_of("v")] = mu * gamma + lam * ainv_gamma
+        mu = (-dot(v, v) - lam * dot(gamma, ainv_gamma)) / gg
+        out = np.empty(y.shape)
+        self.part(out, "gamma")[...] = v
+        self.part(out, "v")[...] = mu * gamma + lam * ainv_gamma
         return out
 
     def energy(self, y):
@@ -245,8 +239,8 @@ class LstarGeodesicSystem(System):
 
     def constraints(self, y):
         out = super().constraints(y)
-        gamma = y[..., self.slice_of("gamma")]
-        out["gamma_v_orthogonality"] = np.abs(dot(gamma, y[..., self.slice_of("v")])[..., 0])
+        gamma = self.part(y, "gamma")
+        out["gamma_v_orthogonality"] = np.abs(dot(gamma, self.part(y, "v"))[..., 0])
         return out
 
 
@@ -271,34 +265,35 @@ class GsrSystem(System):
         return self.mr2 * (adg.swapaxes(-1, -2) @ adg)
 
     def momentum_vec(self, y):
-        b = self.inertia.matrix + self._pi(lie.ad_vec(y[..., self.slice_of("gamma")]))
-        return (b @ y[..., self.slice_of("omega"), None])[..., 0]
+        b = self.inertia.matrix + self._pi(lie.ad_vec(self.part(y, "gamma")))
+        return (b @ self.part(y, "omega")[..., None])[..., 0]
 
     def rhs(self, y):
-        wv = y[self.slice_of("omega")]
-        adg = lie.ad_vec(y[self.slice_of("gamma")])
+        wv = self.part(y, "omega")
+        adg = lie.ad_vec(self.part(y, "gamma"))
         adw = lie.ad_vec(wv)
         pi = self._pi(adg)
-        gamma_dot = adg @ wv
+        wcol = wv[..., None]
+        gamma_dot = adg @ wcol
         # d/dt of the orbit-dependent part of the operator applied to omega,
         # m rho^2 [[gamma', omega], gamma]; its other term [[gamma, omega], gamma']
         # is [gamma', gamma'] = 0
         bdot_w = self.mr2 * (adg @ (adw @ gamma_dot))
         # [k, omega] - bdot_w
-        torque = -(adw @ ((self.inertia.matrix + pi) @ wv)) - bdot_w
-        out = np.empty(self.dim)
-        out[self.slice_of("gamma")] = gamma_dot
-        out[self.slice_of("omega")] = constrained_acceleration(self.inertia, pi, torque)
+        torque = -(adw @ ((self.inertia.matrix + pi) @ wcol)) - bdot_w
+        out = np.empty(y.shape)
+        self.part(out, "gamma")[...] = gamma_dot[..., 0]
+        self.part(out, "omega")[...] = constrained_acceleration(self.inertia, pi, torque)
         return out
 
     def energy(self, y):
-        return 0.5 * dot(self.momentum_vec(y), y[..., self.slice_of("omega")])[..., 0]
+        return 0.5 * dot(self.momentum_vec(y), self.part(y, "omega"))[..., 0]
 
     def conserved(self):
         return {
             "energy": self.energy,
             "momentum_norm": lambda y: np.sum(self.momentum_vec(y) ** 2, axis=-1),
-            "orbit_norm": lambda y: 2.0 * np.sum(y[..., self.slice_of("gamma")] ** 2, axis=-1),
+            "orbit_norm": lambda y: 2.0 * np.sum(self.part(y, "gamma") ** 2, axis=-1),
         }
 
 

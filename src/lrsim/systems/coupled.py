@@ -38,8 +38,9 @@ class Partner:
     A is (k, N) and B (k, m), in fixed orthonormal bases of the fixed frame;
     ``label`` names the partner in errors.  It holds ``cinv_a`` =
     (B B^T)^-1 A, its L+R term ``pi0`` = D A^T (B B^T)^-1 A, and ``free`` =
-    I - B^T (B B^T)^-1 B; ``slave`` applies -B^T (B B^T)^-1 A.  ``slaved``
-    is true when B is square, so that the constraints fix all of W.
+    I - B^T (B B^T)^-1 B; ``slave`` applies -B^T (B B^T)^-1 A, to one
+    vector or over the leading axes of a stack.  ``slaved`` is true when B
+    is square, so that the constraints fix all of W.
     """
 
     def __init__(self, a, b, d, N, label):
@@ -65,8 +66,8 @@ class Partner:
         self.slaved = b.shape[0] == b.shape[1]
 
     def slave(self, omega_space):
-        """-B^T (B B^T)^-1 A applied to Ad_g(omega), one vector or its columns."""
-        return -(self.b.T @ (self.cinv_a @ omega_space))
+        """-B^T (B B^T)^-1 A Ad_g(omega) from Ad_g(omega), (..., N) to (..., m)."""
+        return -(self.b.T @ (self.cinv_a @ omega_space[..., None]))[..., 0]
 
     def residual(self, omega_space, w):
         """A Ad_g(omega) + B W at one state or over the leading axes of a stack."""
@@ -78,15 +79,15 @@ class _PartnerVelocities:
     state: ``partner_components`` pairs each :class:`Partner` with its W's name."""
 
     def transport(self, y, frame, omega, adw, wdot, out):
-        omega_dot_space = frame @ wdot
+        omega_dot_space = (frame @ wdot[..., None])[..., 0]
         for partner, name in self.partner_components:
-            out[self.slice_of(name)] = partner.slave(omega_dot_space)
+            self.part(out, name)[...] = partner.slave(omega_dot_space)
 
     def energy(self, y):
-        wv = y[..., self.slice_of("omega")]
+        wv = self.part(y, "omega")
         total = 0.5 * dot(wv, self.inertia.apply_vec(wv[..., None])[..., 0])[..., 0]
         for partner, name in self.partner_components:
-            w = y[..., self.slice_of(name)]
+            w = self.part(y, name)
             total += 0.5 * partner.d * dot(w, w)[..., 0]
         return total
 
@@ -130,8 +131,9 @@ class _CoupledBase(ConstrainedEulerSystem):
         return [self.partner]
 
     def constraint_basis(self, y, frame):
-        # frame is Ad_g, so the columns span h_0^g
-        return frame.T @ self.h0.vectors if self.h0 is not None and self.h0.dim else None
+        # frame is Ad_g, so the columns span h_0^g; None without an h_0
+        if self.h0 is not None and self.h0.dim:
+            return frame.swapaxes(-1, -2) @ self.h0.vectors
 
     def constraints(self, y):
         out = super().constraints(y)
@@ -141,7 +143,7 @@ class _CoupledBase(ConstrainedEulerSystem):
             out["h0_constraint"] = np.max(np.abs(h0_part), axis=-1)
         # only the full flow carries W; the partner's rows come subspace by subspace
         for partner, name in self.partner_components:
-            resid = partner.residual(omega_space, y[..., self.slice_of(name)])
+            resid = partner.residual(omega_space, self.part(y, name))
             parts = np.split(resid, self._row_ends, axis=-1)[:len(self.subspaces)]
             for i, part in enumerate(parts):
                 # a subspace with no rows reports 0.0
@@ -166,7 +168,7 @@ class CoupledFullSystem(_PartnerVelocities, _CoupledBase):
         if k.shape[1]:
             # <k_j, W> as one dot each, not one matrix-vector product, which rounds differently
             names = tuple(f"noether_k_{j + 1}" for j in range(k.shape[1]))
-            out[names] = lambda y: dot(k.T, y[..., None, self.slice_of("W")])[..., 0]
+            out[names] = lambda y: dot(k.T, self.part(y, "W")[..., None, :])[..., 0]
         out.update(self.noether(self.k0_space.vectors, "noether_k0"))
         return out
 
@@ -217,7 +219,7 @@ class NCoupledSystem(_PartnerVelocities, ConstrainedEulerSystem):
         out = super().constraints(y)
         omega_space = self.spatial_velocity(y)
         for idx, (body, name) in enumerate(self.partner_components):
-            resid = body.residual(omega_space, y[..., self.slice_of(name)])
+            resid = body.residual(omega_space, self.part(y, name))
             out[f"body{idx + 1}_constraint"] = np.max(np.abs(resid), axis=-1)
         return out
 

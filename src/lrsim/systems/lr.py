@@ -79,15 +79,15 @@ class MultiplierError(RuntimeError):
 def constrained_acceleration(inertia, pi, torque, basis=None):
     """omega' with B omega' = torque + C lambda and C^T omega' = 0, B = I + Pi.
 
-    ``pi`` is a (..., N, N) stack or None for Pi = 0, ``torque`` (..., N)
-    and ``basis`` C (..., N, k) or None; the leading axes are a stack and
-    the result is (..., N).  One solve of B against the columns
-    [torque | C] gives B^-1 torque and B^-1 C; lambda solves the Gram
+    ``pi`` is a (..., N, N) stack or None for Pi = 0, ``torque`` a
+    (..., N, 1) column and ``basis`` C (..., N, k) or None; the leading
+    axes are a stack and the result is (..., N).  One solve of B against
+    the columns [torque | C] gives B^-1 torque and B^-1 C; lambda solves the Gram
     system (C^T B^-1 C) lambda = -C^T B^-1 torque, and omega' = B^-1 torque
     + B^-1 C lambda.  For Pi = 0 the solve reuses the stored factor of I.
     """
     constrained = basis is not None and basis.shape[-1] > 0
-    cols = np.concatenate([torque[..., None], basis], axis=-1) if constrained else torque[..., None]
+    cols = np.concatenate([torque, basis], axis=-1) if constrained else torque
     if pi is None:
         sol = cho_solve(inertia._cho, cols)
     else:
@@ -95,9 +95,9 @@ def constrained_acceleration(inertia, pi, torque, basis=None):
             sol = np.linalg.solve(inertia.matrix + pi, cols)
         except np.linalg.LinAlgError as exc:
             raise MultiplierError("effective inertia is singular") from exc
-    binv_torque = sol[..., :1]
     if not constrained:
-        return binv_torque[..., 0]
+        return sol[..., 0]
+    binv_torque = sol[..., :1]
     binv_basis = sol[..., 1:]
     basis_t = np.swapaxes(basis, -1, -2)
     try:
@@ -114,12 +114,16 @@ class ConstrainedEulerSystem(System):
     L+R flow overrides ``torque``, the rubber Chaplygin sphere the solve
     step ``acceleration``.  A subclass gives what differs through three hooks:
 
-    * ``pi(y)`` -- Pi at a state or a stack, or None for Pi = 0, whose factor
-      of I is reused; it also returns per-state data (the Ad_g matrix, the
+    * ``pi(y)`` -- Pi, or None for Pi = 0, whose factor of I is reused; it
+      also returns per-state data (the Ad_g matrix, the LR alphas, the
       contact directions) that the other two hooks receive as ``frame``;
     * ``constraint_basis(y, frame)`` -- the body-frame basis C, or None;
     * ``transport(y, frame, omega, adw, wdot, out)`` -- fills the derivatives
       of the components after g and omega.
+
+    ``rhs``, ``acceleration``, ``torque`` and the hooks take a state or a
+    stack (:mod:`lrsim.systems.base`): ``wv``, ``wdot`` (..., N), ``omega``
+    (..., n, n), ``adw`` (..., N, N); ``torque`` gives a (..., N, 1) column.
 
     ``rhs`` builds omega twice, once as a skew matrix for g' = g omega and
     once as ad_omega = ``lie.ad_vec(wv)`` for every bracket with it; the hooks
@@ -139,7 +143,7 @@ class ConstrainedEulerSystem(System):
     def pi(self, y):
         if self.pi0 is None:
             return None, None
-        q = lie.adjoint_matrix(y[..., self.slice_of("g")].reshape(y.shape[:-1] + (self.n, self.n)))
+        q = lie.adjoint_matrix(self.part(y, "g"))
         return q.swapaxes(-1, -2) @ self.pi0 @ q, q
 
     def constraint_basis(self, y, frame):
@@ -149,8 +153,8 @@ class ConstrainedEulerSystem(System):
         pass
 
     def torque(self, wv, adw, pi):
-        """[I omega, omega] = -ad_omega I omega."""
-        return -(adw @ self.inertia.apply_vec(wv))
+        """[I omega, omega] = -ad_omega I omega, as a (..., N, 1) column."""
+        return -(adw @ self.inertia.apply_vec(wv[..., None]))
 
     def effective_inertia(self, y):
         """B = I + Pi at a state."""
@@ -159,11 +163,11 @@ class ConstrainedEulerSystem(System):
 
     def momentum_vec(self, y):
         """B omega."""
-        return (self.effective_inertia(y) @ y[..., self.slice_of("omega"), None])[..., 0]
+        return (self.effective_inertia(y) @ self.part(y, "omega")[..., None])[..., 0]
 
     def energy(self, y):
         """1/2 <B omega, omega>."""
-        return 0.5 * dot(self.momentum_vec(y), y[..., self.slice_of("omega")])[..., 0]
+        return 0.5 * dot(self.momentum_vec(y), self.part(y, "omega"))[..., 0]
 
     def momentum_norm(self, y):
         """|B omega|^2, conserved by the isospectral L+R flow."""
@@ -171,15 +175,14 @@ class ConstrainedEulerSystem(System):
         return dot(bw, bw)[..., 0]
 
     def spatial_velocity(self, y):
-        """Ad_g omega at a state or, along leading axes, a stack of them."""
-        g = y[..., self.slice_of("g")].reshape(y.shape[:-1] + (self.n, self.n))
-        return (lie.adjoint_matrix(g) @ y[..., self.slice_of("omega"), None])[..., 0]
+        """Ad_g omega."""
+        q = lie.adjoint_matrix(self.part(y, "g"))
+        return (q @ self.part(y, "omega")[..., None])[..., 0]
 
     def spatial_momentum_vec(self, y):
         """Ad_g I omega."""
-        g = y[..., self.slice_of("g")].reshape(y.shape[:-1] + (self.n, self.n))
-        iw = self.inertia.apply_vec(y[..., self.slice_of("omega"), None])
-        return (lie.adjoint_matrix(g) @ iw)[..., 0]
+        iw = self.inertia.apply_vec(self.part(y, "omega")[..., None])
+        return (lie.adjoint_matrix(self.part(y, "g")) @ iw)[..., 0]
 
     def noether(self, basis, prefix):
         """Integrals prefix_j = <d_j, Ad_g I omega> over the columns d_j of a fixed
@@ -190,20 +193,19 @@ class ConstrainedEulerSystem(System):
         return {names: lambda y: (basis.T @ self.spatial_momentum_vec(y)[..., None])[..., 0]}
 
     def acceleration(self, y, wv, adw):
-        """(omega', frame): :func:`constrained_acceleration` at one state."""
+        """(omega', frame): :func:`constrained_acceleration` with the hooks' Pi and C."""
         pi, frame = self.pi(y)
         basis = self.constraint_basis(y, frame)
         return constrained_acceleration(self.inertia, pi, self.torque(wv, adw, pi), basis), frame
 
     def rhs(self, y):
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
-        wv = y[self.slice_of("omega")]
+        wv = self.part(y, "omega")
         omega = lie.vec_to_skew(wv, self.n)
         adw = lie.ad_vec(wv)
         wdot, frame = self.acceleration(y, wv, adw)
-        out = np.empty(self.dim)
-        out[self.slice_of("g")] = (g @ omega).ravel()
-        out[self.slice_of("omega")] = wdot
+        out = np.empty(y.shape)
+        np.matmul(self.part(y, "g"), omega, out=self.part(out, "g"))
+        self.part(out, "omega")[...] = wdot
         self.transport(y, frame, omega, adw, wdot, out)
         return out
 
@@ -237,14 +239,17 @@ class LRSystem(ConstrainedEulerSystem):
         start = self.slice_of("omega").stop
         return y[..., start:start + self.k * self.N].reshape(y.shape[:-1] + (self.k, self.N))
 
+    def pi(self, y):
+        """Pi = 0, with the alphas as the frame of the other hooks."""
+        return None, self._alpha_block(y)
+
     def constraint_basis(self, y, frame):
-        return self._alpha_block(y).T
+        return frame.swapaxes(-1, -2)
 
     def transport(self, y, frame, omega, adw, wdot, out):
         # alpha_i' = [alpha_i, omega] = -ad_omega alpha_i is row i of
         # alphas @ ad_omega, as ad_omega is skew: all of them in one matmul
-        start = self.slice_of("omega").stop
-        out[start:start + self.k * self.N] = (self._alpha_block(y) @ adw).ravel()
+        np.matmul(frame, adw, out=self._alpha_block(out))
 
     def conserved(self):
         out = {"energy": self.energy}
@@ -258,7 +263,7 @@ class LRSystem(ConstrainedEulerSystem):
         out = super().constraints(y)
         alphas = self._alpha_block(y)
         # <alpha_i, omega> and the Gram entries <alpha_i, alpha_j>, each one dot
-        right = dot(alphas, y[..., None, self.slice_of("omega")])[..., 0]
+        right = dot(alphas, self.part(y, "omega")[..., None, :])[..., 0]
         for i in range(self.k):
             out[f"right_invariant_{i + 1}"] = np.abs(right[..., i])
         if self.k:
@@ -306,7 +311,8 @@ class GeodesicLplusRSystem(LplusRSystem):
 
     def torque(self, wv, adw, pi):
         """[B omega, omega] + 2 [omega, Pi omega] = ad_omega (Pi omega - I omega)."""
-        return adw @ (pi @ wv - self.inertia.apply_vec(wv))
+        wcol = wv[..., None]
+        return adw @ (pi @ wcol - self.inertia.apply_vec(wcol))
 
     def conserved(self):
         return {"energy": self.energy}

@@ -80,7 +80,7 @@ class _SupportBase(ConstrainedEulerSystem):
 
     def partners(self, y):
         """The balls as partners, through Gamma_i = g gamma_i at the state ``y``."""
-        g = y[self.slice_of("g")].reshape(self.n, self.n)
+        g = self.part(y, "g")
         out = []
         for i, (gamma, d, rho) in enumerate(zip(self._gammas(y), self.couplings, self.rhos)):
             gamma_space = g @ gamma
@@ -95,8 +95,7 @@ class _SupportBase(ConstrainedEulerSystem):
 
     def transport(self, y, frame, omega, adw, wdot, out):
         # gamma_i' = -omega gamma_i is row i of gammas @ omega, as omega is skew
-        start = self.slice_of("omega").stop
-        out[start:start + frame.size] = (frame @ omega).ravel()
+        np.matmul(frame, omega, out=self._gammas(out))
 
     def momentum_matrix(self, y):
         """B omega as a skew matrix (the conserved-trace building block)."""

@@ -332,7 +332,7 @@ def factored_acceleration(system, y):
     wv = y[system.slice_of("omega")]
     pi, frame = system.pi(y)
     b_cho = system.inertia._cho if pi is None else cho_factor(system.inertia.matrix + pi)
-    torque = system.torque(wv, lie.ad_vec(wv), pi)
+    torque = system.torque(wv, lie.ad_vec(wv), pi)[:, 0]
     basis = system.constraint_basis(y, frame)
     if basis is not None and basis.shape[1]:
         binv_basis = cho_solve(b_cho, basis)

@@ -210,7 +210,7 @@ def _solve_cases(rng, n, lead):
     """(inertia, pi, torque, basis) stacks for the three uses of the shared solve."""
     inertia = rand_spd_operator(rng, n)
     N = inertia.N
-    torque = rng.normal(size=lead + (N,))
+    torque = rng.normal(size=lead + (N, 1))
     # Pi = Ad_g^T Pi0 Ad_g at one rotation g per state, as the L+R kinds build it
     rotations = np.array([lie.random_rotation(rng, n) for _ in range(int(np.prod(lead)))])
     q = lie.adjoint_matrix(rotations.reshape(lead + (n, n)))
@@ -231,7 +231,7 @@ def test_stacked_solve_equals_row_by_row(n, case, lead):
     rng = np.random.default_rng([17, n, len(lead)])
     inertia, pi, torque, basis = _solve_cases(rng, n, lead)[case]
     got = constrained_acceleration(inertia, pi, torque, basis)
-    assert got.shape == torque.shape
+    assert got.shape == lead + (inertia.N,)
     for idx in np.ndindex(*lead):
         row = constrained_acceleration(
             inertia, None if pi is None else pi[idx], torque[idx],

@@ -1,10 +1,10 @@
 """State functions over a stack of states, and the two reports built on them.
 
-``System.constraints``, every conserved callable and the kernel's ``pi``
-take one state or a (..., dim) stack.  A stack must reproduce every state's
-values bit for bit, and ``constraint_report`` and ``conservation_report``,
-which make one call per block of states, the results of the per-state loops
-in :mod:`oracles`.
+Every ``System.rhs``, ``System.constraints``, every conserved callable and
+the kernel's ``pi`` take one state or a (..., dim) stack.  A stack must
+reproduce every state's values bit for bit, and ``constraint_report`` and
+``conservation_report``, which make one call per block of states, the
+results of the per-state loops in :mod:`oracles`.
 """
 
 import math
@@ -84,7 +84,7 @@ def assert_stacks_equal_singles(fn, states):
 @pytest.mark.parametrize("kind", STACK_KINDS)
 def test_conserved_stack_equals_state_by_state(kind, n, rng):
     system, states = off_trajectory_states(kind, n, rng)
-    for fn in system.conserved().values():
+    for fn in [system.rhs, *system.conserved().values()]:
         assert_stacks_equal_singles(fn, states)
 
 

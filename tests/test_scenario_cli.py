@@ -548,6 +548,26 @@ class TestCliVerify:
         assert "integration failed: effective inertia is singular" in proc.stderr
         assert "PASS" not in proc.stdout
 
+    @pytest.mark.parametrize(
+        "scenario", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda path: path.stem
+    )
+    def test_zero_steps_exit_3_with_no_check(self, capsys, scenario):
+        # a run of no steps would compare each state function with itself
+        assert main(["verify", str(scenario), "--steps", "0"]) == 3
+        captured = capsys.readouterr()
+        assert not [line for line in captured.out.splitlines() if line.startswith(("PASS", "FAIL"))]
+        assert captured.err == (
+            "scenario validation error: verify needs at least one integration step\n"
+        )
+
+    def test_zero_steps_from_the_file_exit_3_and_run_still_writes(self, tmp_path, capsys):
+        data = dict(MINIMAL_FREE_TOP, integrator={"h": 1e-3, "steps": 0})
+        scen = write_yaml(tmp_path / "top.yaml", data)
+        assert main(["verify", scen]) == 3
+        assert "PASS" not in capsys.readouterr().out
+        assert main(["run", scen, "--out", str(tmp_path / "out")]) == 0
+        assert len((tmp_path / "out" / "trajectory.csv").read_text().splitlines()) == 2
+
     def test_penalty_scenario_prints_decreasing_table(self, capsys):
         assert main(["verify", str(SCENARIO_DIR / "lplusr_penalty.yaml")]) == 0
         out = capsys.readouterr().out
