@@ -1,25 +1,24 @@
 """Numerical certification of the flows.
 
-Conservation drift reports, invariant-measure divergence checks in flat
-redundant charts, the penalty-limit comparison between L+R and LR flows,
-reduction equivalences, time-reparametrized cross-checks, and contact-point
-reconstruction.
+Conservation drift reports, invariant-measure divergence checks of a
+flow's own field against its density, the penalty-limit comparison between
+L+R and LR flows, reduction equivalences, time-reparametrized cross-checks,
+and contact-point reconstruction.
 
-The certificate evaluates its fields on stacked states.  The chart fields
-and densities, and the reduced rubber Chaplygin field, map a (m, dim) array
-of states to (m, dim) derivatives and (m,) densities in one sequence of
-numpy calls; the densities are plain functions of the state.  The LR and
-L+R chart fields solve for omega' with the flows' own stack-aware
-:func:`~lrsim.systems.lr.constrained_acceleration`.
-:func:`measure_divergence` and :func:`functional_independence_rank` send
-whole central-difference stencils through them at once, and
-:func:`hamiltonization_check` evaluates the field along its path in one call.
+The certificate evaluates its fields on stacked states: every ``rhs`` and
+``measure_density`` of :mod:`lrsim.systems`, and the reduced rubber
+Chaplygin densities here, map a (m, dim) array of states to (m, dim)
+derivatives and (m,) densities in one sequence of numpy calls.
+:func:`measure_divergence` sends the central-difference stencils of its
+sample states through them one block of ``MEASURE_BLOCK`` states at a time,
+:func:`functional_independence_rank` those of all its states at once, and
+:func:`hamiltonization_check` evaluates the field along its path in one
+call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .integrators import (
     integrate_reparametrized,
     reparametrize_trajectory,
 )
-from .operators import restricted_inverse_det
 from .systems import (
     CotangentSystem,
     LplusRSystem,
@@ -42,7 +40,6 @@ from .systems import (
     penalty_pi0,
 )
 from .systems.chaplygin import tangent_inertia
-from .systems.lr import constrained_acceleration
 
 FD_STEP = 1e-5
 HAMILTONIZATION_TAU = 1.0
@@ -52,6 +49,11 @@ INDEPENDENCE_TOL = 1e-8
 # with its length (an N x N adjoint matrix per state for the partner flows),
 # so blocks bound the reports' memory on long runs
 REPORT_BLOCK = 64
+# sample states per field call of measure_divergence: each brings its 4 dim
+# stencil points, so the temporaries grow with the block; one call over the
+# 42 states a rubber_chaplygin4 verify samples allocates 4 MB, a block of 8
+# under 1 MB
+MEASURE_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -62,9 +64,9 @@ class QuantityDrift:
     max_rel_drift: float
 
 
-def _by_block(fn, states):
-    """``fn`` over a stack of states, one call per block of ``REPORT_BLOCK`` states."""
-    return [fn(states[i:i + REPORT_BLOCK]) for i in range(0, len(states), REPORT_BLOCK)]
+def _by_block(fn, states, block):
+    """``fn`` over a stack of states, one call per ``block`` states."""
+    return [fn(states[i:i + block]) for i in range(0, len(states), block)]
 
 
 def conservation_report(traj, quantities=None):
@@ -101,7 +103,7 @@ def conservation_report(traj, quantities=None):
             else:
                 selected.append((q, available[q]))
     fns = dict.fromkeys(fn for _, (fn, _) in selected)
-    blocks = {fn: _by_block(fn, traj.states) for fn in fns}
+    blocks = {fn: _by_block(fn, traj.states, REPORT_BLOCK) for fn in fns}
     report = []
     for name, (fn, idx) in selected:
         values = np.concatenate([block[idx] for block in blocks[fn]], dtype=float)
@@ -120,126 +122,63 @@ def constraint_report(traj):
     worst value NaN, as ``np.max`` propagates it, so a check against a
     tolerance fails.
     """
-    blocks = _by_block(traj.system.constraints, traj.states)
+    blocks = _by_block(traj.system.constraints, traj.states, REPORT_BLOCK)
     return {name: float(np.max([np.max(block[name]) for block in blocks])) for name in blocks[0]}
 
 
 @dataclass(frozen=True)
 class DivergenceEstimate:
-    value: float
-    refined: float
-    warning: bool
+    value: np.ndarray
+    refined: np.ndarray
+    warning: int
 
 
-def measure_divergence(field, density, state, fd_step=FD_STEP):
-    """Central-difference divergence of (density * field) at a flat state.
+def _stencil_divergence(field, density, states, steps):
+    """div(density * field) / density at a (m, dim) block of states: row 0
+    from the +-h differences, row 1 from the +-h/2 ones."""
+    m, dim = states.shape
+    # (m, 4, dim, dim): state j shifted by steps[s] along coordinate i
+    points = (states[:, None, None, :] + steps[:, None, None] * np.eye(dim)).reshape(-1, dim)
+    densities = np.broadcast_to(density(np.concatenate([points, states])), (len(points) + m,))
+    # component i of the field at the states shifted along coordinate i
+    flux = densities[:-m].reshape(m, 4, dim) * np.diagonal(
+        field(points).reshape(m, 4, dim, dim), axis1=-2, axis2=-1
+    )
+    diffs = np.sum(flux[:, 0::2] - flux[:, 1::2], axis=-1).T
+    return diffs / (2.0 * steps[0::2, None]) / densities[-m:]
+
+
+def measure_divergence(field, density, states, fd_step=FD_STEP):
+    """Central-difference div(density * field) / density at a (m, dim) stack of states.
 
     A vanishing value certifies that density * (coordinate volume) is
-    preserved by the flow.  The estimate is repeated at half the step; a
-    large disagreement flags cancellation trouble.
+    preserved by the flow; dividing by the density at the state makes the
+    value independent of the density's constant factor.  The estimate is
+    repeated at half the step; a large disagreement flags cancellation
+    trouble.  ``value`` and ``refined`` hold one estimate per state and
+    ``warning`` counts the flagged states.
 
-    Both stencils, +-h and +-h/2 along each of the dim coordinates, go out
-    as one (4 dim, dim) stack of states: ``field`` maps (m, dim) states to
-    (m, dim) derivatives, and ``density`` maps them to (m,) values or
-    returns a scalar that holds at every state.
+    The stencils of a block of ``MEASURE_BLOCK`` states, +-h and +-h/2 along
+    each of the dim coordinates, go out as one (4 block dim, dim) stack:
+    ``field`` maps (k, dim) states to (k, dim) derivatives, and ``density``,
+    called once per block on the stencils and the states, maps them to (k,)
+    values or returns a scalar that holds at every state.
     """
-    state = np.asarray(state, dtype=float)
-    dim = state.size
+    states = np.asarray(states, dtype=float)
     steps = np.array([fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step])
-    points = state + (steps[:, None, None] * np.eye(dim)).reshape(4 * dim, dim)
-    densities = np.broadcast_to(density(points), (4 * dim,)).reshape(4, dim)
-    # component i of the field at the states shifted along coordinate i
-    flux = densities * np.diagonal(field(points).reshape(4, dim, dim), axis1=1, axis2=2)
-    value = float(np.sum((flux[0] - flux[1]) / (2.0 * steps[0])))
-    refined = float(np.sum((flux[2] - flux[3]) / (2.0 * steps[2])))
+    blocks = _by_block(
+        lambda block: _stencil_divergence(field, density, block, steps), states, MEASURE_BLOCK
+    )
+    value, refined = np.concatenate(blocks, axis=-1)
     # roundoff-corrupted estimates are both large and mutually inconsistent;
     # a genuinely vanishing divergence gives two tiny values, a genuinely
     # nonzero one gives two values that agree
-    magnitude = max(abs(value), abs(refined))
-    warning = bool(abs(value - refined) > 0.5 * magnitude and magnitude > 1e-8)
-    return DivergenceEstimate(value, refined, warning)
+    magnitude = np.maximum(np.abs(value), np.abs(refined))
+    flagged = (np.abs(value - refined) > 0.5 * magnitude) & (magnitude > 1e-8)
+    return DivergenceEstimate(value, refined, int(np.count_nonzero(flagged)))
 
 
-# --- flat charts carrying the invariant measures ---------------------------
-
-def lr_measure_chart(inertia, k):
-    """Extended LR flow on the flat (m, alpha_1..alpha_k) chart.
-
-    Returns (field, density): the momentum equation m' = I omega' with
-    omega' from the kernel's :func:`~lrsim.systems.lr.constrained_acceleration`
-    over C = (alpha_i), the transport equations for the alpha, and the
-    density sqrt(det <I^-1 alpha_i, alpha_j>).  Both take one state or a
-    stack of them along leading axes.
-    """
-    N = inertia.N
-
-    def field(z):
-        lead = z.shape[:-1]
-        mv = z[..., :N]
-        alphas = z[..., N:].reshape(lead + (k, N))
-        # ad_omega, omega = I^-1 m; [m, omega] = -ad_omega m
-        adw = lie.ad_vec(inertia.solve_vec(mv[..., None])[..., 0])
-        torque = -(adw @ mv[..., None])
-        wdot = constrained_acceleration(inertia, None, torque, np.swapaxes(alphas, -1, -2))
-        # alpha_i' = [alpha_i, omega] = -ad_omega alpha_i, row i of alphas @ ad_omega
-        adots = alphas @ adw
-        # m' = I omega', as I is symmetric
-        return np.concatenate([wdot @ inertia.matrix, adots.reshape(lead + (k * N,))], axis=-1)
-
-    def density(z):
-        alphas = z[..., N:].reshape(z.shape[:-1] + (k, N))
-        return np.sqrt(restricted_inverse_det(inertia, np.swapaxes(alphas, -1, -2)))
-
-    return field, density
-
-
-@cache
-def _sym_indices(N):
-    """Rows and columns of the upper triangle of an N x N matrix."""
-    indices = np.array(np.triu_indices(N))
-    indices.setflags(write=False)
-    return tuple(indices)
-
-
-def sym_to_coords(mat):
-    """Upper-triangle entries of a symmetric (..., N, N) stack, shape (..., N(N+1)/2)."""
-    rows, cols = _sym_indices(mat.shape[-1])
-    return mat[..., rows, cols]
-
-
-def coords_to_sym(coords, N):
-    """Symmetric (..., N, N) stack from upper-triangle entries (inverse of sym_to_coords)."""
-    mat = np.zeros(coords.shape[:-1] + (N, N))
-    rows, cols = _sym_indices(N)
-    mat[..., rows, cols] = coords
-    mat[..., cols, rows] = coords
-    return mat
-
-
-def lplusr_measure_chart(inertia):
-    """L+R flow on the flat (omega, Pi) chart with density sqrt(det(I + Pi)).
-
-    Pi is a symmetric operator on the algebra; its upper-triangle entries
-    are the chart coordinates.  Field and density take one state or a stack
-    of them along leading axes.
-    """
-    N = inertia.N
-
-    def field(z):
-        wv = z[..., :N]
-        pi = coords_to_sym(z[..., N:], N)
-        adw = lie.ad_vec(wv)
-        # [I omega, omega] = -ad_omega I omega, with I symmetric
-        torque = -(adw @ (wv @ inertia.matrix)[..., None])
-        wdot = constrained_acceleration(inertia, pi, torque)
-        pidot = pi @ adw - adw @ pi
-        return np.concatenate([wdot, sym_to_coords(pidot)], axis=-1)
-
-    def density(z):
-        return np.sqrt(np.linalg.det(inertia.matrix + coords_to_sym(z[..., N:], N)))
-
-    return field, density
-
+# --- the reduced rubber Chaplygin densities --------------------------------
 
 def reduced_chaplygin_density(inertia, mass, radius):
     """Density 1 / sqrt(det (I + m rho^2 Id)|_{R^n ^ gamma}) on (gamma, p).
@@ -365,8 +304,8 @@ def reconstruct_W(traj, w0=None):
         w0 = [np.zeros(p.b.shape[1]) for p in partners]
     if len(w0) != len(partners):
         raise ValueError(f"need one initial W per partner, {len(partners)} in all")
-    omega_space = system.spatial_velocity(traj.states)
-    series = [p.free @ w + p.slave(omega_space) for p, w in zip(partners, w0)]
+    omega_space = system.spatial_velocity(traj.states)[..., None]
+    series = [p.free @ w + p.slave(omega_space)[..., 0] for p, w in zip(partners, w0)]
     return series[0] if single else series
 
 

@@ -278,14 +278,6 @@ def complement(basis):
     return SubspaceBasis(basis.n, spanning[:, basis.dim:])
 
 
-def random_rotation(rng, n):
-    """Rotation from the QR factor of a Gaussian matrix drawn from ``rng``."""
-    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def householder_frame(gamma):
     """Orthogonal matrix H with H e_n = gamma (a Householder reflection).
 

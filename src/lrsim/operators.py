@@ -101,14 +101,3 @@ def wedge_projector_matrix(gamma):
     e = lie.wedge_map(gamma)
     return e.swapaxes(-1, -2) @ e
 
-
-def restricted_inverse_det(operator, vectors):
-    """det of the Gram matrix <a_i, I^{-1} a_j> over the (N, k) columns a_i.
-
-    For orthonormal columns it is the determinant of pr o I^{-1} o pr in
-    that basis; no columns yield 1 by the 0x0 determinant convention.  A
-    (..., N, k) stack of column arrays gives a (...,) stack of determinants.
-    """
-    if not vectors.shape[-1]:
-        return np.ones(vectors.shape[:-2])[()]
-    return np.linalg.det(np.swapaxes(vectors, -1, -2) @ cho_solve(operator._cho, vectors))

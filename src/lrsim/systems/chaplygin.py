@@ -110,6 +110,13 @@ class RubberChaplyginSystem(ConstrainedEulerSystem):
         x = np.linalg.solve(lmat, e @ self.torque(wv, adw, None))
         return (e.swapaxes(-1, -2) @ x)[..., 0], gamma
 
+    def measure_density(self, y):
+        """sqrt det L(gamma), with det L(gamma) = m rho^2 det(P^T B P), P an
+        orthonormal basis of R^n ^ gamma: the kernel's density with C the
+        no-twist complement, through the n x n operator the field solves."""
+        e = lie.wedge_map(self.gamma_of(y))
+        return np.sqrt(np.linalg.det(tangent_inertia(self.inertia, self.mr2, e)))
+
     def constraints(self, y):
         out = super().constraints(y)
         if self.n > 2:  # so(2) = R^2 ^ gamma leaves no twist

@@ -38,8 +38,8 @@ class Partner:
     A is (k, N) and B (k, m), in fixed orthonormal bases of the fixed frame;
     ``label`` names the partner in errors.  It holds ``cinv_a`` =
     (B B^T)^-1 A, its L+R term ``pi0`` = D A^T (B B^T)^-1 A, and ``free`` =
-    I - B^T (B B^T)^-1 B; ``slave`` applies -B^T (B B^T)^-1 A, to one
-    vector or over the leading axes of a stack.  ``slaved`` is true when B
+    I - B^T (B B^T)^-1 B; ``slave`` applies -B^T (B B^T)^-1 A to a column
+    or over the leading axes of a stack of them.  ``slaved`` is true when B
     is square, so that the constraints fix all of W.
     """
 
@@ -66,8 +66,8 @@ class Partner:
         self.slaved = b.shape[0] == b.shape[1]
 
     def slave(self, omega_space):
-        """-B^T (B B^T)^-1 A Ad_g(omega) from Ad_g(omega), (..., N) to (..., m)."""
-        return -(self.b.T @ (self.cinv_a @ omega_space[..., None]))[..., 0]
+        """-B^T (B B^T)^-1 A Ad_g(omega) from Ad_g(omega), (..., N, 1) to (..., m, 1) columns."""
+        return -(self.b.T @ (self.cinv_a @ omega_space))
 
     def residual(self, omega_space, w):
         """A Ad_g(omega) + B W at one state or over the leading axes of a stack."""
@@ -79,9 +79,9 @@ class _PartnerVelocities:
     state: ``partner_components`` pairs each :class:`Partner` with its W's name."""
 
     def transport(self, y, frame, omega, adw, wdot, out):
-        omega_dot_space = (frame @ wdot[..., None])[..., 0]
+        omega_dot_space = frame @ wdot[..., None]
         for partner, name in self.partner_components:
-            self.part(out, name)[...] = partner.slave(omega_dot_space)
+            self.part(out, name)[...] = partner.slave(omega_dot_space)[..., 0]
 
     def energy(self, y):
         wv = self.part(y, "omega")

@@ -31,8 +31,16 @@ system C^T B^-1 C.  :func:`constrained_acceleration` is the one solve for
 omega', over any leading stack axes; :class:`ConstrainedEulerSystem`
 evaluates the field with it for all of them (the LR flow is Pi = 0,
 C = (alpha_i)), and each flow supplies its Pi, its C and the transport of
-its extra components.  The flat measure charts of :mod:`lrsim.diagnostics`
-solve through it on stacks of states.
+its extra components.  The same two hooks give the density of the measure
+each flow preserves on its flat state,
+
+    rho = sqrt(det B * det(C^T B^-1 C)),
+
+(:meth:`ConstrainedEulerSystem.measure_density`), which ``lrsim verify``
+checks against the flow's own field: for the LR flow it is Fedorov and
+Jovanovic's sqrt det(C^T I^-1 C), for the L+R flow Fedorov's sqrt det B.
+The geodesic L+R flow preserves det B instead, the Liouville density of
+p = B omega, and the rubber Chaplygin sphere sqrt det L(gamma).
 
 B is symmetric positive definite at every finite state, by construction
 for each flow, so the kernel solves with it and never tests it:
@@ -133,6 +141,8 @@ class ConstrainedEulerSystem(System):
     never from g', so no subclass may change how g moves.
 
     The default ``pi`` is Ad_g^T Pi0 Ad_g for systems that set ``pi0``.
+    ``measure_density`` reads the same hooks; a flow that overrides
+    ``torque`` or ``acceleration`` overrides it too.
     The kernel also reports the integrals every flow shares, over stacks
     too: the energy 1/2 <B omega, omega>, the momentum B omega and its norm,
     and the Noether integrals <d, Ad_g I omega> over fixed directions d.
@@ -191,6 +201,18 @@ class ConstrainedEulerSystem(System):
             return {}
         names = tuple(f"{prefix}_{j + 1}" for j in range(basis.shape[1]))
         return {names: lambda y: (basis.T @ self.spatial_momentum_vec(y)[..., None])[..., 0]}
+
+    def measure_density(self, y):
+        """sqrt(det B * det(C^T B^-1 C)) from the ``pi`` and ``constraint_basis``
+        hooks, sqrt det B without a C: the density, on the flat state, of the
+        measure the flow preserves; one value per state of a stack."""
+        pi, frame = self.pi(y)
+        b = self.inertia.matrix if pi is None else self.inertia.matrix + pi
+        det = np.linalg.det(b)
+        basis = self.constraint_basis(y, frame)
+        if basis is not None and basis.shape[-1]:
+            det = det * np.linalg.det(np.swapaxes(basis, -1, -2) @ np.linalg.solve(b, basis))
+        return np.sqrt(np.broadcast_to(det, y.shape[:-1]))
 
     def acceleration(self, y, wv, adw):
         """(omega', frame): :func:`constrained_acceleration` with the hooks' Pi and C."""
@@ -313,6 +335,10 @@ class GeodesicLplusRSystem(LplusRSystem):
         """[B omega, omega] + 2 [omega, Pi omega] = ad_omega (Pi omega - I omega)."""
         wcol = wv[..., None]
         return adw @ (pi @ wcol - self.inertia.apply_vec(wcol))
+
+    def measure_density(self, y):
+        """det B, the Liouville density of the momentum p = B omega."""
+        return np.linalg.det(self.effective_inertia(y))
 
     def conserved(self):
         return {"energy": self.energy}

@@ -22,7 +22,12 @@ from lrsim.systems import (
 from lrsim.systems.base import System, rotation_component, skew_component
 
 
-rand_rotation = lie.random_rotation
+def rand_rotation(rng, n):
+    """Rotation from the QR factor of a Gaussian matrix drawn from ``rng``."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def rand_skew(rng, n, scale=1.0):

@@ -180,7 +180,7 @@ def wedge_complement_loop(gamma):
 
 
 def measure_divergence_loop(field, density, state, fd_step):
-    """Central-difference divergence of density * field, one state per call.
+    """Central-difference divergence of density * field over density, one state per call.
 
     Returns the estimates at ``fd_step`` and at half of it.
     """
@@ -194,7 +194,7 @@ def measure_divergence_loop(field, density, state, fd_step):
             dn = state.copy()
             dn[i] -= h
             total += (density(up) * field(up)[i] - density(dn) * field(dn)[i]) / (2.0 * h)
-        return total
+        return total / density(state)
 
     return estimate(fd_step), estimate(0.5 * fd_step)
 

@@ -28,6 +28,8 @@ from lrsim.integrators import IntegratorConfig, integrate
 from lrsim.systems import (
     CoupledReducedSystem,
     GsrSystem,
+    LplusRSystem,
+    LRSystem,
     NCoupledSystem,
     RubberChaplyginSystem,
     commutator_constraint_matrices,
@@ -215,51 +217,36 @@ def test_criterion_07_penalty_limit():
 
 
 def test_criterion_08_invariant_measures():
+    from helpers import rand_pi0, rand_rotation
+
     rng = np.random.default_rng(5000)
     n = 3
     worst = {}
-    # constrained rigid-body chart
+    # the constrained rigid body: the LR flow and the density of Fedorov and
+    # Jovanovic, at 100 states off the constraint level
     inertia = rand_spd_operator(rng, n)
-    field, density = diag.lr_measure_chart(inertia, 1)
-    vals = []
-    for _ in range(100):
-        from helpers import rand_rotation
-
-        a = lie.skew_to_vec(rand_skew(rng, n))
-        a /= np.linalg.norm(a)
-        alpha = lie.adjoint_matrix(rand_rotation(rng, n)).T @ a
-        state = np.concatenate([rng.normal(size=lie.so_dim(n)), alpha])
-        vals.append(abs(diag.measure_divergence(field, density, state).value))
-    worst["lr"] = max(vals)
-    # two-operator chart
-    from helpers import rand_pi0
-
-    field, density = diag.lplusr_measure_chart(inertia)
-    pi0 = rand_pi0(rng, inertia)
-    vals = []
-    for _ in range(100):
-        from helpers import rand_rotation
-
-        q = lie.adjoint_matrix(rand_rotation(rng, n))
-        state = np.concatenate(
-            [rng.normal(size=lie.so_dim(n)), diag.sym_to_coords(q.T @ pi0 @ q)]
-        )
-        vals.append(abs(diag.measure_divergence(field, density, state).value))
-    worst["lplusr"] = max(vals)
+    lr = LRSystem(inertia, lie.orthonormal_basis_of([rand_skew(rng, n)], n=n))
+    states = [lr.initial_state(rand_rotation(rng, n), rand_skew(rng, n)) for _ in range(100)]
+    worst["lr"] = np.max(np.abs(diag.measure_divergence(lr.rhs, lr.measure_density, states).value))
+    # the L+R flow and its density sqrt det B
+    lpr = LplusRSystem(inertia, rand_pi0(rng, inertia))
+    states = [lpr.pack(g=rand_rotation(rng, n), omega=rand_skew(rng, n)) for _ in range(100)]
+    worst["lplusr"] = np.max(
+        np.abs(diag.measure_divergence(lpr.rhs, lpr.measure_density, states).value)
+    )
     # reduced rolling chart
     from lrsim.systems import CotangentSystem
 
     inertia4 = rand_spd_operator(rng, n)
     cot = CotangentSystem(inertia4, 1.1, 0.9)
     density = diag.reduced_chaplygin_density(inertia4, 1.1, 0.9)
-    vals = []
+    states = []
     for _ in range(100):
         gamma = rand_unit(rng, n)
         p = rng.normal(size=n)
         p -= gamma * (gamma @ p)
-        state = np.concatenate([gamma, p])
-        vals.append(abs(diag.measure_divergence(cot.rhs, density, state).value))
-    worst["reduced"] = max(vals)
+        states.append(np.concatenate([gamma, p]))
+    worst["reduced"] = np.max(np.abs(diag.measure_divergence(cot.rhs, density, states).value))
     # closed-form exponent
     slopes = {}
     for dim in (3, 4):

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from helpers import (
+    KERNEL_MAKERS,
     iso3,
     make_cotangent,
     make_coupled,
@@ -22,7 +23,8 @@ from lrsim import diagnostics as diag
 from lrsim import liecore as lie
 from lrsim.integrators import IntegratorConfig, Trajectory, integrate
 from lrsim.operators import InertiaOperator
-from lrsim.systems import CotangentSystem
+from lrsim.cli import DIVERGENCE_TOL
+from lrsim.systems import CotangentSystem, LplusRSystem, LRSystem
 
 
 class TestConservationReport:
@@ -83,79 +85,120 @@ class TestConstraintReport:
         assert not any(Check(name, v, 1e-8).passed for name, v in worst.items())
 
 
+def _flow_states(system, y0, rng):
+    """The states of a short run and the same states with omega redrawn, as
+    the measure row of ``lrsim verify`` samples them."""
+    run = integrate(system, y0, IntegratorConfig(h=0.05, steps=10)).states[::2]
+    off = run.copy()
+    omega = system.part(off, "omega")
+    omega[...] = rng.normal(size=omega.shape)
+    return np.concatenate([run, off])
+
+
 class TestMeasureDivergence:
     def test_unit_density_on_divergence_free_field(self, rng):
-        # the free top momentum equation is divergence-free as it stands
-        inertia = rand_spd_operator(rng, 3)
-        field, _ = diag.lr_measure_chart(inertia, 0)
-        est = diag.measure_divergence(field, lambda z: 1.0, rng.normal(size=3))
-        assert abs(est.value) < 1e-6
+        # the free top is divergence-free as it stands, g' = g omega included
+        system = LRSystem(rand_spd_operator(rng, 3), None)
+        y = system.pack(g=rand_rotation(rng, 3), omega=rng.normal(size=3))
+        est = diag.measure_divergence(system.rhs, lambda z: 1.0, y[None])
+        assert abs(est.value[0]) < 1e-6
         assert not est.warning
 
     def test_lr_density_certifies_invariance(self, rng):
         inertia = rand_spd_operator(rng, 3)
-        field, density = diag.lr_measure_chart(inertia, 1)
-        for _ in range(10):
-            g = rand_rotation(rng, 3)
-            a = lie.skew_to_vec(rand_skew(rng, 3))
-            a /= np.linalg.norm(a)
-            alpha = lie.adjoint_matrix(g).T @ a
-            state = np.concatenate([rng.normal(size=3), alpha])
-            est = diag.measure_divergence(field, density, state)
-            assert abs(est.value) < 1e-5
+        system = LRSystem(inertia, lie.orthonormal_basis_of([rand_skew(rng, 3)], n=3))
+        states = [system.initial_state(rand_rotation(rng, 3), rand_skew(rng, 3)) for _ in range(10)]
+        est = diag.measure_divergence(system.rhs, system.measure_density, states)
+        assert np.max(np.abs(est.value)) < 1e-5
 
     def test_lplusr_density_certifies_invariance(self, rng):
         inertia = rand_spd_operator(rng, 3)
-        field, density = diag.lplusr_measure_chart(inertia)
-        pi0 = rand_pi0(rng, inertia)
-        for _ in range(10):
-            q = lie.adjoint_matrix(rand_rotation(rng, 3))
-            state = np.concatenate(
-                [rng.normal(size=3), diag.sym_to_coords(q.T @ pi0 @ q)]
-            )
-            est = diag.measure_divergence(field, density, state)
-            assert abs(est.value) < 1e-5
+        system = LplusRSystem(inertia, rand_pi0(rng, inertia))
+        states = [system.pack(g=rand_rotation(rng, 3), omega=rng.normal(size=3)) for _ in range(10)]
+        est = diag.measure_divergence(system.rhs, system.measure_density, states)
+        assert np.max(np.abs(est.value)) < 1e-5
 
-    def test_density_scaling_is_linear(self):
+    def test_density_constant_drops_out(self):
         # a power-of-two factor scales every rounded product and sum exactly,
-        # so the estimate is linear in the density bit for bit
+        # and the division by the density takes it out again, bit for bit
         local = np.random.default_rng(124)
-        inertia = rand_spd_operator(local, 3)
-        field, density = diag.lplusr_measure_chart(inertia)
-        state = np.concatenate([local.normal(size=3), diag.sym_to_coords(0.2 * np.eye(3))])
-        base = diag.measure_divergence(field, density, state).value
-        scaled = diag.measure_divergence(field, lambda z: 4.0 * density(z), state).value
-        assert scaled == 4.0 * base
+        system = LplusRSystem(rand_spd_operator(local, 3), 0.2 * np.eye(3))
+        y = system.pack(g=rand_rotation(local, 3), omega=local.normal(size=3))
+        density = system.measure_density
+        base = diag.measure_divergence(system.rhs, density, y[None]).value
+        scaled = diag.measure_divergence(system.rhs, lambda z: 4.0 * density(z), y[None]).value
+        np.testing.assert_array_equal(scaled, base)
 
     def test_reduced_rolling_density(self, rng):
         inertia = rand_spd_operator(rng, 4)
         mass, radius = 1.1, 0.9
         cot = CotangentSystem(inertia, mass, radius)
         density = diag.reduced_chaplygin_density(inertia, mass, radius)
+        states = []
         for _ in range(5):
             gamma = rand_unit(rng, 4)
             p = rng.normal(size=4)
             p -= gamma * (gamma @ p)
-            est = diag.measure_divergence(cot.rhs, density, np.concatenate([gamma, p]))
-            assert abs(est.value) < 1e-5
+            states.append(np.concatenate([gamma, p]))
+        est = diag.measure_divergence(cot.rhs, density, states)
+        assert np.max(np.abs(est.value)) < 1e-5
         # the raw field itself is not divergence-free: the density matters
         gamma = rand_unit(rng, 4)
         p = rng.normal(size=4)
         p -= gamma * (gamma @ p)
-        raw = diag.measure_divergence(cot.rhs, lambda z: 1.0, np.concatenate([gamma, p]))
-        assert abs(raw.value) > 1e-4
+        raw = diag.measure_divergence(cot.rhs, lambda z: 1.0, np.concatenate([gamma, p])[None])
+        assert abs(raw.value[0]) > 1e-4
 
     def test_cancellation_warning_for_tiny_step(self, rng):
         # at fd_step 1e-13 the estimates are roundoff noise; the halved-step
         # disagreement flags it (statistically, so sample a few states)
         inertia = rand_spd_operator(rng, 3)
-        field, density = diag.lplusr_measure_chart(inertia)
-        warnings_seen = 0
-        for _ in range(5):
-            state = np.concatenate([rng.normal(size=3), diag.sym_to_coords(0.1 * np.eye(3))])
-            est = diag.measure_divergence(field, density, state, fd_step=1e-13)
-            warnings_seen += est.warning
-        assert warnings_seen >= 1
+        system = LplusRSystem(inertia, 0.1 * np.eye(3))
+        states = [system.pack(g=rand_rotation(rng, 3), omega=rng.normal(size=3)) for _ in range(5)]
+        est = diag.measure_divergence(system.rhs, system.measure_density, states, fd_step=1e-13)
+        assert est.warning >= 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("kind", sorted(KERNEL_MAKERS))
+    def test_flow_density_passes_and_its_square_fails(self, kind, n):
+        # negative control: the check separates the flow's density from a
+        # density with the wrong power by more than two orders of magnitude
+        local = np.random.default_rng([840, n, len(kind)])
+        system, y0 = KERNEL_MAKERS[kind](local, n)
+        states = _flow_states(system, y0, local)
+        density = system.measure_density
+        right = diag.measure_divergence(system.rhs, density, states)
+        wrong = diag.measure_divergence(system.rhs, lambda z: density(z) ** 2, states)
+        assert np.max(np.abs(right.value)) < DIVERGENCE_TOL
+        assert np.max(np.abs(wrong.value)) > 100 * DIVERGENCE_TOL
+
+
+class TestFlowDensity:
+    def test_lr_density_matches_entrywise_gram(self, rng):
+        # sqrt(det I det <I^-1 alpha_i, alpha_j>), the Gram matrix entry by entry
+        system, y = make_lr(rng, 3)
+        alphas = [lie.vec_to_skew(system.part(y, f"alpha{i + 1}"), 3) for i in range(system.k)]
+        gram = np.array([
+            [oracles.inner(lie.vec_to_skew(system.inertia.solve_vec(lie.skew_to_vec(a)), 3), b)
+             for b in alphas]
+            for a in alphas
+        ])
+        want = np.sqrt(np.linalg.det(system.inertia.matrix) * np.linalg.det(gram))
+        assert system.measure_density(y) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["lr", "coupled", "coupled-reduced"])
+    def test_density_is_det_b_on_the_allowed_velocities(self, kind):
+        # by the Schur complement, det B det(C^T B^-1 C) = det(P^T B P) for an
+        # orthonormal C and P an orthonormal basis of its complement
+        local = np.random.default_rng([850, len(kind)])
+        system, y = KERNEL_MAKERS[kind](local, 4)
+        pi, frame = system.pi(y)
+        b = system.inertia.matrix if pi is None else system.inertia.matrix + pi
+        c = system.constraint_basis(y, frame)
+        p = np.linalg.svd(c)[0][:, c.shape[1]:]
+        assert system.measure_density(y) == pytest.approx(
+            np.sqrt(np.linalg.det(p.T @ b @ p)), rel=1e-10
+        )
 
 
 def _assert_rows_match(stacked, rows, tol=1e-13):
@@ -169,54 +212,37 @@ class TestStackedCertificate:
     """Fields and densities on a stack of states against one call per state."""
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_chart_fields_and_densities(self, n):
+    def test_reduced_field_and_density(self, n):
+        # the kernel flows' fields and densities: tests/test_residuals.py
         local = np.random.default_rng(810 + n)
         inertia = rand_spd_operator(local, n)
-        pi0 = rand_pi0(local, inertia)
-        N = lie.so_dim(n)
-        charts = {
-            "lr": (diag.lr_measure_chart(inertia, 2), []),
-            "lplusr": (diag.lplusr_measure_chart(inertia), []),
-        }
-        for _ in range(6):
-            q = lie.adjoint_matrix(rand_rotation(local, n))
-            charts["lr"][1].append(np.concatenate([local.normal(size=N), q[:, 0], q[:, 1]]))
-            charts["lplusr"][1].append(
-                np.concatenate([local.normal(size=N), diag.sym_to_coords(q.T @ pi0 @ q)])
-            )
         cot = CotangentSystem(inertia, 1.1, 0.9)
-        charts["cotangent"] = (
-            (cot.rhs, diag.reduced_chaplygin_density(inertia, 1.1, 0.9)),
-            [np.concatenate([1.5 * rand_unit(local, n), local.normal(size=n)]) for _ in range(6)],
-        )
-        for (field, density), states in charts.values():
-            stack = np.array(states).reshape(2, 3, -1)
-            _assert_rows_match(field(stack), [[field(z) for z in row] for row in stack])
-            _assert_rows_match(density(stack), [[density(z) for z in row] for row in stack])
-
-    def test_sym_coords_round_trip_on_stacks(self):
-        local = np.random.default_rng(820)
-        mats = local.normal(size=(4, 3, 3))
-        mats = mats + np.swapaxes(mats, -1, -2)
-        coords = diag.sym_to_coords(mats)
-        np.testing.assert_array_equal(diag.coords_to_sym(coords, 3), mats)
-        for mat, row in zip(mats, coords):
-            np.testing.assert_array_equal(row, diag.sym_to_coords(mat))
+        field, density = cot.rhs, diag.reduced_chaplygin_density(inertia, 1.1, 0.9)
+        states = [np.concatenate([1.5 * rand_unit(local, n), local.normal(size=n)]) for _ in range(6)]
+        stack = np.array(states).reshape(2, 3, -1)
+        _assert_rows_match(field(stack), [[field(z) for z in row] for row in stack])
+        _assert_rows_match(density(stack), [[density(z) for z in row] for row in stack])
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_divergence_matches_per_point_loop(self, n):
-        # the raw cotangent field with unit density has a nonzero divergence
+        # with the square of the reduced density the divergence is nonzero
         local = np.random.default_rng(830 + n)
         cot, _ = make_cotangent(local, n)
-        for _ in range(5):
-            _, y = make_cotangent(local, n, inertia=cot.inertia, mass=cot.mass, radius=cot.radius)
-            est = diag.measure_divergence(cot.rhs, lambda z: 1.0, y)
-            value, refined = oracles.measure_divergence_loop(
-                cot.rhs, lambda z: 1.0, y, diag.FD_STEP
-            )
-            assert abs(value) > 1e-4
-            assert est.value == pytest.approx(value, rel=1e-9)
-            assert est.refined == pytest.approx(refined, rel=1e-9)
+        reduced = diag.reduced_chaplygin_density(cot.inertia, cot.mass, cot.radius)
+
+        def density(z):
+            return reduced(z) ** 2
+
+        states = [
+            make_cotangent(local, n, inertia=cot.inertia, mass=cot.mass, radius=cot.radius)[1]
+            for _ in range(5)
+        ]
+        est = diag.measure_divergence(cot.rhs, density, states)
+        for y, value, refined in zip(states, est.value, est.refined):
+            want, want_refined = oracles.measure_divergence_loop(cot.rhs, density, y, diag.FD_STEP)
+            assert abs(want) > 1e-4
+            assert value == pytest.approx(want, rel=1e-9)
+            assert refined == pytest.approx(want_refined, rel=1e-9)
 
 
 class TestChaplyginMeasure:

@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import KERNEL_MAKERS, MAKERS, RotatingFrame, rand_pi0, rand_skew, rand_spd_operator
+from helpers import (
+    KERNEL_MAKERS,
+    MAKERS,
+    RotatingFrame,
+    rand_pi0,
+    rand_rotation,
+    rand_skew,
+    rand_spd_operator,
+)
 from lrsim import integrators
 from lrsim import liecore as lie
 from lrsim.systems import LRSystem, MultiplierError, base
@@ -173,7 +181,7 @@ def test_effective_inertia_is_spd_at_random_states(kind, n):
         system, y = kernel_case(kind, n, 100 + seed)
         for _ in range(4):
             z = y.copy()
-            z[system.slice_of("g")] = lie.random_rotation(rng, n).ravel()
+            z[system.slice_of("g")] = rand_rotation(rng, n).ravel()
             for comp in system.components:
                 if comp.kind == "unit":
                     v = rng.normal(size=n)
@@ -188,7 +196,7 @@ def test_singular_gram_system_is_a_multiplier_error():
     rng = np.random.default_rng(16)
     basis = lie.orthonormal_basis_of([rand_skew(rng, 4), rand_skew(rng, 4)], n=4)
     system = LRSystem(rand_spd_operator(rng, 4), basis)
-    y = system.initial_state(lie.random_rotation(rng, 4), rand_skew(rng, 4))
+    y = system.initial_state(rand_rotation(rng, 4), rand_skew(rng, 4))
     # two equal constraint columns make C^T B^-1 C exactly singular
     y[system.slice_of("alpha2")] = y[system.slice_of("alpha1")]
     with pytest.raises(MultiplierError, match="multiplier system is singular"):
@@ -199,7 +207,7 @@ def test_zero_constraint_column_is_a_multiplier_error():
     rng = np.random.default_rng(16)
     basis = lie.orthonormal_basis_of([rand_skew(rng, 4), rand_skew(rng, 4)], n=4)
     system = LRSystem(rand_spd_operator(rng, 4), basis)
-    y = system.initial_state(lie.random_rotation(rng, 4), rand_skew(rng, 4))
+    y = system.initial_state(rand_rotation(rng, 4), rand_skew(rng, 4))
     # a zero constraint column makes C^T B^-1 C singular under any rounding
     y[system.slice_of("alpha2")] = 0.0
     with pytest.raises(MultiplierError, match="multiplier system is singular"):
@@ -212,7 +220,7 @@ def _solve_cases(rng, n, lead):
     N = inertia.N
     torque = rng.normal(size=lead + (N, 1))
     # Pi = Ad_g^T Pi0 Ad_g at one rotation g per state, as the L+R kinds build it
-    rotations = np.array([lie.random_rotation(rng, n) for _ in range(int(np.prod(lead)))])
+    rotations = np.array([rand_rotation(rng, n) for _ in range(int(np.prod(lead)))])
     q = lie.adjoint_matrix(rotations.reshape(lead + (n, n)))
     pis = np.swapaxes(q, -1, -2) @ rand_pi0(rng, inertia) @ q
     # two orthonormal columns per state, as the LR alphas or a rotated h0 basis

@@ -5,7 +5,6 @@ import pytest
 
 import oracles
 from helpers import iso3, iso3_inv, rand_rotation, rand_skew, rand_unit
-from lrsim import diagnostics
 from lrsim import liecore as lie
 
 
@@ -16,7 +15,6 @@ MEMO_TABLES = [
     lie.bivector_basis,
     lie._compound_indices,
     lie.structure_constants,
-    diagnostics._sym_indices,
 ]
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import iso3, rand_spd_operator
+from helpers import iso3, rand_rotation, rand_spd_operator
 from lrsim import liecore as lie
 from lrsim.operators import wedge_projector_matrix
 from lrsim.systems.chaplygin import tangent_inertia
@@ -26,7 +26,7 @@ def skews(n):
 
 def rotations(n):
     return st.integers(0, 2**32 - 1).map(
-        lambda seed: lie.random_rotation(np.random.default_rng(seed), n)
+        lambda seed: rand_rotation(np.random.default_rng(seed), n)
     )
 
 

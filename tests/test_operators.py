@@ -1,4 +1,4 @@
-"""Inertia operators: structured actions, solves, restricted determinants."""
+"""Inertia operators: structured actions and solves."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from lrsim import liecore as lie
 from lrsim.operators import (
     InertiaOperator,
     OperatorError,
-    restricted_inverse_det,
     wedge_projector_matrix,
 )
 
@@ -99,45 +98,6 @@ class TestSolve:
         y = rand_skew(rng, 5)
         x = solve(op, y)
         assert oracles.norm(oracles.apply(op, x) - y) / oracles.norm(y) < 1e-10
-
-
-class TestRestrictedInverseDet:
-    def test_identity_operator(self, rng):
-        basis = lie.orthonormal_basis_of([rand_skew(rng, 4) for _ in range(2)], n=4)
-        det = restricted_inverse_det(InertiaOperator.identity(4), basis.vectors)
-        assert det == pytest.approx(1.0)
-
-    def test_scalar_operator(self, rng):
-        basis = lie.orthonormal_basis_of([rand_skew(rng, 4) for _ in range(3)], n=4)
-        op = InertiaOperator.scalar(4, 2.5)
-        assert restricted_inverse_det(op, basis.vectors) == pytest.approx(2.5 ** (-3), rel=1e-12)
-
-    def test_empty_basis_convention(self):
-        basis = lie.SubspaceBasis(3, np.zeros((3, 0)))
-        assert restricted_inverse_det(InertiaOperator.identity(3), basis.vectors) == 1.0
-
-    def test_matches_entrywise_gram(self, rng):
-        op = rand_spd_operator(rng, 3)
-        basis = lie.orthonormal_basis_of([rand_skew(rng, 3) for _ in range(2)], n=3)
-        gram = np.empty((2, 2))
-        elements = [lie.vec_to_skew(basis.vectors[:, j], 3) for j in range(basis.dim)]
-        for i in range(2):
-            for j in range(2):
-                gram[i, j] = oracles.inner(solve(op, elements[i]), elements[j])
-        assert restricted_inverse_det(op, basis.vectors) == pytest.approx(
-            np.linalg.det(gram), rel=1e-12
-        )
-
-    def test_basis_independence(self, rng):
-        op = rand_spd_operator(rng, 4)
-        gens = [rand_skew(rng, 4) for _ in range(2)]
-        basis_a = lie.orthonormal_basis_of(gens, n=4)
-        basis_b = lie.orthonormal_basis_of(gens[::-1], n=4)
-        mixed = [gens[0] + gens[1], gens[0] - gens[1]]
-        basis_c = lie.orthonormal_basis_of(mixed, n=4)
-        val = restricted_inverse_det(op, basis_a.vectors)
-        assert restricted_inverse_det(op, basis_b.vectors) == pytest.approx(val, rel=1e-10)
-        assert restricted_inverse_det(op, basis_c.vectors) == pytest.approx(val, rel=1e-10)
 
 
 class TestVectorInertiaBridge:

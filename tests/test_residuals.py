@@ -1,7 +1,8 @@
 """State functions over a stack of states, and the two reports built on them.
 
 Every ``System.rhs``, ``System.constraints``, every conserved callable and
-the kernel's ``pi`` take one state or a (..., dim) stack.  A stack must
+the kernel's ``pi`` and ``measure_density`` take one state or a (..., dim)
+stack.  A stack must
 reproduce every state's values bit for bit, and ``constraint_report`` and
 ``conservation_report``, which make one call per block of states, the
 results of the per-state loops in :mod:`oracles`.
@@ -170,3 +171,10 @@ def test_alpha_orthonormality_reads_norms_and_angles(rng):
     tilted[a2] += 0.1 * y[a1]
     worst = system.constraints(np.stack([y, longer, tilted]))["alpha_orthonormality"]
     np.testing.assert_allclose(worst, [0.0, 0.21, 0.1], atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("kind", sorted(KERNEL_MAKERS))
+def test_measure_density_stack_equals_state_by_state(kind, n, rng):
+    system, states = off_trajectory_states(kind, n, rng)
+    assert_stacks_equal_singles(system.measure_density, states)

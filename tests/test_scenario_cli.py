@@ -41,22 +41,26 @@ _REDUCED_SPHERE_CHECKS = [
 
 # per shipped file, in order, the checks verify runs after the shared drift and
 # constraint checks: the rows of its kind in cli.CHECKS_BY_KIND. free_top is
-# the lr kind without constraints; geodesic_lpr's measure[lplusr] samples the
-# L+R chart field, not the geodesic flow it integrates
+# the lr kind without constraints; every file that carries a rotation ends with
+# the measure check of its own flow
 KIND_CHECKS = {
     "cotangent": _REDUCED_SPHERE_CHECKS,
-    "coupled": ["reduction_equivalence", "W_reconstruction"],
-    "free_top": [],
-    "geodesic_lpr": ["measure[lplusr]"],
+    "coupled": ["reduction_equivalence", "W_reconstruction", "measure[coupled]"],
+    "free_top": ["measure[lr]"],
+    "geodesic_lpr": ["measure[geodesic-lpr]"],
     "gsr": [],
-    "lplusr_penalty": ["measure[lplusr]", "epsilon_limit[decreasing]", "epsilon_limit[final]"],
+    "lplusr_penalty": ["epsilon_limit[decreasing]", "epsilon_limit[final]", "measure[lplusr]"],
     "lstar_geodesic": [],
-    "ncoupled_commutator": ["closed_form_field"],
-    "rubber_chaplygin3": [*_REDUCED_SPHERE_CHECKS, "contact_last_coordinate"],
-    "rubber_chaplygin4": [*_REDUCED_SPHERE_CHECKS, "contact_last_coordinate"],
-    "rubber_support": ["independent_integrals"],
-    "support": [],
-    "veselova": ["measure[lr]", "epsilon_limit[decreasing]", "epsilon_limit[final]"],
+    "ncoupled_commutator": ["closed_form_field", "measure[ncoupled]"],
+    "rubber_chaplygin3": [
+        *_REDUCED_SPHERE_CHECKS, "contact_last_coordinate", "measure[rubber-chaplygin]"
+    ],
+    "rubber_chaplygin4": [
+        *_REDUCED_SPHERE_CHECKS, "contact_last_coordinate", "measure[rubber-chaplygin]"
+    ],
+    "rubber_support": ["independent_integrals", "measure[rubber-support]"],
+    "support": ["measure[support]"],
+    "veselova": ["epsilon_limit[decreasing]", "epsilon_limit[final]", "measure[lr]"],
 }
 
 
@@ -536,10 +540,11 @@ class TestCliVerify:
         assert "PASS  W_reconstruction" not in capsys.readouterr().out
 
     def test_integration_failure_inside_a_study_exit_4(self):
-        # the run at h = 5 succeeds; the penalty-limit study's run does not
+        # the run at h = 15 succeeds; the penalty-limit study's run, from the
+        # omega its row draws, does not
         proc = subprocess.run(
             [sys.executable, "-m", "lrsim.cli", "verify", str(SCENARIO_DIR / "veselova.yaml"),
-             "--h", "5", "--steps", "2"],
+             "--h", "15", "--steps", "2"],
             capture_output=True,
             text=True,
         )
@@ -617,7 +622,7 @@ class TestCliVerify:
                  if line.startswith("PASS")]
         assert after_shared_checks(names) == KIND_CHECKS[scenario.stem]
 
-    def test_coupled_reduced_gets_only_the_shared_checks(self):
+    def test_coupled_reduced_gets_the_shared_checks_and_its_measure(self):
         data = shipped("coupled.yaml")
         data["variant"] = "reduced"
         data["integrator"]["steps"] = 125
@@ -627,7 +632,22 @@ class TestCliVerify:
             scenario.system, scenario.initial, scenario.integrator
         ))
         assert checks and all(check.passed for check in checks)
-        assert after_shared_checks([check.name for check in checks]) == []
+        assert after_shared_checks([check.name for check in checks]) == [
+            "measure[coupled-reduced]"
+        ]
+
+    def test_geodesic_lpr_with_a_penalty_pi0_runs_no_penalty_study(self, tmp_path, capsys):
+        # the penalty study integrates the modified L+R flow, not the geodesic
+        # one; at this h the stiff run fails its energy drift, which is not
+        # what this test reads
+        data = shipped("geodesic_lpr.yaml")
+        data["pi0"] = shipped("lplusr_penalty.yaml")["pi0"]
+        data["integrator"]["steps"] = 250
+        main(["verify", write_yaml(tmp_path / "geodesic_penalty.yaml", data)])
+        out = capsys.readouterr().out
+        assert "epsilon_limit" not in out
+        assert "penalty-limit" not in out
+        assert "measure[geodesic-lpr]" in out
 
     def test_check_table_has_one_row_per_buildable_kind(self):
         # coupled-reduced is the `variant: reduced` of the coupled kind
