@@ -232,6 +232,10 @@ def _lplusr_penalty_limit(scenario, traj, rng):
 
 
 def _reduction(scenario, traj, rng):
+    """reduction_equivalence, which reads exactly 0 as the full and reduced flows
+    share their (g, omega) field and so only guards that kernel, and
+    W_reconstruction, the W slaved to the reduced run against the full run's
+    W, which certifies the reduction."""
     system = scenario.system
     reduced = CoupledReducedSystem(
         system.inertia, system.h0, system.subspaces, system.coupling, system.rhos

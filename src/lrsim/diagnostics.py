@@ -14,6 +14,12 @@ sample states through them one block of ``MEASURE_BLOCK`` states at a time,
 :func:`functional_independence_rank` those of all its states at once, and
 :func:`hamiltonization_check` evaluates the field along its path in one
 call.
+
+The two studies integrate their runs as stacks (:func:`integrate` over a
+(B, dim) stack): :func:`hamiltonization_check` its rescaled-time and
+physical-time runs as two members for the steps they share, and
+:func:`epsilon_limit_study` its L+R members as one ``LplusRSystem`` with a
+stacked ``Pi0``.  Each member runs bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ from .integrators import (
     Trajectory,
     hermite_interpolate,
     integrate,
-    integrate_reparametrized,
     reparametrize_trajectory,
+    time_rescaled,
 )
 from .systems import (
     CotangentSystem,
@@ -252,16 +258,18 @@ def epsilon_limit_study(inertia, constraint_basis, g0, omega0, epsilons, cfg):
 
     The L+R flow built on eps * sum_i a_i (x) a_i approaches the LR flow with
     constraints <a_i, Omega> = 0 as eps grows; the errors should decrease.
+    The L+R members run as one stack, one ``Pi0`` per eps.
     """
     lr = LRSystem(inertia, constraint_basis)
     y_lr = lr.initial_state(g0, omega0)
     traj_lr = integrate(lr, y_lr, cfg)
-    errors = []
-    for eps in epsilons:
-        lpr = LplusRSystem(inertia, penalty_pi0(constraint_basis, eps))
-        y0 = lpr.pack(g=g0, omega=omega0)
-        traj = integrate(lpr, y0, cfg)
-        errors.append(_sup_deviation(traj, traj_lr, ("g", "omega")))
+    lpr = LplusRSystem(inertia, np.stack([penalty_pi0(constraint_basis, eps) for eps in epsilons]))
+    y0 = lpr.pack(g=g0, omega=omega0)
+    traj = integrate(lpr, np.stack([y0] * len(epsilons)), cfg)
+    errors = [
+        _sup_deviation(Trajectory(lpr, traj.times, traj.states[:, b]), traj_lr, ("g", "omega"))
+        for b in range(len(epsilons))
+    ]
     slope = float(np.polyfit(np.log(np.asarray(epsilons, dtype=float)), np.log(errors), 1)[0])
     return EpsilonStudy(tuple(float(e) for e in epsilons), tuple(errors), slope)
 
@@ -312,7 +320,14 @@ def reconstruct_W(traj, w0=None):
 # --- cross-checks -----------------------------------------------------------
 
 def reduction_equivalence(full_system, reduced_system, y0_full, cfg):
-    """Sup-norm deviation of (g, omega) between full and reduced trajectories."""
+    """Sup-norm deviation of (g, omega) between full and reduced trajectories.
+
+    For the coupled flows it reads exactly 0: ``CoupledFullSystem`` and
+    ``CoupledReducedSystem`` share one (g, omega) field, which never reads
+    the slaved W, so both runs step the same field from the same state.  It
+    only guards that shared kernel; :func:`reconstruct_W` on the reduced run
+    against the full run's W is what certifies the reduction.
+    """
     traj_full = integrate(full_system, y0_full, cfg)
     y0_red = reduced_system.pack(
         g=full_system.part(y0_full, "g"), omega=full_system.part(y0_full, "omega")
@@ -327,7 +342,8 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
     Requires the special inertia.  Integrates the (gamma, p) flow directly
     in the rescaled time up to tau = ``HAMILTONIZATION_TAU`` with step
     ``h``, and runs the Lagrangian geodesic flow from matched initial data.
-    As an independent path it integrates in physical time, maps the grid
+    As an independent path it integrates in physical time, in one stack
+    with the rescaled run for the steps they share, maps the grid
     to tau by the O(h^4) Hermite quadrature of
     :func:`reparametrize_trajectory` and interpolates gamma with the
     piecewise cubic Hermite interpolant whose node slopes are the exact
@@ -346,7 +362,9 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
     # at least one step on each grid, or a check compares nothing at h >= 2
     steps = max(1, int(round(HAMILTONIZATION_TAU / h)))
     cfg_tau = IntegratorConfig(h=h, steps=steps)
-    traj_tau = integrate_reparametrized(cot, y0, axes, cfg_tau)
+    rate_min = 1.0 / np.sqrt(float(np.max(axes)))
+    t_end = 1.25 * HAMILTONIZATION_TAU / rate_min
+    traj_tau, traj_t = _tau_and_t_runs(cot, y0, axes, h, (steps, max(1, int(round(t_end / h)))))
 
     gdot0 = cot.gamma_dot_of(np.asarray(gamma0, dtype=float), np.asarray(p0, dtype=float))
     v0 = float(np.sqrt((axes * gamma0) @ gamma0)) * gdot0
@@ -356,10 +374,6 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
     sup_geo = float(np.max(np.abs(traj_tau.component("gamma") - traj_geo.component("gamma"))))
 
     # independent path: physical-time trajectory reparametrized by quadrature
-    rate_min = 1.0 / np.sqrt(float(np.max(axes)))
-    t_end = 1.25 * HAMILTONIZATION_TAU / rate_min
-    cfg_t = IntegratorConfig(h=h, steps=max(1, int(round(t_end / h))))
-    traj_t = integrate(cot, y0, cfg_t)
     fields = cot.rhs(traj_t.states)
     tau_of_t = reparametrize_trajectory(traj_t, axes, fields)
     gammas = traj_t.component("gamma")
@@ -368,6 +382,28 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
     path = hermite_interpolate(tau_of_t, gammas, slopes, traj_tau.times)
     sup_dual = float(np.max(np.abs(path - traj_tau.component("gamma"))))
     return sup_geo, sup_dual, traj_geo
+
+
+def _tau_and_t_runs(cot, y0, axes, h, steps):
+    """The rescaled-time and the physical-time runs of ``cot`` from ``y0``, of
+    ``steps`` = (tau steps, t steps): one two-member stack for the steps they
+    share, then the longer member alone from its stacked state."""
+    pair = time_rescaled(cot, axes, [True, False])
+    shared = min(steps)
+    traj = integrate(pair, np.stack([y0, y0]), IntegratorConfig(h=h, steps=shared))
+    runs = [traj.states[:, b] for b in (0, 1)]
+    longer = int(steps[1] > steps[0])
+    if steps[longer] > shared:
+        rest = integrate(
+            pair.member(0) if longer == 0 else cot,
+            traj.states[-1, longer],
+            IntegratorConfig(h=h, steps=steps[longer] - shared),
+        )
+        runs[longer] = np.concatenate([runs[longer], rest.states[1:]])
+    return tuple(
+        Trajectory(cot, h * np.arange(count + 1), np.ascontiguousarray(states))
+        for count, states in zip(steps, runs)
+    )
 
 
 def functional_independence_rank(functions, states):

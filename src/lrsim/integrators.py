@@ -32,6 +32,14 @@ h Omega with h = 1e-3 and ||Omega||_F <= 50, takes no squaring.
 Both are O(h^5) per step.  A trajectory records the uniform time grid and
 every state; integration aborts cleanly on field errors and on non-finite
 states, keeping the partial trajectory and the failing step index.
+
+Both methods also step a (B, dim) stack of members of one system, which
+``integrate`` records as (steps + 1, B, dim) states.  Every call of a step
+takes the stack at once: the field and the projection evaluate it bit for
+bit as they do each member (:mod:`lrsim.systems.base`), and ``expm``
+exponentiates each member's exponent as it would alone, so each member's
+states equal its solo run's bit for bit.  When a stacked step fails,
+``integrate`` retries it member by member to name the member that failed.
 """
 
 from __future__ import annotations
@@ -82,12 +90,15 @@ class Trajectory:
 
 class IntegrationError(RuntimeError):
     """A step failed; carries the partial trajectory (None when none could be
-    allocated) and the failing step index."""
+    allocated), the failing step index and, for a stack, the failing member
+    (None for one state, or when no member fails alone)."""
 
-    def __init__(self, message, partial, step_index):
-        super().__init__(f"{message} (step {step_index})")
+    def __init__(self, message, partial, step_index, member=None):
+        where = f"step {step_index}" if member is None else f"step {step_index}, member {member}"
+        super().__init__(f"{message} ({where})")
         self.partial = partial
         self.step_index = step_index
+        self.member = member
 
 
 # scaling threshold on the Frobenius norm, and the Taylor coefficients 1/k!
@@ -119,7 +130,10 @@ def expm(a):
     truncation error is at most THETA^9 / 9! ~ 5e-18 (Higham, *Functions
     of Matrices*, SIAM 2008, ch. 10).  exp(0) is I exactly.  An exponent
     whose norm is not finite, or overflows, is a ``FloatingPointError``.
+    A (..., n, n) stack takes one exponential per member, each with its own s.
     """
+    if a.ndim > 2:
+        return np.stack([expm(x) for x in a.reshape(-1, *a.shape[-2:])]).reshape(a.shape)
     n = a.shape[0]
     norm = math.sqrt(np.vdot(a, a))
     if not math.isfinite(norm):
@@ -174,10 +188,10 @@ def _lie_rk4(system, y, h):
         """Field at (g0 exp(u), the rest of the fresh state ``y_stage``) and
         the algebra slope there."""
         np.matmul(g0, expm(lie.vec_to_skew(u, n)), out=system.part(y_stage, "g"))
-        w = system.part(y_stage, "omega")
+        w = system.part(y_stage, "omega")[..., None]
         adu = lie.ad_vec(u)
         uw = adu @ w
-        return w + 0.5 * uw + (1.0 / 12.0) * (adu @ uw), system.rhs(y_stage)
+        return (w + 0.5 * uw + (1.0 / 12.0) * (adu @ uw))[..., 0], system.rhs(y_stage)
 
     # the first stage sits at y itself: exp(0) = I and dexpinv(0, v) = v
     k1 = system.rhs(y)
@@ -193,7 +207,8 @@ def _lie_rk4(system, y, h):
 
 
 def step(system, y, h, method="rk4-projected", project=True):
-    """One integration step; projection keeps states on their manifolds.
+    """One integration step of a state or a (B, dim) stack; projection keeps
+    states on their manifolds.
 
     With ``project``, ``rk4-projected`` applies ``system.project`` (polar
     factors of the rotations, unit vectors renormalized) and ``lie-rk4``
@@ -211,15 +226,19 @@ def step(system, y, h, method="rk4-projected", project=True):
 def integrate(system, y0, cfg, hook=None):
     """Fixed-step trajectory of ``steps`` steps from ``y0``.
 
-    ``hook(i, t, y)`` runs after each accepted step.  Field errors and
-    non-finite states abort with an :class:`IntegrationError` carrying the
-    partial trajectory, which holds only the states before the failing step.
-    A step count whose trajectory cannot be allocated is an
-    :class:`IntegrationError` at step 0 with no partial trajectory.
+    ``y0`` is one state, or a (B, dim) stack of members of ``system``, whose
+    states come out as (steps + 1, B, dim), each member's bit for bit those
+    of its solo run.  ``hook(i, t, y)`` runs after each accepted step.
+    Field errors and non-finite states abort with an :class:`IntegrationError`
+    carrying the partial trajectory, which holds only the states before the
+    failing step, of every member of a stack; the step is then retried member
+    by member, and the error names the first member that fails alone.  A step
+    count whose trajectory cannot be allocated is an :class:`IntegrationError`
+    at step 0 with no partial trajectory.
     """
     y0 = np.asarray(y0, dtype=float)
     try:
-        states = np.empty((cfg.steps + 1, system.dim))
+        states = np.empty((cfg.steps + 1,) + y0.shape)
         times = cfg.h * np.arange(cfg.steps + 1)
     except (MemoryError, ValueError) as exc:
         raise IntegrationError(
@@ -235,36 +254,63 @@ def integrate(system, y0, cfg, hook=None):
                 raise FloatingPointError("non-finite state")
         except Exception as exc:
             partial = Trajectory(system, times[: i + 1].copy(), states[: i + 1].copy())
-            raise IntegrationError(str(exc), partial, i) from exc
+            member = _failing_member(system, states[i], cfg, project) if y0.ndim > 1 else None
+            raise IntegrationError(str(exc), partial, i, member) from exc
         states[i + 1] = y
         if hook is not None:
             hook(i + 1, times[i + 1], y)
     return Trajectory(system, times, states)
 
 
+def _failing_member(system, y, cfg, project):
+    """The first member of the stack ``y`` whose step fails alone, or None."""
+    for b, y_b in enumerate(y):
+        try:
+            y_b = step(system.member(b), y_b, cfg.h, method=cfg.method, project=project)
+            if np.isfinite(y_b).all():
+                continue
+        except Exception:
+            pass
+        return b
+    return None
+
+
 # --- time reparametrization -------------------------------------------------
 
-def integrate_reparametrized(system, y0, axes, cfg):
-    """Integrate a gamma-carrying flow in the rescaled time tau.
+def time_rescaled(system, axes, rescaled):
+    """A gamma-carrying flow in the rescaled time tau on the members where
+    ``rescaled`` holds, and in its own time on the others.
 
     dtau = dt / sqrt((A gamma, gamma)), so the tau-field is the original
-    field scaled by sqrt((A gamma, gamma)).  It runs as the ``rhs`` of a
-    shallow copy of ``system``; the trajectory carries ``system`` itself.
+    field scaled by sqrt((A gamma, gamma)); the other members' field is
+    scaled by exactly 1.0.  ``rescaled`` is a bool for every member, or one
+    per member of a (B, dim) stack.  The field is the ``rhs`` of a shallow
+    copy of ``system``, whose ``member(b)`` is member b's flow alone.
     """
     axes = np.asarray(axes, dtype=float)
     if np.any(axes <= 0):
         raise ValueError("the rescaling axes must be positive")
+    rescaled = np.asarray(rescaled, dtype=bool)
 
     def rhs(y):
         gamma = system.part(y, "gamma")
-        factor = np.sqrt(dot(axes * gamma, gamma))
+        factor = np.where(rescaled[..., None], np.sqrt(dot(axes * gamma, gamma)), 1.0)
         if not (np.isfinite(factor) & (factor > 0.0)).all():
             raise ValueError("(A gamma, gamma) must stay positive")
         return factor * system.rhs(y)
 
-    rescaled = copy.copy(system)
-    rescaled.rhs = rhs
-    traj = integrate(rescaled, y0, cfg)
+    flow = copy.copy(system)
+    flow.rhs = rhs
+    flow.member = lambda b: time_rescaled(
+        system.member(b), axes, rescaled if rescaled.ndim == 0 else rescaled[b]
+    )
+    return flow
+
+
+def integrate_reparametrized(system, y0, axes, cfg):
+    """Integrate a gamma-carrying flow in the rescaled time tau
+    (:func:`time_rescaled`); the trajectory carries ``system`` itself."""
+    traj = integrate(time_rescaled(system, axes, True), y0, cfg)
     return Trajectory(system, traj.times, traj.states)
 
 

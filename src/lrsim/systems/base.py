@@ -17,6 +17,12 @@ sequence of numpy calls, each state's values bit for bit: products are the
 matmuls one state takes, dot products (1, n) @ (n, 1) ones (:func:`dot`),
 matrix-vector products (N, N) @ (N, 1) ones.  :meth:`System.part` reads
 and writes the named components; only it knows the layout.
+
+So does the projection after a step, :meth:`System.project` and
+:func:`normalize_units`: the polar factor of a (..., n, n) stack takes one
+SVD per member.  A (B, dim) stack of members of one system integrates as
+one; data of a system that carry a member axis, such as a stacked ``Pi0``,
+give member b its own system, :meth:`System.member`.
 """
 
 from __future__ import annotations
@@ -43,12 +49,12 @@ class Component:
 
 
 def polar_project(g):
-    """Nearest special-orthogonal matrix (polar factor with det +1)."""
+    """Nearest special-orthogonal matrix (polar factor with det +1), over leading axes."""
     u, _, vt = np.linalg.svd(g)
     r = u @ vt
-    if np.linalg.det(r) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
+    flip = np.linalg.det(r) < 0
+    if flip.any():
+        u[flip, :, -1] *= -1.0
         r = u @ vt
     return r
 
@@ -64,14 +70,15 @@ def dot(a, b):
 
 
 def normalize_units(system, y):
-    """Divide every unit component of the flat state ``y`` by its norm, in place.
+    """Divide every unit component of the flat state ``y``, or of each state of a
+    stack, by its norm, in place.
 
     It reads only ``system.components`` and ``system.part``.
     """
     for comp in system.components:
         if comp.kind == UNIT:
             unit = system.part(y, comp.name)
-            unit /= np.linalg.norm(unit)
+            unit /= np.sqrt(dot(unit, unit))
     return y
 
 
@@ -122,8 +129,13 @@ class System:
             raise KeyError(f"unknown component(s) {sorted(extra)}")
         return y
 
+    def member(self, b):
+        """The system that member ``b`` of a (B, dim) stack runs alone: the system
+        itself, unless its data carry a member axis."""
+        return self
+
     def project(self, y):
-        """Re-orthogonalize rotations, renormalize unit vectors."""
+        """Re-orthogonalize rotations, renormalize unit vectors, of one state or a stack."""
         y = normalize_units(self, y.copy())
         for name in self._rotations:
             g = self.part(y, name)

@@ -69,6 +69,8 @@ A singular B or Gram matrix raises :class:`MultiplierError`.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .. import liecore as lie
@@ -302,25 +304,38 @@ class LplusRSystem(ConstrainedEulerSystem):
     kind = "lplusr"
 
     def __init__(self, inertia, pi0):
+        """``pi0`` is one (N, N) operator, or a (B, N, N) stack of them, one for each
+        member of a (B, dim) stack of states; each is checked on its own."""
         self.inertia = inertia
         pi0 = np.asarray(pi0, dtype=float)
-        if pi0.shape != (inertia.N, inertia.N):
+        if pi0.ndim not in (2, 3) or pi0.shape[-2:] != (inertia.N, inertia.N):
             raise ValueError(f"Pi0 must be ({inertia.N}, {inertia.N}), got {pi0.shape}")
-        if np.max(np.abs(pi0 - pi0.T)) > 1e-10:
+        pi0_t = pi0.swapaxes(-1, -2)
+        if np.max(np.abs(pi0 - pi0_t)) > 1e-10:
             raise ValueError("Pi0 must be symmetric")
-        self.pi0 = 0.5 * (pi0 + pi0.T)
+        self.pi0 = 0.5 * (pi0 + pi0_t)
         # B(g) = I + Ad_g^T Pi0 Ad_g conjugates Pi0 but not I.  By Weyl's
         # inequality lambda_min(B(g)) >= lambda_min(I) + lambda_min(Pi0) for
         # every g.  At n = 3, where Ad(SO(3)) is all of SO(3), some g aligns
         # the two lowest eigenvectors and attains the bound, so there the
         # check is exact; for n > 3 it is sufficient.
-        bound = np.linalg.eigvalsh(inertia.matrix)[0] + np.linalg.eigvalsh(self.pi0)[0]
+        bound = np.min(
+            np.linalg.eigvalsh(inertia.matrix)[0] + np.linalg.eigvalsh(self.pi0)[..., 0]
+        )
         if bound <= 0:
             raise ValueError(
                 "total operator I + Pi is not positive definite for every rotation "
                 f"(lambda_min(I) + lambda_min(Pi0) = {bound:.6g})"
             )
         super().__init__(inertia.n, [rotation_component(inertia.n), skew_component("omega", inertia.n)])
+
+    def member(self, b):
+        """With a stack of Pi0, the flow of member b's Pi0."""
+        if self.pi0.ndim == 2:
+            return self
+        solo = copy.copy(self)
+        solo.pi0 = self.pi0[b]
+        return solo
 
     def conserved(self):
         return {"energy": self.energy, "momentum_norm": self.momentum_norm}

@@ -2,14 +2,30 @@
 
 Nothing here reuses the library's field implementations: multipliers come
 from a generic KKT solve over explicit constraint rows, and the 3D systems
-are written in classical vector form.
+are written in classical vector form.  The two studies at the end are the
+member-by-member forms the library's stacked studies must reproduce bit for
+bit: they call the library's fields and ``integrate`` one state at a time.
 """
 
 import numpy as np
 
 from helpers import iso3
 from lrsim import liecore as lie
-from lrsim.diagnostics import QuantityDrift
+from lrsim.diagnostics import HAMILTONIZATION_TAU, EpsilonStudy, QuantityDrift
+from lrsim.integrators import (
+    IntegratorConfig,
+    hermite_interpolate,
+    integrate,
+    integrate_reparametrized,
+    reparametrize_trajectory,
+)
+from lrsim.systems import (
+    CotangentSystem,
+    LplusRSystem,
+    LRSystem,
+    LstarGeodesicSystem,
+    penalty_pi0,
+)
 
 
 def inner(x, y):
@@ -386,3 +402,46 @@ def conservation_report_loop(traj, quantities=None):
         scale = abs(initial) if abs(initial) > 1e-12 else max(np.max(np.abs(values)), 1.0)
         report.append(QuantityDrift(name, initial, drift, drift / scale))
     return report
+
+
+def _sup_deviation_loop(traj, ref, names):
+    devs = [np.max(np.abs(traj.component(name) - ref.component(name))) for name in names]
+    return float(np.max(devs))
+
+
+def epsilon_limit_study_loop(inertia, constraint_basis, g0, omega0, epsilons, cfg):
+    """The penalty study with one solo L+R run per eps."""
+    lr = LRSystem(inertia, constraint_basis)
+    traj_lr = integrate(lr, lr.initial_state(g0, omega0), cfg)
+    errors = []
+    for eps in epsilons:
+        lpr = LplusRSystem(inertia, penalty_pi0(constraint_basis, eps))
+        traj = integrate(lpr, lpr.pack(g=g0, omega=omega0), cfg)
+        errors.append(_sup_deviation_loop(traj, traj_lr, ("g", "omega")))
+    slope = float(np.polyfit(np.log(np.asarray(epsilons, dtype=float)), np.log(errors), 1)[0])
+    return EpsilonStudy(tuple(float(e) for e in epsilons), tuple(errors), slope)
+
+
+def hamiltonization_check_loop(inertia, mass, radius, gamma0, p0, h):
+    """The Hamiltonization check with solo rescaled-time and physical-time runs."""
+    axes = inertia.axes
+    cot = CotangentSystem(inertia, mass, radius)
+    y0 = cot.pack(gamma=gamma0, p=p0)
+    cfg_tau = IntegratorConfig(h=h, steps=max(1, int(round(HAMILTONIZATION_TAU / h))))
+    traj_tau = integrate_reparametrized(cot, y0, axes, cfg_tau)
+    gdot0 = cot.gamma_dot_of(np.asarray(gamma0, dtype=float), np.asarray(p0, dtype=float))
+    v0 = float(np.sqrt((axes * gamma0) @ gamma0)) * gdot0
+    geo = LstarGeodesicSystem(axes)
+    traj_geo = integrate(geo, geo.pack(gamma=gamma0, v=v0), cfg_tau)
+    sup_geo = float(np.max(np.abs(traj_tau.component("gamma") - traj_geo.component("gamma"))))
+    rate_min = 1.0 / np.sqrt(float(np.max(axes)))
+    t_end = 1.25 * HAMILTONIZATION_TAU / rate_min
+    traj_t = integrate(cot, y0, IntegratorConfig(h=h, steps=max(1, int(round(t_end / h)))))
+    fields = cot.rhs(traj_t.states)
+    tau_of_t = reparametrize_trajectory(traj_t, axes, fields)
+    gammas = traj_t.component("gamma")
+    rescale = np.sqrt(np.einsum("ki,i,ki->k", gammas, axes, gammas))
+    slopes = rescale[:, None] * cot.part(fields, "gamma")
+    path = hermite_interpolate(tau_of_t, gammas, slopes, traj_tau.times)
+    sup_dual = float(np.max(np.abs(path - traj_tau.component("gamma"))))
+    return sup_geo, sup_dual, traj_geo, traj_tau, traj_t

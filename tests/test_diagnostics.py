@@ -1,5 +1,7 @@
 """Drift reports, invariant-measure divergences, limits, reconstruction."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,16 @@ from helpers import (
     rand_unit,
     special_inertia,
 )
+from lrsim import cli
 from lrsim import diagnostics as diag
 from lrsim import liecore as lie
 from lrsim.integrators import IntegratorConfig, Trajectory, integrate
 from lrsim.operators import InertiaOperator
 from lrsim.cli import DIVERGENCE_TOL
+from lrsim.scenario import load_scenario
 from lrsim.systems import CotangentSystem, LplusRSystem, LRSystem
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 class TestConservationReport:
@@ -319,6 +325,94 @@ class TestEpsilonLimit:
         assert study.errors[2] < 1e-4
         # empirical first-order rate in 1/eps
         assert abs(study.slope + 1.0) < 0.2
+
+
+def verify_study_calls(monkeypatch, study, name):
+    """The arguments ``verify`` hands ``diag.<study>`` on a shipped scenario."""
+    calls = []
+    real = getattr(diag, study)
+    monkeypatch.setattr(diag, study, lambda *args: calls.append(args) or real(*args))
+    scenario = load_scenario(SCENARIO_DIR / f"{name}.yaml")
+    short = IntegratorConfig(h=scenario.integrator.h, steps=10)
+    cli.verification_checks(scenario, integrate(scenario.system, scenario.initial, short))
+    assert len(calls) == 1
+    return calls[0]
+
+
+def random_hamiltonization_args(rng, n, axes_range):
+    axes = rng.uniform(*axes_range, n)
+    c = 0.5 * min(axes[i] * axes[j] for i in range(n) for j in range(i + 1, n))
+    gamma0 = rand_unit(rng, n)
+    p0 = rng.normal(size=n)
+    p0 -= gamma0 * (gamma0 @ p0)
+    return InertiaOperator.special(axes, c), c, 1.0, gamma0, p0, 1e-3
+
+
+class TestStackedStudies:
+    """The stacked studies return what their member-by-member forms return, bit for bit."""
+
+    @staticmethod
+    def assert_hamiltonization_matches_its_loop(args):
+        sup_geo, sup_dual, traj_geo = diag.hamiltonization_check(*args)
+        loop_geo, loop_dual, loop_traj_geo, loop_tau, loop_t = oracles.hamiltonization_check_loop(
+            *args
+        )
+        assert (sup_geo, sup_dual) == (loop_geo, loop_dual)
+        np.testing.assert_array_equal(traj_geo.states, loop_traj_geo.states)
+        cot = CotangentSystem(*args[:3])
+        steps = (len(loop_tau) - 1, len(loop_t) - 1)
+        y0 = cot.pack(gamma=args[3], p=args[4])
+        runs = diag._tau_and_t_runs(cot, y0, args[0].axes, args[5], steps)
+        for run, loop in zip(runs, (loop_tau, loop_t)):
+            np.testing.assert_array_equal(run.times, loop.times)
+            np.testing.assert_array_equal(run.states, loop.states)
+
+    @staticmethod
+    def assert_epsilon_study_matches_its_loop(args):
+        study = diag.epsilon_limit_study(*args)
+        loop = oracles.epsilon_limit_study_loop(*args)
+        assert study.errors == loop.errors
+        assert study.slope == loop.slope
+
+    @pytest.mark.parametrize("name", ["cotangent", "rubber_chaplygin3", "rubber_chaplygin4"])
+    def test_hamiltonization_on_shipped_data(self, monkeypatch, name):
+        args = verify_study_calls(monkeypatch, "hamiltonization_check", name)
+        monkeypatch.undo()
+        self.assert_hamiltonization_matches_its_loop(args)
+
+    # axes up to 2.2: the physical-time run is the longer one; below 0.64 the
+    # rescaled-time run is, and continues alone
+    @pytest.mark.parametrize("axes_range", [(0.8, 2.2), (0.3, 0.6)])
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_hamiltonization_on_random_special_inertias(self, n, axes_range, rng):
+        self.assert_hamiltonization_matches_its_loop(random_hamiltonization_args(rng, n, axes_range))
+
+    @pytest.mark.parametrize("name", ["veselova", "lplusr_penalty"])
+    def test_epsilon_study_on_shipped_data(self, monkeypatch, name):
+        args = verify_study_calls(monkeypatch, "epsilon_limit_study", name)
+        monkeypatch.undo()
+        self.assert_epsilon_study_matches_its_loop(args)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_epsilon_study_on_random_lr_data(self, n, rng):
+        system, y0 = make_lr(rng, n)
+        g0 = system.part(y0, "g")
+        omega0 = lie.vec_to_skew(system.part(y0, "omega"), n)
+        args = (system.inertia, system.h_space, g0, omega0, (1e2, 1e4, 1e6),
+                IntegratorConfig(h=1e-3, steps=200))
+        self.assert_epsilon_study_matches_its_loop(args)
+
+    def test_stacked_pi0_checks_every_member(self, rng):
+        inertia = rand_spd_operator(rng, 3)
+        good = rand_pi0(rng, inertia)
+        floor = np.linalg.eigvalsh(inertia.matrix)[0]
+        bad = good - (np.linalg.eigvalsh(good)[0] + 2.0 * floor) * np.eye(3)
+        with pytest.raises(ValueError, match="not positive definite"):
+            LplusRSystem(inertia, np.stack([good, bad]))
+        asym = good.copy()
+        asym[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            LplusRSystem(inertia, np.stack([good, asym]))
 
 
 class TestReconstruction:

@@ -5,6 +5,8 @@ import pytest
 
 import oracles
 from helpers import (
+    KERNEL_MAKERS,
+    MAKERS,
     iso3,
     iso3_inv,
     make_cotangent,
@@ -16,6 +18,7 @@ from helpers import (
 )
 from lrsim import liecore as lie
 from lrsim.integrators import (
+    METHODS,
     THETA,
     IntegrationError,
     IntegratorConfig,
@@ -29,7 +32,9 @@ from lrsim.integrators import (
 )
 from lrsim.operators import InertiaOperator
 from lrsim.systems import LRSystem, polar_project
-from lrsim.systems.base import Component, VECTOR, System
+from lrsim.systems.base import ROTATION, VECTOR, Component, System, normalize_units
+
+STACK_MAKERS = {**MAKERS, **KERNEL_MAKERS}
 
 
 def free_top_system(inertia3=(1.0, 2.0, 3.0), c=0.4):
@@ -205,6 +210,86 @@ class TestIntegrate:
         assert err.step_index == 1
         assert len(err.partial) == err.step_index + 1
         np.testing.assert_allclose(err.partial.states[:, 0], [0.0, 1.0])
+
+
+class Squaring(System):
+    """x' = x^2, over stacks too: a member from x(0) = 1 diverges at t = 1."""
+
+    def __init__(self):
+        super().__init__(1, [Component("x", VECTOR, 1)])
+
+    def rhs(self, y):
+        return y * y
+
+
+class Refusing(Squaring):
+    """x' = x^2, raising for the whole stack once any member passes 1.5."""
+
+    def rhs(self, y):
+        if np.any(y > 1.5):
+            raise RuntimeError("x passed 1.5")
+        return y * y
+
+
+class TestStackedIntegration:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", (3, 4))
+    @pytest.mark.parametrize("kind", sorted(STACK_MAKERS))
+    def test_each_member_equals_its_solo_run(self, kind, n, method, rng):
+        system, y0 = STACK_MAKERS[kind](rng, n)
+        cfg = IntegratorConfig(method, h=1e-2, steps=20)
+        solo = integrate(system, y0, cfg).states
+        stack = np.stack([y0, solo[10], solo[20]])
+        traj = integrate(system, stack, cfg)
+        assert traj.states.shape == (21, 3, system.dim)
+        for b, member in enumerate(stack):
+            np.testing.assert_array_equal(traj.states[:, b], integrate(system, member, cfg).states)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    @pytest.mark.parametrize("kind", sorted(STACK_MAKERS))
+    def test_projection_of_a_stack_equals_each_members(self, kind, n, rng):
+        system, y0 = STACK_MAKERS[kind](rng, n)
+        stack = y0 + 1e-3 * rng.normal(size=(4, system.dim))
+        for comp in system.components:
+            if comp.kind == ROTATION:
+                # one member's rotation turned into a reflection: its polar factor flips a column
+                g = system.part(stack[1], comp.name)
+                g[0] = -g[0]
+        projected = system.project(stack)
+        normalized = normalize_units(system, stack.copy())
+        for b, member in enumerate(stack):
+            np.testing.assert_array_equal(projected[b], system.project(member))
+            np.testing.assert_array_equal(normalized[b], normalize_units(system, member.copy()))
+
+    def test_one_state_keeps_its_shapes(self, rng):
+        system, y0 = make_lplusr(rng, 3)
+        traj = integrate(system, y0, IntegratorConfig(h=1e-3, steps=5))
+        assert traj.states.shape == (6, system.dim)
+        assert traj.component("g").shape == (6, 3, 3)
+        assert step(system, y0, 1e-3).shape == (system.dim,)
+
+    @pytest.mark.parametrize("cls, message", [
+        (Squaring, "non-finite state"), (Refusing, "x passed 1.5"),
+    ])
+    def test_failing_member_is_named_and_every_partial_kept(self, cls, message):
+        system = cls()
+        cfg = IntegratorConfig(h=0.25, steps=10)
+        stack = np.array([[0.1], [1.0], [0.2]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match=message) as info:
+                integrate(system, stack, cfg)
+        err = info.value
+        assert err.member == 1
+        assert str(err).endswith(f"(step {err.step_index}, member 1)")
+        assert err.partial.states.shape == (err.step_index + 1, 3, 1)
+        for b in (0, 2):
+            solo = integrate(system, stack[b], cfg).states
+            np.testing.assert_array_equal(err.partial.states[:, b], solo[: err.step_index + 1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as solo_info:
+                integrate(system, stack[1], cfg)
+        assert solo_info.value.member is None
+        assert solo_info.value.step_index == err.step_index
 
 
 class TestReparametrization:
