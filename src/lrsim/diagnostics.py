@@ -8,9 +8,12 @@ and contact-point reconstruction.
 The certificate evaluates its fields on stacked states: every ``rhs`` and
 ``measure_density`` of :mod:`lrsim.systems`, and the reduced rubber
 Chaplygin densities here, map a (m, dim) array of states to (m, dim)
-derivatives and (m,) densities in one sequence of numpy calls.
-:func:`measure_divergence` sends the central-difference stencils of its
-sample states through them one block of ``MEASURE_BLOCK`` states at a time,
+derivatives and (m,) densities in one sequence of numpy calls.  They keep
+the dtype of the states, so a complex state y + i eta e_j carries the
+derivative along e_j in its imaginary part, exact to roundoff for the tiny
+``COMPLEX_STEP`` eta (Squire and Trapp, SIAM Rev. 40, 1998).
+:func:`measure_divergence` sends those complex points of its sample states
+through them one block of ``MEASURE_BLOCK`` states at a time,
 :func:`functional_independence_rank` those of all its states at once, and
 :func:`hamiltonization_check` evaluates the field along its path in one
 call.
@@ -24,7 +27,9 @@ stacked ``Pi0``.  Each member runs bit for bit as it would alone.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,18 +52,23 @@ from .systems import (
 )
 from .systems.chaplygin import tangent_inertia
 
-FD_STEP = 1e-5
+# eta of the complex-step derivative Im f(y + i eta e_j) / eta: it takes no
+# difference, so no eta is too small
+COMPLEX_STEP = 1e-30
+# raised, not printed, inside the complex-step certificates: a hook that casts
+# its complex input to float has dropped the derivative, and the value read
+# without it would be wrong (np.exceptions appeared in numpy 1.25)
+_COMPLEX_WARNING = getattr(np, "exceptions", np).ComplexWarning
 HAMILTONIZATION_TAU = 1.0
-INDEPENDENCE_FD_STEP = 1e-6
 INDEPENDENCE_TOL = 1e-8
 # states per call in both reports: the temporaries of a stacked call grow
 # with its length (an N x N adjoint matrix per state for the partner flows),
 # so blocks bound the reports' memory on long runs
 REPORT_BLOCK = 64
-# sample states per field call of measure_divergence: each brings its 4 dim
-# stencil points, so the temporaries grow with the block; one call over the
-# 42 states a rubber_chaplygin4 verify samples allocates 4 MB, a block of 8
-# under 1 MB
+# sample states per field call of measure_divergence: each brings its dim
+# complex points, so the temporaries grow with the block; one call over the
+# 42 states a rubber_chaplygin4 verify samples allocates 2.1 MB, a block of 8
+# 0.4 MB
 MEASURE_BLOCK = 8
 
 
@@ -135,53 +145,46 @@ def constraint_report(traj):
 @dataclass(frozen=True)
 class DivergenceEstimate:
     value: np.ndarray
-    refined: np.ndarray
-    warning: int
+    # flagged estimates, always 0: a complex step has no cancellation to flag
+    warning: ClassVar[int] = 0
 
 
-def _stencil_divergence(field, density, states, steps):
-    """div(density * field) / density at a (m, dim) block of states: row 0
-    from the +-h differences, row 1 from the +-h/2 ones."""
+def _complex_step_divergence(field, density, states):
+    """div(density * field) / density at a (m, dim) block of states."""
     m, dim = states.shape
-    # (m, 4, dim, dim): state j shifted by steps[s] along coordinate i
-    points = (states[:, None, None, :] + steps[:, None, None] * np.eye(dim)).reshape(-1, dim)
-    densities = np.broadcast_to(density(np.concatenate([points, states])), (len(points) + m,))
-    # component i of the field at the states shifted along coordinate i
-    flux = densities[:-m].reshape(m, 4, dim) * np.diagonal(
-        field(points).reshape(m, 4, dim, dim), axis1=-2, axis2=-1
-    )
-    diffs = np.sum(flux[:, 0::2] - flux[:, 1::2], axis=-1).T
-    return diffs / (2.0 * steps[0::2, None]) / densities[-m:]
+    # (m dim, dim): state j shifted by i eta along coordinate i
+    points = (states[:, None, :] + (1j * COMPLEX_STEP) * np.eye(dim)).reshape(-1, dim)
+    rho = np.broadcast_to(density(points), (m * dim,)).reshape(m, dim)
+    # component i of the field at the state shifted along coordinate i
+    flux = rho * np.diagonal(field(points).reshape(m, dim, dim), axis1=-2, axis2=-1)
+    # the real part of the density at a shifted point is its value at the state
+    return np.sum(flux.imag, axis=-1) / COMPLEX_STEP / rho[:, 0].real
 
 
-def measure_divergence(field, density, states, fd_step=FD_STEP):
-    """Central-difference div(density * field) / density at a (m, dim) stack of states.
+def measure_divergence(field, density, states):
+    """Complex-step div(density * field) / density at a (m, dim) stack of states.
 
     A vanishing value certifies that density * (coordinate volume) is
     preserved by the flow; dividing by the density at the state makes the
-    value independent of the density's constant factor.  The estimate is
-    repeated at half the step; a large disagreement flags cancellation
-    trouble.  ``value`` and ``refined`` hold one estimate per state and
-    ``warning`` counts the flagged states.
+    value independent of the density's constant factor.  The derivative of
+    component j along coordinate j is Im[density * field_j](y + i eta e_j) /
+    eta, exact to roundoff; ``value`` holds one estimate per state.
 
-    The stencils of a block of ``MEASURE_BLOCK`` states, +-h and +-h/2 along
-    each of the dim coordinates, go out as one (4 block dim, dim) stack:
-    ``field`` maps (k, dim) states to (k, dim) derivatives, and ``density``,
-    called once per block on the stencils and the states, maps them to (k,)
-    values or returns a scalar that holds at every state.
+    The points of a block of ``MEASURE_BLOCK`` states, one per coordinate,
+    go out as one complex (block dim, dim) stack: ``field`` maps (k, dim)
+    states to (k, dim) derivatives, and ``density``, called once per block,
+    maps them to (k,) values or returns a scalar that holds at every state.
+    Both must keep the imaginary part of their input, as every ``rhs`` and
+    ``measure_density`` of :mod:`lrsim.systems` does; a cast of it to float
+    raises ``ComplexWarning`` here instead of returning a wrong value.
     """
     states = np.asarray(states, dtype=float)
-    steps = np.array([fd_step, -fd_step, 0.5 * fd_step, -0.5 * fd_step])
-    blocks = _by_block(
-        lambda block: _stencil_divergence(field, density, block, steps), states, MEASURE_BLOCK
-    )
-    value, refined = np.concatenate(blocks, axis=-1)
-    # roundoff-corrupted estimates are both large and mutually inconsistent;
-    # a genuinely vanishing divergence gives two tiny values, a genuinely
-    # nonzero one gives two values that agree
-    magnitude = np.maximum(np.abs(value), np.abs(refined))
-    flagged = (np.abs(value - refined) > 0.5 * magnitude) & (magnitude > 1e-8)
-    return DivergenceEstimate(value, refined, int(np.count_nonzero(flagged)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _COMPLEX_WARNING)
+        blocks = _by_block(
+            lambda block: _complex_step_divergence(field, density, block), states, MEASURE_BLOCK
+        )
+    return DivergenceEstimate(np.concatenate(blocks))
 
 
 # --- the reduced rubber Chaplygin densities --------------------------------
@@ -200,7 +203,7 @@ def reduced_chaplygin_density(inertia, mass, radius):
 
     def density(z):
         gamma = z[..., :n]
-        e = lie.wedge_map(gamma / np.linalg.norm(gamma, axis=-1, keepdims=True))
+        e = lie.wedge_map(gamma / np.sqrt((gamma * gamma).sum(axis=-1, keepdims=True)))
         return np.sqrt(mr2 / np.linalg.det(tangent_inertia(inertia, mr2, e)))
 
     return density
@@ -325,8 +328,9 @@ def reduction_equivalence(full_system, reduced_system, y0_full, cfg):
     For the coupled flows it reads exactly 0: ``CoupledFullSystem`` and
     ``CoupledReducedSystem`` share one (g, omega) field, which never reads
     the slaved W, so both runs step the same field from the same state.  It
-    only guards that shared kernel; :func:`reconstruct_W` on the reduced run
-    against the full run's W is what certifies the reduction.
+    only guards that shared kernel, and ``lrsim verify`` no longer calls it:
+    :func:`reconstruct_W` on the full run against its own W is what
+    certifies the reduction.
     """
     traj_full = integrate(full_system, y0_full, cfg)
     y0_red = reduced_system.pack(
@@ -352,7 +356,9 @@ def hamiltonization_check(inertia, mass, radius, gamma0, p0, h):
     physical-time path in one call.
     Returns the sup deviation of gamma between the rescaled flow and the
     geodesic flow, the dual-path deviation, and the geodesic trajectory
-    for further checks.
+    for further checks.  Its runs carry no rotation, so both methods of
+    :mod:`lrsim.integrators` take the same classical step there, and it
+    integrates with the default method.
     """
     axes = inertia.axes
     if axes is None:
@@ -410,18 +416,20 @@ def functional_independence_rank(functions, states):
     """Rank of the Jacobian of state functions at sample states.
 
     Each function maps a (..., dim) stack of states to a float or a vector
-    of them per state; every entry is one row.  Gradients are taken by
-    central differences of step ``INDEPENDENCE_FD_STEP`` in the flat chart,
-    each function called once on the +-h stencils of all states; the rank is
+    of them per state; every entry is one row.  Gradients are complex-step
+    derivatives in the flat chart, each function called once on the dim
+    complex points of all states, so each must keep the imaginary part of
+    its input (a cast of it to float raises ``ComplexWarning``); the rank is
     the count of singular values above ``INDEPENDENCE_TOL`` relative to the
     largest, minimized over the sample states.
     """
     states = np.asarray(states, dtype=float)
     m, dim = states.shape
-    e = INDEPENDENCE_FD_STEP * np.eye(dim)
-    points = np.stack([states[:, None] + e, states[:, None] - e], axis=1)
-    values = [fn(points) for fn in functions]
-    # (states, dim, rows): the differences along each coordinate, one row per entry
-    diffs = np.concatenate([(v[:, 0] - v[:, 1]).reshape(m, dim, -1) for v in values], axis=-1)
-    sv = np.linalg.svd(np.swapaxes(diffs, -1, -2) / (2.0 * INDEPENDENCE_FD_STEP), compute_uv=False)
+    points = states[:, None] + (1j * COMPLEX_STEP) * np.eye(dim)
+    # (states, dim, rows): the derivatives along each coordinate, one row per entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _COMPLEX_WARNING)
+        values = [fn(points) for fn in functions]
+    grads = np.concatenate([v.imag.reshape(m, dim, -1) for v in values], axis=-1)
+    sv = np.linalg.svd(np.swapaxes(grads, -1, -2) / COMPLEX_STEP, compute_uv=False)
     return int(np.min(np.sum(sv > INDEPENDENCE_TOL * sv[:, :1], axis=-1)))

@@ -307,13 +307,6 @@ def time_rescaled(system, axes, rescaled):
     return flow
 
 
-def integrate_reparametrized(system, y0, axes, cfg):
-    """Integrate a gamma-carrying flow in the rescaled time tau
-    (:func:`time_rescaled`); the trajectory carries ``system`` itself."""
-    traj = integrate(time_rescaled(system, axes, True), y0, cfg)
-    return Trajectory(system, traj.times, traj.states)
-
-
 def reparametrize_trajectory(traj, axes, fields):
     """Rescaled times tau(t) along a t-trajectory by cumulative quadrature.
 

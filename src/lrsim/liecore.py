@@ -14,6 +14,12 @@ constants of so(n) form an (N, N^2) matrix S whose row a is ad_{E_a}
 flattened, so ad_x = (x @ S).reshape(N, N) for a coordinate vector x and
 [X, Y] has coordinates ad_x y (:func:`ad_vec`).  Every entry of S is 0 or
 +-1 and every entry of ad_x is +-x_a for exactly one a, so the map is exact.
+
+The conversions and brackets keep the dtype of their input, so complex
+states pass through them for the complex-step derivatives of
+:mod:`lrsim.diagnostics`; the constructors that validate their input
+(:func:`check_unit`, :class:`SubspaceBasis`, :func:`householder_frame`)
+take floats.
 """
 
 from __future__ import annotations
@@ -52,8 +58,8 @@ def skew_part(x):
 
 def wedge(x, y):
     """Wedge product x ^ y = x y^T - y x^T of two n-vectors."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.asarray(x)
+    y = np.asarray(y)
     if x.shape != y.shape or x.ndim != 1:
         raise DimensionError(f"wedge needs two equal-length vectors, got {x.shape} and {y.shape}")
     return np.outer(x, y) - np.outer(y, x)
@@ -61,8 +67,8 @@ def wedge(x, y):
 
 def ad(x, y):
     """Commutator [X, Y] = X Y - Y X."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.asarray(x)
+    y = np.asarray(y)
     if x.shape != y.shape:
         raise DimensionError(f"commutator of mismatched shapes {x.shape} and {y.shape}")
     return x @ y - y @ x
@@ -70,8 +76,8 @@ def ad(x, y):
 
 def Ad(g, x):
     """Adjoint action g X g^{-1} of a rotation on a skew matrix, over leading axes."""
-    g = np.asarray(g, dtype=float)
-    x = np.asarray(x, dtype=float)
+    g = np.asarray(g)
+    x = np.asarray(x)
     if g.shape[-2:] != x.shape[-2:]:
         raise DimensionError(f"Ad of mismatched shapes {g.shape} and {x.shape}")
     return skew_part(g @ x @ np.swapaxes(g, -1, -2))
@@ -114,19 +120,19 @@ def skew_to_vec(x):
 
     Leading axes are a stack: (..., n, n) maps to (..., N).
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     rows, cols = _pair_indices(x.shape[-1])
     return x[..., rows, cols]
 
 
 def vec_to_skew(v, n):
     """Skew matrix with the given bivector coordinates; (..., N) maps to (..., n, n)."""
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v)
     upper, lower, _, _ = _flat_indices(n)
     if v.shape[-1:] != upper.shape:
         raise DimensionError(f"expected {upper.size} coordinates for so({n}), got {v.shape[-1:]}")
     lead = v.shape[:-1]
-    x = np.zeros(lead + (n * n,))
+    x = np.zeros(lead + (n * n,), dtype=v.dtype)
     # the transposes put the stack axes last, so one index array on the
     # first axis does the scatter; that is also the cheapest path for one state
     xt = x.T
@@ -166,7 +172,7 @@ def adjoint_matrix(g):
     since g (e_k ^ e_l) g^T = g e_k ^ g e_l; one gather collects the four
     factors.  A (..., n, n) stack of rotations gives a (..., N, N) stack.
     """
-    g = np.asarray(g, dtype=float)
+    g = np.asarray(g)
     n = g.shape[-1]
     f = g.reshape(g.shape[:-2] + (n * n,)).take(_compound_indices(n), axis=-1)
     return f[..., 0, :, :] * f[..., 1, :, :] - f[..., 2, :, :] * f[..., 3, :, :]
@@ -174,7 +180,7 @@ def adjoint_matrix(g):
 
 def ad_matrix(x):
     """Matrix of ad_X = [X, .] on bivector coordinates; (..., n, n) maps to (..., N, N)."""
-    x = np.asarray(x, dtype=float)[..., None, :, :]
+    x = np.asarray(x)[..., None, :, :]
     basis = bivector_basis(x.shape[-1])
     # every basis entry is 0 or +-1, so each product, and the matrix, is exact
     return np.swapaxes(skew_to_vec(x @ basis - basis @ x), -1, -2)
@@ -200,7 +206,7 @@ def ad_vec(x):
     matmul against :func:`structure_constants` instead of a round trip
     through n x n matrices.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
     N = x.shape[-1]
     n = (1 + math.isqrt(1 + 8 * N)) // 2
     if so_dim(n) != N:
@@ -304,12 +310,12 @@ def wedge_map(gamma):
     projects onto R^n ^ gamma, E E^T = Id - gamma gamma^T and
     ker E = (R^n ^ gamma)^perp.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = np.asarray(gamma)
     n = gamma.shape[-1]
     rows, cols = _pair_indices(n)
     _, _, plus, minus = _flat_indices(n)
     lead = gamma.shape[:-1]
-    e = np.zeros(lead + (n * rows.size,))
+    e = np.zeros(lead + (n * rows.size,), dtype=gamma.dtype)
     # scatter through the transposes, as in vec_to_skew
     et, gt = e.T, gamma.T
     et[plus] = gt[cols]

@@ -174,7 +174,7 @@ class CotangentSystem(System):
         p = self.part(y, "p")
         gh, ghp, gamma_dot = self._velocity(gamma, p)
         # -Phi x = gamma' (gamma, x) - gamma (gamma', x) for Phi = gamma ^ gamma'
-        out = np.empty(y.shape)
+        out = np.empty(y.shape, dtype=y.dtype)
         self.part(out, "gamma")[...] = gamma_dot * dot(gh, gamma) - gh * dot(gamma_dot, gamma)
         self.part(out, "p")[...] = gamma_dot * ghp - gh * dot(gamma_dot, p)
         return out
@@ -236,7 +236,7 @@ class LstarGeodesicSystem(System):
         lam = -(dot(self.axes * v, v) / s - np.float_power(ratio, 2)) * s / gg
         ainv_gamma = gamma / self.axes
         mu = (-dot(v, v) - lam * dot(gamma, ainv_gamma)) / gg
-        out = np.empty(y.shape)
+        out = np.empty(y.shape, dtype=y.dtype)
         self.part(out, "gamma")[...] = v
         self.part(out, "v")[...] = mu * gamma + lam * ainv_gamma
         return out
@@ -288,7 +288,7 @@ class GsrSystem(System):
         bdot_w = self.mr2 * (adg @ (adw @ gamma_dot))
         # [k, omega] - bdot_w
         torque = -(adw @ ((self.inertia.matrix + pi) @ wcol)) - bdot_w
-        out = np.empty(y.shape)
+        out = np.empty(y.shape, dtype=y.dtype)
         self.part(out, "gamma")[...] = gamma_dot[..., 0]
         self.part(out, "omega")[...] = constrained_acceleration(self.inertia, pi, torque)
         return out

@@ -227,7 +227,7 @@ class ConstrainedEulerSystem(System):
         omega = lie.vec_to_skew(wv, self.n)
         adw = lie.ad_vec(wv)
         wdot, frame = self.acceleration(y, wv, adw)
-        out = np.empty(y.shape)
+        out = np.empty(y.shape, dtype=y.dtype)
         np.matmul(self.part(y, "g"), omega, out=self.part(out, "g"))
         self.part(out, "omega")[...] = wdot
         self.transport(y, frame, omega, adw, wdot, out)

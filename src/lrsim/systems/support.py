@@ -68,7 +68,7 @@ class _SupportBase(ConstrainedEulerSystem):
 
     def _contact_pi(self, gammas):
         """shift Id + sum_i c_i E_i^T E_i over the wedge maps E_i of the unit gammas."""
-        units = gammas / np.linalg.norm(gammas, axis=-1, keepdims=True)
+        units = gammas / np.sqrt((gammas * gammas).sum(axis=-1, keepdims=True))
         e = lie.wedge_map(units).reshape(gammas.shape[:-2] + (-1, self.N))
         pi = e.swapaxes(-1, -2) @ (self._weights * e)
         pi.reshape(pi.shape[:-2] + (-1,))[..., :: self.N + 1] += self.shift  # a view of fresh pi
@@ -115,7 +115,8 @@ class _SupportBase(ConstrainedEulerSystem):
         outer = gammas * np.swapaxes(gammas, -1, -2)
         power = poly = np.concatenate([self.momentum_matrix(y)[..., None, :, :], outer], axis=-3)
         for _ in range(k - 1):
-            prod = np.zeros(power.shape[:-3] + (power.shape[-3] + self.n_bodies, self.n, self.n))
+            shape = power.shape[:-3] + (power.shape[-3] + self.n_bodies, self.n, self.n)
+            prod = np.zeros(shape, dtype=power.dtype)
             for i in range(self.n_bodies + 1):
                 prod[..., i:i + power.shape[-3], :, :] += power @ poly[..., i, None, :, :]
             power = prod

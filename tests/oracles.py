@@ -14,10 +14,11 @@ from lrsim import liecore as lie
 from lrsim.diagnostics import HAMILTONIZATION_TAU, EpsilonStudy, QuantityDrift
 from lrsim.integrators import (
     IntegratorConfig,
+    Trajectory,
     hermite_interpolate,
     integrate,
-    integrate_reparametrized,
     reparametrize_trajectory,
+    time_rescaled,
 )
 from lrsim.systems import (
     CotangentSystem,
@@ -196,23 +197,34 @@ def wedge_complement_loop(gamma):
 
 
 def measure_divergence_loop(field, density, state, fd_step):
-    """Central-difference divergence of density * field over density, one state per call.
-
-    Returns the estimates at ``fd_step`` and at half of it.
-    """
+    """Central-difference divergence of density * field over density, one state per call."""
     state = np.asarray(state, dtype=float)
+    total = 0.0
+    for i in range(state.size):
+        up = state.copy()
+        up[i] += fd_step
+        dn = state.copy()
+        dn[i] -= fd_step
+        total += (density(up) * field(up)[i] - density(dn) * field(dn)[i]) / (2.0 * fd_step)
+    return total / density(state)
 
-    def estimate(h):
-        total = 0.0
+
+def independence_rank_loop(functions, states, fd_step, tol):
+    """Rank of the central-difference Jacobian of state functions, one state and
+    one coordinate per call, minimized over the states."""
+    ranks = []
+    for state in np.asarray(states, dtype=float):
+        columns = []
         for i in range(state.size):
             up = state.copy()
-            up[i] += h
+            up[i] += fd_step
             dn = state.copy()
-            dn[i] -= h
-            total += (density(up) * field(up)[i] - density(dn) * field(dn)[i]) / (2.0 * h)
-        return total / density(state)
-
-    return estimate(fd_step), estimate(0.5 * fd_step)
+            dn[i] -= fd_step
+            diffs = [np.ravel(fn(up) - fn(dn)) for fn in functions]
+            columns.append(np.concatenate(diffs) / (2.0 * fd_step))
+        sv = np.linalg.svd(np.column_stack(columns), compute_uv=False)
+        ranks.append(int(np.sum(sv > tol * sv[0])))
+    return min(ranks)
 
 
 def cotangent_rhs_one_state(system, y):
@@ -420,6 +432,14 @@ def epsilon_limit_study_loop(inertia, constraint_basis, g0, omega0, epsilons, cf
         errors.append(_sup_deviation_loop(traj, traj_lr, ("g", "omega")))
     slope = float(np.polyfit(np.log(np.asarray(epsilons, dtype=float)), np.log(errors), 1)[0])
     return EpsilonStudy(tuple(float(e) for e in epsilons), tuple(errors), slope)
+
+
+def integrate_reparametrized(system, y0, axes, cfg):
+    """Integrate a gamma-carrying flow in the rescaled time tau
+    (:func:`~lrsim.integrators.time_rescaled`); the trajectory carries
+    ``system`` itself."""
+    traj = integrate(time_rescaled(system, axes, True), y0, cfg)
+    return Trajectory(system, traj.times, traj.states)
 
 
 def hamiltonization_check_loop(inertia, mass, radius, gamma0, p0, h):

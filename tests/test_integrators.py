@@ -26,7 +26,6 @@ from lrsim.integrators import (
     expm,
     hermite_interpolate,
     integrate,
-    integrate_reparametrized,
     reparametrize_trajectory,
     step,
 )
@@ -297,7 +296,7 @@ class TestReparametrization:
         system, y0 = make_cotangent(rng, 3)
         cfg = IntegratorConfig(h=1e-3, steps=500)
         traj_t = integrate(system, y0, cfg)
-        traj_tau = integrate_reparametrized(system, y0, np.ones(3), cfg)
+        traj_tau = oracles.integrate_reparametrized(system, y0, np.ones(3), cfg)
         np.testing.assert_allclose(traj_tau.states, traj_t.states, atol=1e-13)
         fields = np.array([system.rhs(y) for y in traj_t.states])
         tau = reparametrize_trajectory(traj_t, np.ones(3), fields)
@@ -309,7 +308,8 @@ class TestReparametrization:
         inertia, axes, c = special_inertia(rng, 3)
         system, y0 = make_cotangent(rng, 3, inertia=inertia, mass=c, radius=1.0)
         h = 1e-3
-        traj_tau = integrate_reparametrized(system, y0, axes, IntegratorConfig(h=h, steps=800))
+        cfg = IntegratorConfig(h=h, steps=800)
+        traj_tau = oracles.integrate_reparametrized(system, y0, axes, cfg)
         traj_t = integrate(system, y0, IntegratorConfig(h=h, steps=3000))
         fields = np.array([system.rhs(y) for y in traj_t.states])
         tau = reparametrize_trajectory(traj_t, axes, fields)
@@ -342,7 +342,8 @@ class TestReparametrization:
         inertia, axes, c = special_inertia(local, 3)
         system, y0 = make_cotangent(local, 3, inertia=inertia, mass=c, radius=1.0)
         h = 1e-3
-        traj_tau = integrate_reparametrized(system, y0, axes, IntegratorConfig(h=h, steps=800))
+        cfg = IntegratorConfig(h=h, steps=800)
+        traj_tau = oracles.integrate_reparametrized(system, y0, axes, cfg)
         traj_t = integrate(system, y0, IntegratorConfig(h=h, steps=3000))
         fields = np.array([system.rhs(y) for y in traj_t.states])
         tau = reparametrize_trajectory(traj_t, axes, fields)
@@ -360,7 +361,8 @@ class TestReparametrization:
         inertia, axes, c = special_inertia(local, 3)
         system, y0 = make_cotangent(local, 3, inertia=inertia, mass=c, radius=1.0)
         h = 1e-3
-        traj_tau = integrate_reparametrized(system, y0, axes, IntegratorConfig(h=h, steps=800))
+        cfg = IntegratorConfig(h=h, steps=800)
+        traj_tau = oracles.integrate_reparametrized(system, y0, axes, cfg)
         traj_t = integrate(system, y0, IntegratorConfig(h=h, steps=3000))
         fields = np.array([system.rhs(y) for y in traj_t.states])
         tau = reparametrize_trajectory(traj_t, axes, fields)
@@ -372,7 +374,8 @@ class TestReparametrization:
     def test_rejects_nonpositive_axes(self, rng):
         system, y0 = make_cotangent(rng, 3)
         with pytest.raises(ValueError):
-            integrate_reparametrized(system, y0, np.array([1.0, -1.0, 2.0]), IntegratorConfig())
+            axes = np.array([1.0, -1.0, 2.0])
+            oracles.integrate_reparametrized(system, y0, axes, IntegratorConfig())
 
 
 def test_config_validation():

@@ -1,9 +1,10 @@
 """The library keeps only what a flow, a check or the CLI reaches.
 
-Every public function, class and method that ``lrsim.liecore`` or
-``lrsim.operators`` defines must be used somewhere in ``src/lrsim`` besides
-its own definition, or be named in ``perfbench/tracer.py``, which wraps
-library functions from outside.  A helper that only the tests call belongs
+Every public function, class and method that ``lrsim.liecore``,
+``lrsim.operators``, ``lrsim.integrators`` or ``lrsim.diagnostics`` defines
+must be used somewhere in ``src/lrsim`` besides its own definition, or be
+named in ``perfbench/tracer.py``, which wraps library functions from
+outside.  A helper that only the tests call belongs
 in ``tests/helpers.py`` or ``tests/oracles.py``.
 
 The check reads the source with ``ast`` and imports nothing.  A module-level
@@ -109,7 +110,7 @@ def _tracer_names():
     return names
 
 
-@pytest.mark.parametrize("module", ["liecore", "operators"])
+@pytest.mark.parametrize("module", ["liecore", "operators", "integrators", "diagnostics"])
 def test_every_public_definition_is_reached_from_the_library(module):
     tree = dict(_library())[LIBRARY / f"{module}.py"]
     uses, attributes = _uses(module)

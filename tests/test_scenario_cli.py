@@ -13,7 +13,7 @@ import yaml
 
 from helpers import RotatingFrame
 from lrsim.cli import CHECKS_BY_KIND, main, verification_checks
-from lrsim.integrators import integrate
+from lrsim.integrators import METHODS, integrate
 from lrsim.scenario import (
     SYSTEM_KINDS,
     ScenarioParseError,
@@ -45,7 +45,7 @@ _REDUCED_SPHERE_CHECKS = [
 # the measure check of its own flow
 KIND_CHECKS = {
     "cotangent": _REDUCED_SPHERE_CHECKS,
-    "coupled": ["reduction_equivalence", "W_reconstruction", "measure[coupled]"],
+    "coupled": ["W_reconstruction", "measure[coupled]"],
     "free_top": ["measure[lr]"],
     "geodesic_lpr": ["measure[geodesic-lpr]"],
     "gsr": [],
@@ -507,37 +507,61 @@ class TestCliVerify:
         assert "PASS" in out and "FAIL" not in out
 
     @staticmethod
-    def record_reduction_steps(monkeypatch):
-        from lrsim import diagnostics
+    def record_reconstructions(monkeypatch):
+        """The trajectories ``verify`` reconstructs W on, and the runs it integrates."""
+        from lrsim import cli, diagnostics
 
-        steps = []
-        real = diagnostics.reduction_equivalence
+        reconstructed, runs = [], []
+        real_reconstruct, real_integrate = diagnostics.reconstruct_W, cli.integrate
 
-        def record(full, reduced, y0, cfg):
-            steps.append(cfg.steps)
-            return real(full, reduced, y0, cfg)
+        def reconstruct(traj, w0=None):
+            reconstructed.append(traj)
+            return real_reconstruct(traj, w0)
 
-        monkeypatch.setattr(diagnostics, "reduction_equivalence", record)
-        return steps
+        def integrate(system, y0, cfg):
+            runs.append(real_integrate(system, y0, cfg))
+            return runs[-1]
+
+        monkeypatch.setattr(diagnostics, "reconstruct_W", reconstruct)
+        monkeypatch.setattr(cli, "integrate", integrate)
+        return reconstructed, runs
 
     def test_coupled_scenario_includes_equivalence_check(self, monkeypatch, capsys):
-        steps = self.record_reduction_steps(monkeypatch)
+        # W is reconstructed from verify's own run, which is the only run
+        reconstructed, runs = self.record_reconstructions(monkeypatch)
         assert main(["verify", str(SCENARIO_DIR / "coupled.yaml")]) == 0
         out = capsys.readouterr().out
-        assert "reduction_equivalence" in out
-        assert "W_reconstruction" in out
-        # the shipped h = 1e-3 and steps = 1000: min(steps, 1000)
-        assert steps == [1000]
+        assert "PASS  W_reconstruction" in out
+        assert "reduction_equivalence" not in out
+        assert len(runs) == 1 and len(runs[0]) == 1001
+        assert len(reconstructed) == 1 and reconstructed[0] is runs[0]
 
     @pytest.mark.parametrize("h", ["2", "3", "50"])
     def test_reduction_checks_at_large_h_compare_something(self, monkeypatch, capsys, h):
-        # round(1 / h) is 0 for h >= 2: with no step the full and reduced runs
-        # compared only their initial states and W_reconstruction passed at 0
-        steps = self.record_reduction_steps(monkeypatch)
+        # the run takes its two steps, and W slaved to them misses the run's W
+        reconstructed, _ = self.record_reconstructions(monkeypatch)
         code = main(["verify", str(SCENARIO_DIR / "coupled.yaml"), "--h", h, "--steps", "2"])
         assert code != 0
-        assert steps and steps[0] >= 1
-        assert "PASS  W_reconstruction" not in capsys.readouterr().out
+        assert [len(traj) for traj in reconstructed] == [3]
+        out = capsys.readouterr().out
+        assert "FAIL  W_reconstruction" in out
+        assert "PASS  W_reconstruction" not in out
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name", ["veselova.yaml", "lplusr_penalty.yaml"])
+    def test_penalty_study_runs_under_the_scenario_method(self, monkeypatch, capsys, name, method):
+        from lrsim import diagnostics
+
+        configs = []
+        real = diagnostics.epsilon_limit_study
+
+        def record(*args):
+            configs.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(diagnostics, "epsilon_limit_study", record)
+        assert main(["verify", str(SCENARIO_DIR / name), "--steps", "40", "--method", method]) == 0
+        assert [(cfg.method, cfg.steps) for cfg in configs] == [(method, 40)]
 
     def test_integration_failure_inside_a_study_exit_4(self):
         # the run at h = 15 succeeds; the penalty-limit study's run, from the
